@@ -101,18 +101,22 @@ def _emit(payload: dict, table: bool):
         click.echo(json.dumps(payload, sort_keys=True, indent=2))
 
 
+# structured fields of VerificationFailed, ReconstructionFailed and
+# IntegralityFailure, copied into the error payload when they are set
+_ERROR_FIELDS = ("order", "deg_bound", "index")
+
+
 def _finish(request: dict, table: bool, body, ok=True):
     """Emit the report and translate outcomes into exit codes."""
     try:
         payload = body()
     except CartierError as err:
-        _emit(
-            {
-                "request": request,
-                "error": {"type": type(err).__name__, "message": str(err)},
-            },
-            table,
-        )
+        error = {"type": type(err).__name__, "message": str(err)}
+        for field in _ERROR_FIELDS:
+            value = getattr(err, field, None)
+            if value is not None:
+                error[field] = value
+        _emit({"request": request, "error": error}, table)
         raise SystemExit(1)
     _emit({"request": request, **payload}, table)
     passed = ok(payload) if callable(ok) else ok

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .errors import NotAUnit, NotInK0, ReconstructionFailed
 from .frobenius import Certificate
 from .rational import (
+    ResidueTarget,
     canonical_lift,
     congruence_outcome,
     raw_congruence_check,
@@ -61,8 +62,10 @@ def _certificate(g: TruncSeries, level: int, deg_bound: int, kind: str):
     def verify(cand):
         return congruence_outcome(cand, g, level, upto, require_norm_one=False)
 
+    residues = ResidueTarget(g, level, upto)
+
     def raw_verify(num, den):
-        return raw_congruence_check(num, den, g, level, upto)
+        return raw_congruence_check(num, den, g, level, upto, residues)
 
     try:
         cand = reconstruct_rational(sources, deg_bound, verify, kind, raw_verify)

@@ -171,6 +171,8 @@ def antecedent_chain(L: DiffOp, levels: int, order: int) -> list:
     """Iterate the descent, composing passages: H_(k) = H_(k-1) G(z^(p^(k-1)))
     where G is the single-step passage of the level k-1 operator.
     """
+    if levels < 0:
+        raise BadParameters(f"levels must be >= 0, got {levels}")
     if levels == 0:
         return []
     ctx = L.ctx
@@ -256,6 +258,8 @@ def integrality_check(f: TruncSeries, level: int) -> IntegralityReport:
     Passes when every checked coefficient has valuation >= 0; the first
     failing index is reported, never raised: a failure is a finding.
     """
+    if level < 1:
+        raise BadParameters(f"level must be >= 1, got {level}")
     _require_unit_start(f)
     upto = min(f.ctx.prime**level - 1, f.order - 1)
     min_val = INF

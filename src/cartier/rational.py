@@ -8,11 +8,22 @@ Euclidean algorithm run on (z^T, first T coefficients); each candidate is
 then re-verified against the full reliable window, never trusted. Windows
 are tried smallest first so the least complex certificate wins and the
 result is deterministic.
+
+One fraction-free path serves every context, unramified (e = 1) or
+ramified (e > 1). The Euclid chain is a primitive pseudo-remainder sequence
+on integer pi-component vectors of Z[pi]/(pi^e + p) (pade_pairs). A pair is
+first screened in the residue ring O_K/p^K = (Z/p^K)[pi]/(pi^e + p)
+(raw_congruence_check), which falls back to exact arithmetic only for
+non-integral input. A pair with t(0) != 0 is already in lowest terms, so
+a candidate is only normalized by t(0), without a gcd; the survivors are
+verified exactly by congruence_outcome.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -198,6 +209,12 @@ class RationalFunction:
             if g.degree > 0:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
+        return cls.from_coprime(num, den)
+
+    @classmethod
+    def from_coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den for a pair without a common factor: only normalizes, by
+        den(0), or by the lowest nonzero coefficient when den(0) = 0."""
         c = den.constant_term()
         if c.is_zero():
             c = next(x for x in den.coeffs if not x.is_zero())
@@ -281,116 +298,282 @@ VERIFY_OK = "ok"
 VERIFY_FAIL = "fail"
 VERIFY_NOT_K0 = "not-in-k0"
 
-
-def pade_pairs(f: TruncSeries, window: int):
-    """Extended Euclid on (z^window, f mod z^window).
-
-    Yields (r, t) pairs with t*f = r mod z^window, in order of increasing
-    denominator degree. Each pair is canonical only up to a nonzero scalar
-    (consumers normalize via RationalFunction.make); for an integral prefix
-    the first pair is the truncation itself with t = 1.
-    """
-    ctx = f.ctx
-    if ctx.e == 1:
-        # rational coefficients: run the chain fraction-free over the
-        # integers, which avoids the gcd storm of exact Fraction remainders
-        yield from _pade_pairs_prs(f, window)
-        return
-    r_prev = Polynomial.monomial(ctx, window)
-    r_cur = Polynomial.from_series_prefix(f, window)
-    t_prev = Polynomial.zero(ctx)
-    t_cur = Polynomial.one(ctx)
-    if r_cur.is_zero():
-        yield r_cur, t_cur
-        return
-    while not r_cur.is_zero():
-        yield r_cur, t_cur
-        q, rem = r_prev.divmod(r_cur)
-        r_prev, r_cur = r_cur, rem
-        t_prev, t_cur = t_cur, t_prev - q * t_cur
+# The Pade chain and the residue screen run on plain ints. An element of
+# Z[pi]/(pi^e + p) is a list of its e pi-components, and a polynomial over
+# that ring is stored component-major: e int lists of one common length,
+# list i holding component i of every z-coefficient. At e = 1 each ring
+# operation below is one int operation per coefficient of a single list.
 
 
-def _int_poly(ctx: PadicContext, values) -> Polynomial:
-    return Polynomial(
-        tuple(Coefficient((Fraction(v),), ctx) for v in values), ctx
-    )
+def _terms(c, rows, p):
+    """c * rows as (component, factor, row) terms: component i of c times
+    row j lands in component i + j, folded through pi^e = -p."""
+    e = len(rows)
+    return [
+        (i + j, ci, row) if i + j < e else (i + j - e, -p * ci, row)
+        for i, ci in enumerate(c)
+        if ci
+        for j, row in enumerate(rows)
+    ]
 
 
-def _content_normalized(r, t):
-    g = math.gcd(*(abs(x) for x in r), *(abs(x) for x in t))
+def _scale(c, rows, p):
+    """The polynomial rows times the ring element c."""
+    if len(rows) == 1:
+        return [[c[0] * x for x in rows[0]]]
+    out = [None] * len(rows)
+    for k, f, row in _terms(c, rows, p):
+        prev = out[k]
+        out[k] = [f * x for x in row] if prev is None else [u + f * x for u, x in zip(prev, row)]
+    return [[0] * len(rows[0]) if row is None else row for row in out]
+
+
+def _ring_mul(a, b, p):
+    """Product of two elements of Z[pi]/(pi^e + p)."""
+    return [row[0] for row in _scale(a, [[x] for x in b], p)]
+
+
+def _rowop(a, acc, c, shift, rows, p):
+    """a*acc - c*z^shift*rows for ring elements a and c; acc must be long enough."""
+    n = len(rows[0])
+    if len(acc) == 1:
+        out, f = [a[0] * x for x in acc[0]], c[0]
+        out[shift:shift + n] = [u - f * x for u, x in zip(out[shift:shift + n], rows[0])]
+        return [out]
+    out = _scale(a, acc, p)
+    for k, f, row in _terms(c, rows, p):
+        dst = out[k]
+        dst[shift:shift + n] = [u - f * x for u, x in zip(dst[shift:shift + n], row)]
+    return out
+
+
+def _strip(rows):
+    """Drop the top z-degrees at which every component is zero."""
+    if len(rows) == 1:
+        row = rows[0]
+        while row and not row[-1]:
+            row.pop()
+        return rows
+    n = len(rows[0])
+    while n and not any([row[n - 1] for row in rows]):
+        n -= 1
+    for row in rows:
+        del row[n:]
+    return rows
+
+
+def _primitive(r, t):
+    """Divide the (r, t) row pair by the gcd of all its integers."""
+    g = math.gcd(*itertools.chain(*r, *t))
     if g > 1:
-        r = [x // g for x in r]
-        t = [x // g for x in t]
+        r = [[x // g for x in row] for row in r]
+        t = [[x // g for x in row] for row in t]
     return r, t
 
 
-def _pade_pairs_prs(f: TruncSeries, window: int):
-    """pade_pairs over plain rationals as a primitive integer remainder
-    sequence: denominators cleared once, pseudo-division over the integers,
-    each row divided by its content. Every yielded pair is an integer scalar
-    multiple of the exact-division pair of the same chain position, so the
-    projective stream (and everything downstream of make) is unchanged while
-    coefficient growth stays linear instead of compounding.
+def _poly(ctx, rows) -> Polynomial:
+    columns = zip(*[list(map(Fraction, row)) for row in rows])
+    return Polynomial(tuple(Coefficient(parts, ctx) for parts in columns), ctx)
+
+
+def pade_pairs(f: TruncSeries, window: int):
+    """Extended Euclid on (z^window, f mod z^window), fraction-free.
+
+    Yields (r, t) pairs with t*f = r mod z^window, in order of increasing
+    denominator degree. The chain is a primitive pseudo-remainder sequence
+    over Z[pi]/(pi^e + p) (Collins 1967, Brown-Traub 1971), the same for
+    every ramification index: the prefix's denominators are cleared once,
+    each step pseudo-divides by the leading ring element, and each new
+    (r, t) row is divided by the integer content of all its components.
+    A yielded pair is therefore a nonzero scalar multiple of the pair that
+    exact Euclid over the field gives at the same chain position (von zur
+    Gathen-Gerhard, Modern Computer Algebra 5.7), with integral
+    coefficients whose common integer factors do not pile up along the
+    chain. Consumers normalize by t(0). For an integral prefix whose
+    coefficients share no integer factor the first pair is the truncation
+    itself with t = 1.
     """
     ctx = f.ctx
-    prefix = [c.parts[0] for c in f.coeffs[:window]]
-    scale = math.lcm(*(fr.denominator for fr in prefix)) if prefix else 1
-    r_cur = [int(fr * scale) for fr in prefix]
-    while r_cur and r_cur[-1] == 0:
-        r_cur.pop()
-    r_cur, t_cur = _content_normalized(r_cur, [scale])
-    r_prev = [0] * window + [1]
-    t_prev: list = []
-    if not r_cur:
-        yield _int_poly(ctx, r_cur), _int_poly(ctx, t_cur)
+    e, p = ctx.e, ctx.prime
+    prefix = f.coeffs[:window]
+    scale = math.lcm(*(x.denominator for c in prefix for x in c.parts))
+    r_cur = _strip([
+        [x.numerator * (scale // x.denominator) for x in (c.parts[i] for c in prefix)]
+        for i in range(e)
+    ])
+    r_cur, t_cur = _primitive(r_cur, [[scale]] + [[0] for _ in range(e - 1)])
+    r_prev = [[0] * window + [1]] + [[0] * (window + 1) for _ in range(e - 1)]
+    t_prev = [[] for _ in range(e)]
+    if not r_cur[0]:
+        yield _poly(ctx, r_cur), _poly(ctx, t_cur)
         return
-    while r_cur:
-        yield _int_poly(ctx, r_cur), _int_poly(ctx, t_cur)
-        lead = r_cur[-1]
-        deg = len(r_cur) - 1
-        shift = len(r_prev) - len(r_cur)
-        rem = list(r_prev)
-        quot = [0] * (shift + 1)
-        lam = 1
+    while r_cur[0]:
+        yield _poly(ctx, r_cur), _poly(ctx, t_cur)
+        deg = len(r_cur[0]) - 1
+        lead = [row[deg] for row in r_cur]
+        shift = len(r_prev[0]) - 1 - deg
+        # pseudo-division of r_prev by r_cur, with the same row ops on the
+        # cofactor: (rem, t) <- lead*(rem, t) - c*z^k*(r_cur, t_cur). The top
+        # coefficient of r_prev is nonzero, so k = shift always acts.
+        rem = r_prev
+        width = max(len(t_prev[0]), shift + len(t_cur[0]))
+        t_new = [row + [0] * (width - len(row)) for row in t_prev]
         for k in range(shift, -1, -1):
-            c = rem[k + deg]
-            if c == 0:
-                continue
-            # row op: rem <- lead*rem - c*z^k*r_cur, same multiplier on quot
-            lam *= lead
-            quot = [lead * x for x in quot]
-            quot[k] = c
-            rem = [lead * x for x in rem]
-            for j, b in enumerate(r_cur):
-                rem[k + j] -= c * b
-        while rem and rem[-1] == 0:
-            rem.pop()
-        t_new = [lam * x for x in t_prev] + [0] * max(
-            0, len(quot) + len(t_cur) - 1 - len(t_prev)
-        )
-        for i, qc in enumerate(quot):
-            if qc == 0:
-                continue
-            for j, tc in enumerate(t_cur):
-                t_new[i + j] -= qc * tc
-        while t_new and t_new[-1] == 0:
-            t_new.pop()
-        if rem or t_new:
-            rem, t_new = _content_normalized(rem, t_new)
+            c = [row[k + deg] for row in rem]
+            if any(c):
+                rem = _rowop(lead, rem, c, k, r_cur, p)
+                t_new = _rowop(lead, t_new, c, k, t_cur, p)
         r_prev, t_prev = r_cur, t_cur
-        r_cur, t_cur = rem, t_new
+        r_cur, t_cur = _primitive(_strip(rem), _strip(t_new))
 
 
-def raw_congruence_check(num, den, target, m, upto) -> bool:
+class ResidueTarget:
+    """A target series reduced into O_K/p^k = (Z/p^k)[pi]/(pi^e + p).
+
+    k = ceil(m/e), so p^k lies in pi^m O_K and the ring sees everything a
+    congruence mod pi^m can. Two integral values are congruent mod pi^m
+    exactly when component i of their difference is divisible by
+    thresholds[i] = p^ceil((m - i)/e). rows holds the target's first upto
+    coefficients component-major, or is None when one of them is not
+    integral (the screen then never applies). Built once per target, it
+    serves every pair screened against it.
+    """
+
+    __slots__ = ("prime", "digits", "thresholds", "rows")
+
+    def __init__(self, target: TruncSeries, m: int, upto: int):
+        e, p = target.ctx.e, target.ctx.prime
+        self.prime = p
+        self.digits = -(-m // e)
+        self.thresholds = tuple(p ** max(0, -((i - m) // e)) for i in range(e))
+        self.rows = _residue_rows(target.coeffs[:upto], e, p, p**self.digits)
+
+
+def _residue_rows(coeffs, e, p, mod):
+    """Component-major residues of the coefficients modulo mod, a power of
+    p, or None when a component has p in its denominator."""
+    rows = []
+    for i in range(e):
+        row = []
+        for c in coeffs:
+            x = c.parts[i]
+            d = x.denominator
+            if d == 1:
+                row.append(x.numerator % mod)
+            elif d % p:
+                row.append(x.numerator * pow(d, -1, mod) % mod)
+            else:
+                return None
+        rows.append(row)
+    return rows
+
+
+def _unit_inverse(d, p, mod):
+    """Inverse of a unit d of (Z/mod)[pi]/(pi^e + p): Newton iteration
+    x <- x(2 - dx) from x = 1/d_0, which doubles the pi-adic precision of
+    dx = 1 at each step."""
+    one = [1] + [0] * (len(d) - 1)
+    x = [pow(d[0], -1, mod)] + one[1:]
+    if not any(d[1:]):
+        return x
+    while True:
+        dx = [v % mod for v in _ring_mul(d, x, p)]
+        if dx == one:
+            return x
+        x = [v % mod for v in _ring_mul(x, [2 - dx[0]] + [-v for v in dx[1:]], p)]
+
+
+def _divide_by_pi(x, shift, q, p, mod):
+    """x * pi^shift / p^q: x divided by X = p^q / pi^shift, an element of
+    valuation v = e*q - shift, from residues mod p^K. The result holds mod
+    p^(K - q). None when v(x) < v."""
+    if shift:
+        x = _ring_mul(x, [0] * shift + [1] + [0] * (len(x) - shift - 1), p)
+    pq = p**q
+    x = [v % mod for v in x]
+    if any(v % pq for v in x):
+        return None
+    return [v // pq for v in x]
+
+
+def _residue_screen(num, den, res: ResidueTarget, upto):
+    """raw_congruence_check in the residue ring O_K/p^K.
+
+    Let v0 = v(den(0)) and X = p^q / pi^shift with q = ceil(v0/e) and
+    shift = e*q - v0, so v(X) = v0. Once num and den are divided by the unit
+    den(0)/X, the quotient stream S = num/den obeys X S_n = R_n with
+    R_n = num'[n] - sum_k den'[k] S_(n-k). A stream coefficient of negative
+    valuation cannot match an integral target, so the check fails exactly
+    when v(R_n) < v0. Dividing by X costs q p-adic digits of precision per
+    coefficient, so K = k + (upto + 1) * q leaves the digits the comparison
+    needs at the last one; at v0 = 0 this is the plain screen mod p^k. All
+    reductions commute with the recurrence because num, den and the target
+    are integral. Returns None (the caller falls back to exact arithmetic)
+    when a coefficient is not integral.
+    """
+    p, thresholds, want = res.prime, res.thresholds, res.rows
+    v0 = den.constant_term().valuation()
+    if want is None or not 0 <= v0 < math.inf:
+        return None
+    e = len(thresholds)
+    q = -(-v0 // e)
+    shift = e * q - v0
+    mod = p ** (res.digits + (upto + 1) * q)
+    dres = _residue_rows(den.coeffs, e, p, mod)
+    nres = _residue_rows(num.coeffs, e, p, mod)
+    if nres is None or dres is None:
+        return None
+    lead = [row[0] for row in dres]
+    if q:
+        lead = _divide_by_pi(lead, shift, q, p, mod)
+    # divide through by the unit lead = den(0)/X, so that den'(0) = X
+    inv = _unit_inverse(lead, p, mod)
+    nres = _scale(inv, nres, p)
+    nn = len(nres[0])
+    dd = den.degree
+    den_rev = _scale(inv, [row[dd:0:-1] for row in dres], p)
+    out = [[] for _ in range(e)]
+    # den'[k] S_(n-k) by components: component i of den' and j of S land in
+    # component i + j, folded through pi^e = -p
+    terms = [
+        (drow, orow, i + j) if i + j < e else ([-p * x for x in drow], orow, i + j - e)
+        for i, drow in enumerate(den_rev)
+        for j, orow in enumerate(out)
+    ]
+    checks = list(zip(out, want, thresholds))
+    mul = operator.mul
+    for n in range(upto):
+        lo, cut = (n - dd, 0) if n > dd else (0, dd - n)
+        s = [row[n] for row in nres] if n < nn else [0] * e
+        for drow, orow, k in terms:
+            s[k] -= sum(map(mul, drow[cut:], orow[lo:n]))
+        if q:
+            s = _divide_by_pi(s, shift, q, p, mod)
+            if s is None:
+                return False
+        for (row, wrow, thr), v in zip(checks, s):
+            v %= mod
+            if (v - wrow[n]) % thr:
+                return False
+            row.append(v)
+    return True
+
+
+def raw_congruence_check(num, den, target, m, upto, residues=None) -> bool:
     """Congruence screen on an unreduced (num, den) pair.
 
     Equivalent to the congruence part of congruence_outcome (the pair and
-    its reduced form expand to the same series), but skips the gcd, so it
-    is the cheap first look at a Pade pair.
+    its reduced form expand to the same series), but skips the reduction,
+    so it is the cheap first look at a Pade pair. It runs in a residue ring
+    O_K/p^K (_residue_screen) when num, den and the target are integral,
+    and in exact arithmetic otherwise. residues is
+    ResidueTarget(target, m, upto), passed by callers that screen many
+    pairs against one target so that the target is reduced only once.
     """
-    ctx = target.ctx
-    if ctx.e == 1 and m < 4096:
-        fast = _raw_congruence_residues(num, den, target, m, upto, ctx)
+    if 0 < m < 4096:
+        if residues is None:
+            residues = ResidueTarget(target, m, upto)
+        fast = _residue_screen(num, den, residues, upto)
         if fast is not None:
             return fast
     inv = den.constant_term().inverse()
@@ -402,60 +585,6 @@ def raw_congruence_check(num, den, target, m, upto) -> bool:
         value = inv * s
         out.append(value)
         if (value - target[n]).valuation() < m:
-            return False
-    return True
-
-
-def _raw_congruence_residues(num, den, target, m, upto, ctx):
-    """raw_congruence_check in the residue ring Z/p^m.
-
-    Sound when pi = p up to a unit and everything in sight is p-integral
-    with an invertible denominator constant: the quotient stream is then
-    p-integral, reduction mod p^m commutes with the recurrence, and two
-    integral values differ by valuation < m exactly when their residues
-    differ. Returns None (caller falls back to exact arithmetic) whenever a
-    precondition fails.
-    """
-    p = ctx.prime
-    pm = p**m
-
-    def residue(fr):
-        d = fr.denominator
-        if d == 1:
-            return fr.numerator % pm
-        if d % p == 0:
-            return None
-        return fr.numerator * pow(d, -1, pm) % pm
-
-    nres = []
-    for c in num.coeffs:
-        r = residue(c.parts[0])
-        if r is None:
-            return None
-        nres.append(r)
-    dres = []
-    for c in den.coeffs:
-        r = residue(c.parts[0])
-        if r is None:
-            return None
-        dres.append(r)
-    if not dres or dres[0] % p == 0:
-        return None
-    inv0 = pow(dres[0], -1, pm)
-    dd = len(dres) - 1
-    out = []
-    for n in range(upto):
-        s = nres[n] if n < len(nres) else 0
-        for k in range(1, min(n, dd) + 1):
-            dk = dres[k]
-            if dk:
-                s -= dk * out[n - k]
-        value = inv0 * s % pm
-        out.append(value)
-        want = residue(target[n].parts[0])
-        if want is None:
-            return None
-        if value != want:
             return False
     return True
 
@@ -472,8 +601,8 @@ def reconstruct_rational(
     but only ever failed the unit-disc test, else ReconstructionFailed.
 
     raw_verify, when given, is a fast rejector taking the unreduced
-    (num, den) pair; returning False must imply verify would fail, and the
-    reduction to lowest terms is then skipped for that pair.
+    (num, den) pair; returning False must imply verify would fail, and no
+    candidate is then built for that pair.
     """
     seen = set()
     saw_k0_reject = False
@@ -489,7 +618,9 @@ def reconstruct_rational(
                     continue
                 if raw_verify is not None and not raw_verify(r, t):
                     continue
-                cand = RationalFunction.make(r, t)
+                # t(0) != 0 makes the pair coprime: a common factor would
+                # divide z^window (extended Euclid), and z does not divide t
+                cand = RationalFunction.from_coprime(r, t)
                 key = cand.key()
                 if key in seen:
                     continue
@@ -560,19 +691,3 @@ def canonical_lift(f: TruncSeries, m: int) -> TruncSeries:
     second Pade source. Requires integral coefficients.
     """
     return TruncSeries(tuple(c.reduce_mod(m) for c in f.coeffs), f.ctx)
-
-
-def doubling_search(attempt, start: int = 4, cap: int = 64):
-    """Run attempt(deg_bound) with doubling bounds until success or the cap.
-
-    The certificate degrees are not predictable in advance, so this helper
-    makes the honest search explicit instead of hiding a magic bound.
-    """
-    bound = start
-    while True:
-        try:
-            return attempt(bound)
-        except ReconstructionFailed:
-            if bound >= cap:
-                raise
-            bound = min(2 * bound, cap)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -100,6 +102,14 @@ class TestChecks:
         assert payload["report"]["passed"] is False
         assert payload["report"]["first_failure"] == 1
 
+    def test_negative_integrality_level_is_a_reported_error(self, runner):
+        result, payload = run_json(
+            runner,
+            ["check-integrality", "--series", "apery", "--prime", "5", "--level", "-1"],
+        )
+        assert result.exit_code == 1
+        assert payload["error"]["type"] == "BadParameters"
+
     def test_integrality_pass(self, runner):
         result, payload = run_json(
             runner,
@@ -157,6 +167,13 @@ class TestChecks:
 
 
 class TestAntecedent:
+    def test_negative_levels_is_a_reported_error(self, runner):
+        result, payload = run_json(
+            runner, ["antecedent", "--series", "apery", "--prime", "5", "--levels", "-1"]
+        )
+        assert result.exit_code == 1
+        assert payload["error"]["type"] == "BadParameters"
+
     def test_apery_one_level(self, runner):
         result, payload = run_json(
             runner,
@@ -295,6 +312,15 @@ class TestCertify:
         assert result.exit_code == 1
         assert payload["error"]["type"] == "ReconstructionFailed"
 
+    def test_failed_reconstruction_reports_deg_bound(self, runner):
+        result, payload = run_json(
+            runner,
+            ["certify-ratio", "--series", "apery", "--prime", "5", "--order", "40", "--deg-bound", "2"],
+        )
+        assert result.exit_code == 1
+        assert payload["error"]["type"] == "ReconstructionFailed"
+        assert payload["error"]["deg_bound"] == 2
+
 
 class TestScan:
     def test_square_relation(self, runner):
@@ -388,6 +414,26 @@ class TestScan:
             ],
         )
         assert result.exit_code == 2
+
+
+class TestRamifiedScanRegression:
+    # Apery + Bessel in Q_3(pi), pi^2 = -3, at the size of the reference
+    # profile; the digest is of the report the exact Fraction Euclid path
+    # produced, which took about 180 s on a 2-core VM
+    ARGS = [
+        "scan", "--series", "apery", "--series", "bessel", "--prime", "3", "--dwork",
+        "--order", "32", "--exp-bound", "2", "--level", "3", "--deg-bound", "16",
+    ]
+    SHA256 = "c9ac5a997833a5a5a975c60d76d2019c1d68e99ce6966ca3792a08f02c730ce0"
+    TIME_BOUND_S = 60
+
+    def test_report_is_unchanged_and_in_time(self, runner):
+        start = time.perf_counter()
+        result = runner.invoke(main, self.ARGS)
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == self.SHA256
+        assert elapsed < self.TIME_BOUND_S
 
 
 class TestDeterminism:

@@ -5,15 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartier import NotInK0, PadicContext, ReconstructionFailed
+from cartier import rational
+from cartier.catalog import SeriesKind, SeriesSpec, build
 from cartier.rational import (
     Polynomial,
     RationalFunction,
+    ResidueTarget,
     VERIFY_OK,
     canonical_lift,
     congruence_outcome,
-    doubling_search,
     no_roots_in_open_unit_disc,
     pade_pairs,
+    raw_congruence_check,
     reconstruct_rational,
 )
 from cartier.series import TruncSeries
@@ -193,21 +196,127 @@ class TestLiftAndSearch:
         lifted = canonical_lift(f, 1)
         assert lifted == TruncSeries.from_coeffs(U5, [1, 1, 1])
 
-    def test_doubling_search_expands(self):
-        calls = []
 
-        def attempt(bound):
-            calls.append(bound)
-            if bound < 16:
-                raise ReconstructionFailed("too small", deg_bound=bound)
-            return bound
+# -- differential tests of the fraction-free Pade path ------------------------
+#
+# The references below are the plain field algorithms: extended Euclid with
+# exact division of Coefficient polynomials, and the exact quotient stream.
 
-        assert doubling_search(attempt, start=2, cap=64) == 16
-        assert calls == [2, 4, 8, 16]
+D5 = PadicContext.dwork(5)
+DIFF_ORDER = 12
+DIFF_WINDOWS = range(1, 11)
 
-    def test_doubling_search_gives_up_at_cap(self):
-        def attempt(bound):
-            raise ReconstructionFailed("never", deg_bound=bound)
 
-        with pytest.raises(ReconstructionFailed):
-            doubling_search(attempt, start=4, cap=8)
+def euclid_pairs(f, window):
+    """Extended Euclid on (z^window, f mod z^window) over the field."""
+    ctx = f.ctx
+    r_prev = Polynomial.monomial(ctx, window)
+    r_cur = Polynomial.from_series_prefix(f, window)
+    t_prev, t_cur = Polynomial.zero(ctx), Polynomial.one(ctx)
+    if r_cur.is_zero():
+        yield r_cur, t_cur
+        return
+    while not r_cur.is_zero():
+        yield r_cur, t_cur
+        q, rem = r_prev.divmod(r_cur)
+        r_prev, r_cur = r_cur, rem
+        t_prev, t_cur = t_cur, t_prev - q * t_cur
+
+
+def normalized(r, t):
+    """The pair divided by t(0), or by t's lowest nonzero coefficient."""
+    c = next(x for x in t.coeffs if not x.is_zero())
+    inv = c.inverse()
+    return r.scale(inv), t.scale(inv)
+
+
+def exact_congruent(num, den, target, m, upto):
+    """num/den expanded exactly and compared with target mod pi^m."""
+    inv = den.constant_term().inverse()
+    out = []
+    for n in range(upto):
+        s = num[n]
+        for k in range(1, min(n, den.degree) + 1):
+            s = s - den[k] * out[n - k]
+        out.append(inv * s)
+        if (out[n] - target[n]).valuation() < m:
+            return False
+    return True
+
+
+def diff_sources(ctx):
+    """Catalog series in ctx, their log-derivatives, a canonical lift, and a
+    copy with p in every denominator."""
+    specs = [(SeriesKind.APERY, None), (SeriesKind.HYPERGEOMETRIC, (Fraction(1, 2), Fraction(1, 2)))]
+    if ctx.e > 1:
+        specs.append((SeriesKind.BESSEL, None))
+    out = []
+    for kind, alphas in specs:
+        f = build(SeriesSpec(kind, ctx, DIFF_ORDER, alphas=alphas)).series
+        out += [f, f.log_derivative()]
+    f = out[0]
+    out.append(canonical_lift(out[1], 2))
+    out.append(TruncSeries(tuple(c * Fraction(1, ctx.prime) for c in f.coeffs), ctx))
+    return out
+
+
+@pytest.fixture(scope="module", params=[U5, D3, D5], ids=lambda c: f"e{c.e}")
+def diff_case(request):
+    """(sources, [(f, r, t)]) with every Pade pair of the sources, once up
+    to scaling."""
+    sources = diff_sources(request.param)
+    pairs, seen = [], set()
+    for i, f in enumerate(sources):
+        for w in DIFF_WINDOWS:
+            for r, t in pade_pairs(f, w):
+                num, den = normalized(r, t)
+                key = (i, tuple(c.parts for c in num.coeffs), tuple(c.parts for c in den.coeffs))
+                if key not in seen:
+                    seen.add(key)
+                    pairs.append((f, r, t))
+    return sources, pairs
+
+
+class TestFractionFreePade:
+    def test_pairs_match_field_euclid(self, diff_case):
+        for f in diff_case[0]:
+            for w in DIFF_WINDOWS:
+                got = list(pade_pairs(f, w))
+                want = list(euclid_pairs(f, w))
+                assert len(got) == len(want)
+                for (r, t), (r0, t0) in zip(got, want):
+                    assert normalized(r, t) == normalized(r0, t0)
+
+    def test_pairs_are_integral(self, diff_case):
+        for _, r, t in diff_case[1]:
+            for c in r.coeffs + t.coeffs:
+                assert all(x.denominator == 1 for x in c.parts)
+
+    def test_residue_screen_matches_exact_check(self, diff_case):
+        pi_divides_t0 = 0
+        for f, r, t in diff_case[1]:
+            if t.constant_term().is_zero() or f.min_valuation() < 0:
+                continue
+            pi_divides_t0 += t.constant_term().valuation() > 0
+            for m in (1, 3, 5):
+                want = exact_congruent(r, t, f, m, f.order)
+                screen = rational._residue_screen(r, t, ResidueTarget(f, m, f.order), f.order)
+                assert screen is want
+                assert raw_congruence_check(r, t, f, m, f.order) is want
+        assert pi_divides_t0 > 0
+
+    def test_exact_fallback_for_non_integral_targets(self, diff_case):
+        for f, r, t in diff_case[1]:
+            if t.constant_term().is_zero() or f.min_valuation() >= 0:
+                continue
+            assert ResidueTarget(f, 2, f.order).rows is None
+            want = exact_congruent(r, t, f, 2, f.order)
+            assert raw_congruence_check(r, t, f, 2, f.order) is want
+
+    def test_make_equals_pair_normalized_by_t0(self, diff_case):
+        for _, r, t in diff_case[1]:
+            if t.constant_term().is_zero():
+                continue
+            cand = RationalFunction.make(r, t)
+            assert (cand.num, cand.den) == normalized(r, t)
+            assert cand == RationalFunction.from_coprime(r, t)
