@@ -99,11 +99,18 @@ def _hypergeometric(spec: SeriesSpec):
     return series, op, h, warnings
 
 
+def _apery_number(n: int) -> int:
+    """sum_k C(n,k)^2 C(n+k,k)^2, walking the term ratio
+    t_(k+1) / t_k = ((n-k)(n+k+1))^2 / (k+1)^4; each division is exact."""
+    total = term = 1
+    for k in range(n):
+        term = term * ((n - k) * (n + k + 1)) ** 2 // (k + 1) ** 4
+        total += term
+    return total
+
+
 def _apery(spec: SeriesSpec):
-    coeffs = [
-        sum(math.comb(n, k) ** 2 * math.comb(n + k, k) ** 2 for k in range(n + 1))
-        for n in range(spec.order)
-    ]
+    coeffs = [_apery_number(n) for n in range(spec.order)]
     series = TruncSeries.from_coeffs(spec.ctx, coeffs)
     raw = [(0, [0, 0, 0, 1]), (1, [-5, -27, -51, -34]), (2, [1, 3, 3, 1])]
     return series, monicize(raw, spec.ctx, spec.order)

@@ -8,6 +8,7 @@ fixed request produces byte-identical output) or an indented table with
 """
 
 import json
+import sys
 from fractions import Fraction
 
 import click
@@ -94,11 +95,14 @@ def _scalar(item):
 
 
 def _emit(payload: dict, table: bool):
+    # an explicit file: click's default stdout lookup caches every stream
+    # it is handed and holds it strongly, so an in-process caller that
+    # redirects stdout per call would keep every report it ever printed
     if table:
         for line in _table_lines(payload):
-            click.echo(line)
+            click.echo(line, file=sys.stdout)
     else:
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+        click.echo(json.dumps(payload, sort_keys=True, indent=2), file=sys.stdout)
 
 
 # structured fields of VerificationFailed, ReconstructionFailed and

@@ -26,7 +26,15 @@ from .errors import (
 )
 from .rational import Polynomial, RationalFunction
 from .rings import Coefficient, PadicContext
-from .series import TruncSeries
+from .series import (
+    TruncSeries,
+    _coeffs,
+    _ints,
+    _invert,
+    _lincomb,
+    _matmul_ints,
+    _recurrence,
+)
 
 
 def _solve_coeff_system(matrix, rhs):
@@ -134,51 +142,27 @@ class SeriesMatrix:
     def scale(self, c) -> "SeriesMatrix":
         return self.map_entries(lambda e: e * c)
 
+    def _ints(self):
+        """(den, entries): every entry as component rows over one denominator."""
+        return _ints([[entry.coeffs for entry in row] for row in self.rows], self.ctx)
+
+    @classmethod
+    def _from_ints(cls, den, entries, ctx) -> "SeriesMatrix":
+        return cls.from_rows(
+            [[TruncSeries(_coeffs(den, entry, ctx), ctx) for entry in row] for row in entries]
+        )
+
     def matmul(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        n = self.size
         order = min(self.order, other.order)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = TruncSeries.zero(self.ctx, order)
-                for k in range(n):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
-                row.append(acc)
-            rows.append(row)
-        return SeriesMatrix.from_rows(rows)
+        (da, a), (db, b) = self._ints(), other._ints()
+        return SeriesMatrix._from_ints(da * db, _matmul_ints(a, b, self.ctx, order), self.ctx)
 
     def matmul_const(self, const_rows) -> "SeriesMatrix":
         """Right-multiply by a constant matrix (list of Coefficient rows)."""
-        n = self.size
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = TruncSeries.zero(self.ctx, self.order)
-                for k in range(n):
-                    c = const_rows[k][j]
-                    if not c.is_zero():
-                        acc = acc + self.entry(i, k) * c
-                row.append(acc)
-            rows.append(row)
-        return SeriesMatrix.from_rows(rows)
-
-    def const_matmul(self, const_rows) -> "SeriesMatrix":
-        """Left-multiply by a constant matrix."""
-        n = self.size
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = TruncSeries.zero(self.ctx, self.order)
-                for k in range(n):
-                    c = const_rows[i][k]
-                    if not c.is_zero():
-                        acc = acc + self.entry(k, j) * c
-                row.append(acc)
-            rows.append(row)
-        return SeriesMatrix.from_rows(rows)
+        (da, a), (dc, c) = self._ints(), _const_ints(const_rows, self.ctx)
+        return SeriesMatrix._from_ints(
+            da * dc, _matmul_ints(a, c, self.ctx, self.order), self.ctx
+        )
 
     def delta(self) -> "SeriesMatrix":
         return self.map_entries(lambda e: e.delta())
@@ -200,45 +184,11 @@ class SeriesMatrix:
 
     def invert_series(self) -> "SeriesMatrix":
         """Inverse as a series matrix; constant term must be invertible."""
-        n = self.size
-        order = self.order
-        inv0 = _invert_const(self.constant_matrix(), self.ctx)
-        zero = self.ctx.zero()
-        # X_j = -M0^-1 * sum_{l=1..j} M_l X_{j-l}, X_0 = M0^-1
-        x = [inv0]
-        for j in range(1, order):
-            acc = [[zero for _ in range(n)] for _ in range(n)]
-            for l in range(1, j + 1):
-                ml = self.coefficient_matrix(l)
-                xl = x[j - l]
-                for i in range(n):
-                    for c in range(n):
-                        s = acc[i][c]
-                        for k in range(n):
-                            a = ml[i][k]
-                            b = xl[k][c]
-                            if not a.is_zero() and not b.is_zero():
-                                s = s + a * b
-                        acc[i][c] = s
-            xj = [[zero for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for c in range(n):
-                    s = zero
-                    for k in range(n):
-                        a = inv0[i][k]
-                        b = acc[k][c]
-                        if not a.is_zero() and not b.is_zero():
-                            s = s + a * b
-                    xj[i][c] = -s
-            x.append(xj)
-        rows = [
-            [
-                TruncSeries(tuple(x[j][i][c] for j in range(order)), self.ctx)
-                for c in range(n)
-            ]
-            for i in range(n)
-        ]
-        return SeriesMatrix.from_rows(rows)
+        ctx = self.ctx
+        d0, inv0 = _const_ints(_invert_const(self.constant_matrix(), ctx), ctx)
+        dm, m = self._ints()
+        dx, x = _invert(dm, m, self.order, inv0, d0, ctx)
+        return SeriesMatrix._from_ints(dx, x, ctx)
 
     def min_valuation(self):
         return min(entry.min_valuation() for row in self.rows for entry in row)
@@ -250,6 +200,11 @@ class SeriesMatrix:
         if not isinstance(other, SeriesMatrix):
             return NotImplemented
         return self.rows == other.rows
+
+
+def _const_ints(const_rows, ctx):
+    """(den, entries) of a constant Coefficient matrix, as series of order 1."""
+    return _ints([[(c,) for c in row] for row in const_rows], ctx)
 
 
 def _invert_const(const_rows, ctx):
@@ -455,69 +410,35 @@ def uniform_part(A: SeriesMatrix, order: int) -> SeriesMatrix:
     """The log-free factor Y of the fundamental solution of delta X = A X:
     Y(0) = I and delta Y = A Y - Y A(0).
 
-    Solved coefficient by coefficient: for j >= 1 the Sylvester equation
-    j*Y_j + Y_j A0 - A0 Y_j = sum_{l=1..j} A_l Y_{j-l} is lifted to a dense
-    n^2 linear system, which is invertible because A0 is nilpotent (its
-    adjoint action has nilpotent spectrum, so j + ad has none of 0).
+    Solved coefficient by coefficient: for j >= 1, (j + ad) Y_j = R_j with
+    ad(E) = E A0 - A0 E and R_j = sum_(l=1..j) A_l Y_(j-l). A0 is nilpotent,
+    so ad is too, and Y_j is the finite Neumann sum
+    sum_k (-ad)^k R_j / j^(k+1), taken until (-ad)^k R_j vanishes.
     """
     n = A.size
     ctx = A.ctx
     order = min(order, A.order)
-    a0 = A.constant_matrix()
-    _require_nilpotent(a0, ctx, n)
-    zero = ctx.zero()
-    ident = [[ctx.one() if i == j else zero for j in range(n)] for i in range(n)]
-    y = [ident]
-    # build the n^2 x n^2 Sylvester matrix for E -> E A0 - A0 E once;
-    # per-coefficient system just adds j on the diagonal
-    basis_images = []
-    for a in range(n):
-        for b in range(n):
-            e = [[zero] * n for _ in range(n)]
-            e[a][b] = ctx.one()
-            image = [
-                [
-                    sum((e[i][k] * a0[k][j] for k in range(n)), zero)
-                    - sum((a0[i][k] * e[k][j] for k in range(n)), zero)
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            basis_images.append([image[i][j] for i in range(n) for j in range(n)])
-    sylvester = [
-        [basis_images[col][row] for col in range(n * n)] for row in range(n * n)
-    ]
-    for j in range(1, order):
-        rhs = [[zero] * n for _ in range(n)]
-        for l in range(1, j + 1):
-            al = A.coefficient_matrix(l)
-            yl = y[j - l]
-            for i in range(n):
-                for c in range(n):
-                    s = rhs[i][c]
-                    for k in range(n):
-                        a = al[i][k]
-                        b = yl[k][c]
-                        if not a.is_zero() and not b.is_zero():
-                            s = s + a * b
-                    rhs[i][c] = s
-        system = [
-            [
-                sylvester[row][col] + (ctx.coeff(j) if row == col else zero)
-                for col in range(n * n)
-            ]
-            for row in range(n * n)
-        ]
-        flat = _solve_coeff_system(system, [rhs[i][c] for i in range(n) for c in range(n)])
-        y.append([[flat[i * n + c] for c in range(n)] for i in range(n)])
-    rows = [
-        [
-            TruncSeries(tuple(y[j][i][c] for j in range(order)), ctx)
-            for c in range(n)
-        ]
-        for i in range(n)
-    ]
-    return SeriesMatrix.from_rows(rows)
+    _require_nilpotent(A.constant_matrix(), ctx, n)
+    da, a = A._ints()
+    # A0 over da as constant entries; (-ad)(E) = A0 E - E A0
+    a0 = [[[r[:1] for r in entry] for entry in row] for row in a]
+
+    def solve(j, r, dr):
+        # term k = (-ad)^k R_j lies over dr * da^k; Y_j = sum_k term_k / j^(k+1)
+        terms = []
+        while any(v for row in r for entry in row for (v,) in entry):
+            terms.append(r)
+            r = _lincomb(_matmul_ints(a0, r, ctx, 1), _matmul_ints(r, a0, ctx, 1), -1)
+        # bring every term over the last one's denominator dr * (j * da)^top * j
+        step, top = j * da, len(terms) - 1
+        num = [[[[0] for _ in range(ctx.e)] for _ in range(n)] for _ in range(n)]
+        for k, term in enumerate(terms):
+            num = _lincomb(num, term, step ** (top - k))
+        return num, dr * step ** max(top, 0) * j
+
+    ident = [[[[int(i == c)]] + [[0]] * (ctx.e - 1) for c in range(n)] for i in range(n)]
+    dy, y = _recurrence(da, a, ident, 1, order, solve, ctx)
+    return SeriesMatrix._from_ints(dy, y, ctx)
 
 
 def _require_nilpotent(const_rows, ctx, n):

@@ -70,12 +70,17 @@ class PadicContext:
     ramification: Ramification
     trunc_order: int = field(default=32, compare=False)
     level: int = field(default=1, compare=False)
+    # ramification index, v(p) = e in pi-units; derived from the two fields
+    # above once, because every Coefficient construction reads it
+    e: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not _is_prime(self.prime):
             raise BadParameters(f"{self.prime} is not prime")
         if self.trunc_order < 1:
             raise BadParameters("truncation order must be >= 1")
+        unramified = self.ramification is Ramification.UNRAMIFIED
+        object.__setattr__(self, "e", 1 if unramified else max(self.prime - 1, 1))
 
     @classmethod
     def unramified(cls, p: int, trunc_order: int = 32, level: int = 1) -> "PadicContext":
@@ -89,13 +94,6 @@ class PadicContext:
         again, with e = 1.
         """
         return cls(p, Ramification.DWORK, trunc_order, level)
-
-    @property
-    def e(self) -> int:
-        """Ramification index; v(p) = e in pi-units."""
-        if self.ramification is Ramification.UNRAMIFIED:
-            return 1
-        return max(self.prime - 1, 1)
 
     def coeff(self, x) -> "Coefficient":
         """Coerce an int, Fraction, component tuple, or text form."""
@@ -242,7 +240,7 @@ class Coefficient:
         return not self.is_zero()
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.parts)
+        return not any(self.parts)
 
     # -- valuation and residues ---------------------------------------------
 

@@ -436,6 +436,24 @@ class TestRamifiedScanRegression:
         assert elapsed < self.TIME_BOUND_S
 
 
+class TestAntecedentRegression:
+    # the size of the operators benchmark's Apery antecedent job; the digest
+    # is of the report the Coefficient-loop series and matrix arithmetic
+    # produced, which took about 1 s on a 2-core VM (about 0.2 s on the
+    # integer kernel), so the bound catches a blow-up, not that gain
+    ARGS = ["antecedent", "--series", "apery", "--prime", "5", "--order", "40", "--levels", "2"]
+    SHA256 = "ef297a02db27841fd5a1a327e4b6ceb88d3ba3042e5be88fd7ea22a796442fdf"
+    TIME_BOUND_S = 10
+
+    def test_report_is_unchanged_and_in_time(self, runner):
+        start = time.perf_counter()
+        result = runner.invoke(main, self.ARGS)
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == self.SHA256
+        assert elapsed < self.TIME_BOUND_S
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,10 @@ from cartier import (
     OrderExhausted,
     PadicContext,
 )
-from cartier.diffops import DiffOp, SeriesMatrix, monicize, raw_terms_from_json
+from cartier.diffops import DiffOp, SeriesMatrix, monicize, raw_terms_from_json, uniform_part
 from cartier.rational import Polynomial
 from cartier.series import TruncSeries
+from test_series import KERNEL_CONTEXTS, SHAPES, random_coeff, ref_mul, shaped_series
 
 U5 = PadicContext.unramified(5)
 U7 = PadicContext.unramified(7)
@@ -264,6 +266,165 @@ class TestUniformPart:
         A = SeriesMatrix.from_rows([[TruncSeries.one(U5, 4)]])
         with pytest.raises(NotNilpotent):
             uniform_part(A, 4)
+
+
+# Plain Coefficient-loop references for the matrix operations on the
+# integer kernel; uniform_part is checked against a dense n^2 x n^2 solve of
+# its Sylvester equation, independent of the Neumann sum it uses.
+
+def ref_matmul(a, b):
+    n = a.size
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ref_mul(a.entry(i, 0), b.entry(0, j))
+            for k in range(1, n):
+                acc = acc + ref_mul(a.entry(i, k), b.entry(k, j))
+            row.append(acc)
+        rows.append(row)
+    return SeriesMatrix.from_rows(rows)
+
+
+def ref_matmul_const(a, c):
+    n = a.size
+    return SeriesMatrix.from_rows(
+        [[sum((a.entry(i, k) * c[k][j] for k in range(1, n)), a.entry(i, 0) * c[0][j])
+          for j in range(n)] for i in range(n)]
+    )
+
+
+def const_product(a, b, ctx):
+    n = len(a)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(n)), ctx.zero()) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def ref_solve(matrix, rhs):
+    """Gauss-Jordan over Coefficients."""
+    n = len(matrix)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if not a[r][col].is_zero())
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = a[col][col].inverse()
+        a[col] = [inv * x for x in a[col]]
+        for r in range(n):
+            if r != col:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+def series_matrix_from_coefficients(xs, ctx):
+    n = len(xs[0])
+    return SeriesMatrix.from_rows(
+        [[TruncSeries(tuple(x[i][c] for x in xs), ctx) for c in range(n)] for i in range(n)]
+    )
+
+
+def ref_invert_series(m):
+    n, ctx = m.size, m.ctx
+    unit = lambda j: [ctx.coeff(int(i == j)) for i in range(n)]
+    cols = [ref_solve(m.constant_matrix(), unit(j)) for j in range(n)]
+    inv0 = [[cols[j][i] for j in range(n)] for i in range(n)]
+    xs = [inv0]
+    for j in range(1, m.order):
+        acc = [[ctx.zero()] * n for _ in range(n)]
+        for l in range(1, j + 1):
+            prod = const_product(m.coefficient_matrix(l), xs[j - l], ctx)
+            acc = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, prod)]
+        xs.append([[-c for c in row] for row in const_product(inv0, acc, ctx)])
+    return series_matrix_from_coefficients(xs, ctx)
+
+
+def ref_uniform_part(A, order):
+    """j Y_j + Y_j A0 - A0 Y_j = sum_(l=1..j) A_l Y_(j-l), solved as a dense
+    n^2 x n^2 system per coefficient."""
+    n, ctx = A.size, A.ctx
+    a0 = A.constant_matrix()
+    xs = [[[ctx.coeff(int(i == c)) for c in range(n)] for i in range(n)]]
+    for j in range(1, order):
+        rhs = [[ctx.zero()] * n for _ in range(n)]
+        for l in range(1, j + 1):
+            prod = const_product(A.coefficient_matrix(l), xs[j - l], ctx)
+            rhs = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(rhs, prod)]
+        system = []
+        for a in range(n):
+            for b in range(n):
+                row = []
+                for u in range(n):
+                    for v in range(n):
+                        # coefficient of Y[u][v] in entry (a, b) of j Y + Y A0 - A0 Y
+                        c = ctx.coeff(j) if (a, b) == (u, v) else ctx.zero()
+                        if a == u:
+                            c = c + a0[v][b]
+                        if b == v:
+                            c = c - a0[a][u]
+                        row.append(c)
+                system.append(row)
+        flat = ref_solve(system, [rhs[a][b] for a in range(n) for b in range(n)])
+        xs.append([[flat[a * n + b] for b in range(n)] for a in range(n)])
+    return series_matrix_from_coefficients(xs, ctx)
+
+
+def shaped_matrix(rng, ctx, n, order, const=None):
+    """Entries of the given shapes; const(i, j), when given, sets the
+    constant term matrix."""
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            f = shaped_series(rng, ctx, order, rng.choice(SHAPES))
+            if const is not None:
+                f = TruncSeries((const(i, j),) + f.coeffs[1:], ctx)
+            row.append(f)
+        rows.append(row)
+    return SeriesMatrix.from_rows(rows)
+
+
+def nonzero_coeff(rng, ctx):
+    c = random_coeff(rng, ctx)
+    while c.is_zero():
+        c = random_coeff(rng, ctx)
+    return c
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+class TestMatrixKernelAgainstCoefficientLoops:
+    CASES = ((1, 1), (1, 6), (2, 1), (2, 7), (3, 5))  # (size, order)
+
+    def test_matmul(self, ctx):
+        rng = random.Random(f"matmul/{ctx.e}")
+        for n, order in self.CASES:
+            a = shaped_matrix(rng, ctx, n, order)
+            b = shaped_matrix(rng, ctx, n, order + rng.randrange(2))
+            assert a.matmul(b) == ref_matmul(a, b)
+            c = [[random_coeff(rng, ctx) for _ in range(n)] for _ in range(n)]
+            assert a.matmul_const(c) == ref_matmul_const(a, c)
+
+    def test_invert_series(self, ctx):
+        rng = random.Random(f"invert/{ctx.e}")
+        for n, order in self.CASES:
+            # triangular constant term with a nonzero diagonal: invertible
+            const = lambda i, j: nonzero_coeff(rng, ctx) if i == j else (
+                random_coeff(rng, ctx) if i < j else ctx.zero())
+            m = shaped_matrix(rng, ctx, n, order, const)
+            assert m.invert_series() == ref_invert_series(m)
+
+    @pytest.mark.parametrize("a0", ["zero", "shift", "strict-upper"])
+    def test_uniform_part(self, ctx, a0):
+        rng = random.Random(f"uniform/{ctx.e}/{a0}")
+        consts = {
+            "zero": lambda i, j: ctx.zero(),
+            "shift": lambda i, j: ctx.one() if j == i + 1 else ctx.zero(),
+            "strict-upper": lambda i, j: nonzero_coeff(rng, ctx) if i < j else ctx.zero(),
+        }
+        for n, order in self.CASES:
+            A = shaped_matrix(rng, ctx, n, order, consts[a0])
+            assert uniform_part(A, order) == ref_uniform_part(A, order)
 
 
 class TestJsonInput:

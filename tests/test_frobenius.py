@@ -9,6 +9,9 @@ from cartier import (
     OrderExhausted,
     PadicContext,
     ReconstructionFailed,
+    SeriesKind,
+    SeriesSpec,
+    build,
 )
 from cartier.diffops import SeriesMatrix, monicize, uniform_part
 from cartier.frobenius import (
@@ -98,6 +101,14 @@ def diag_const(ctx, powers):
         [ctx.coeff(powers[i]) if i == j else ctx.zero() for j in range(len(powers))]
         for i in range(len(powers))
     ]
+
+
+class TestAperyCatalog:
+    def test_term_ratio_walk_equals_binomial_sum(self):
+        # the catalog walks the term ratio of the binomial sum; apery_series
+        # evaluates each binomial with math.comb
+        entry = build(SeriesSpec(SeriesKind.APERY, PadicContext.unramified(5), 120))
+        assert entry.series == apery_series(PadicContext.unramified(5), 120)
 
 
 class TestAntecedentStep:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,101 @@ class TestHadamard:
     def test_annihilator(self):
         g = geometric(U3, 5)
         assert g.hadamard(TruncSeries.zero(U3, 5)).is_zero()
+
+
+# Plain Coefficient-loop references for the integer kernel: every product
+# below is spelled out on Coefficients, whose arithmetic is tested on its own.
+
+def ref_mul(f, g):
+    n = min(f.order, g.order)
+    out = [f.ctx.zero()] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] = out[i + j] + f[i] * g[j]
+    return TruncSeries(tuple(out), f.ctx)
+
+
+def ref_invert_unit(f):
+    inv0 = f[0].inverse()
+    out = [inv0]
+    for n in range(1, f.order):
+        s = f.ctx.zero()
+        for k in range(1, n + 1):
+            s = s + f[k] * out[n - k]
+        out.append(-inv0 * s)
+    return TruncSeries(tuple(out), f.ctx)
+
+
+def ref_hadamard(f, g):
+    n = min(f.order, g.order)
+    return TruncSeries(tuple(a * b for a, b in zip(f.coeffs[:n], g.coeffs[:n])), f.ctx)
+
+
+# e = 1, 2 and 4
+KERNEL_CONTEXTS = [PadicContext.unramified(5), PadicContext.dwork(3), PadicContext.dwork(5)]
+SHAPES = ("dense", "zero-run", "zero-component", "pi-divisible")
+
+
+def random_coeff(rng, ctx):
+    """Nonzero in most draws; denominators include p, so not all integral."""
+    if rng.random() < 0.2:
+        return ctx.zero()
+    dens = (1, 1, 2, 3, ctx.prime, ctx.prime**2)
+    return ctx.coeff([Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(ctx.e)])
+
+
+def shaped_series(rng, ctx, order, shape):
+    """A random series with one of the features the kernel must get right:
+    a run of zero coefficients, a pi-component that vanishes throughout
+    (the last one; at e = 1 that is the whole series, so there it is the
+    odd coefficients), or every coefficient divisible by pi."""
+    coeffs = [random_coeff(rng, ctx) for _ in range(order)]
+    if shape == "zero-run" and order > 2:
+        lo = rng.randrange(order - 1)
+        hi = rng.randrange(lo + 1, order + 1)
+        coeffs[lo:hi] = [ctx.zero()] * (hi - lo)
+    elif shape == "zero-component":
+        if ctx.e == 1:
+            coeffs[1::2] = [ctx.zero()] * len(coeffs[1::2])
+        else:
+            coeffs = [ctx.coeff(c.parts[:-1]) for c in coeffs]
+    elif shape == "pi-divisible":
+        coeffs = [c * ctx.pi() for c in coeffs]
+    return TruncSeries(tuple(coeffs), ctx)
+
+
+def with_unit_constant(rng, f):
+    c = random_coeff(rng, f.ctx)
+    while c.is_zero():
+        c = random_coeff(rng, f.ctx)
+    return TruncSeries((c,) + f.coeffs[1:], f.ctx)
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+@pytest.mark.parametrize("shape", SHAPES)
+class TestKernelAgainstCoefficientLoops:
+    ORDERS = (1, 2, 7, 13)
+
+    def test_product(self, ctx, shape):
+        rng = random.Random(f"mul/{ctx.e}/{shape}")
+        for order in self.ORDERS:
+            f = shaped_series(rng, ctx, order, shape)
+            g = shaped_series(rng, ctx, order + rng.randrange(3), rng.choice(SHAPES))
+            assert f * g == ref_mul(f, g)
+            assert g * f == ref_mul(g, f)
+
+    def test_invert_unit(self, ctx, shape):
+        rng = random.Random(f"inv/{ctx.e}/{shape}")
+        for order in self.ORDERS:
+            f = with_unit_constant(rng, shaped_series(rng, ctx, order, shape))
+            assert f.invert_unit() == ref_invert_unit(f)
+
+    def test_hadamard(self, ctx, shape):
+        rng = random.Random(f"had/{ctx.e}/{shape}")
+        for order in self.ORDERS:
+            f = shaped_series(rng, ctx, order, shape)
+            g = shaped_series(rng, ctx, order, rng.choice(SHAPES))
+            assert f.hadamard(g) == ref_hadamard(f, g)
 
 
 class TestCongruence:
