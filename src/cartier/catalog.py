@@ -99,18 +99,19 @@ def _hypergeometric(spec: SeriesSpec):
     return series, op, h, warnings
 
 
-def _apery_number(n: int) -> int:
-    """sum_k C(n,k)^2 C(n+k,k)^2, walking the term ratio
-    t_(k+1) / t_k = ((n-k)(n+k+1))^2 / (k+1)^4; each division is exact."""
-    total = term = 1
-    for k in range(n):
-        term = term * ((n - k) * (n + k + 1)) ** 2 // (k + 1) ** 4
-        total += term
-    return total
+def _apery_numbers(count: int) -> list:
+    """The first count Apery numbers sum_k C(n,k)^2 C(n+k,k)^2, by Apery's
+    recurrence (n+1)^3 u_(n+1) = (34n^3 + 51n^2 + 27n + 5) u_n - n^3 u_(n-1),
+    the one the entry's operator encodes; each division is exact."""
+    out = [1, 5][:count]
+    for n in range(1, count - 1):
+        step = (34 * n**3 + 51 * n**2 + 27 * n + 5) * out[n] - n**3 * out[n - 1]
+        out.append(step // (n + 1) ** 3)
+    return out
 
 
 def _apery(spec: SeriesSpec):
-    coeffs = [_apery_number(n) for n in range(spec.order)]
+    coeffs = _apery_numbers(spec.order)
     series = TruncSeries.from_coeffs(spec.ctx, coeffs)
     raw = [(0, [0, 0, 0, 1]), (1, [-5, -27, -51, -34]), (2, [1, 3, 3, 1])]
     return series, monicize(raw, spec.ctx, spec.order)
@@ -204,17 +205,15 @@ class CongruenceReport:
 
 
 def _require_integral(f: TruncSeries):
-    for j in range(f.order):
-        if f[j].valuation() < 0:
-            raise IntegralityFailure(
-                f"coefficient {j} has negative valuation", index=j
-            )
+    if f.min_valuation() < 0:
+        j = next(j for j in range(f.order) if f[j].valuation() < 0)
+        raise IntegralityFailure(f"coefficient {j} has negative valuation", index=j)
 
 
 def _prefix_series(f: TruncSeries, length: int) -> TruncSeries:
-    zero = f.ctx.zero()
-    head = f.coeffs[:length] + (zero,) * (f.order - min(length, f.order))
-    return TruncSeries(head, f.ctx)
+    """f's coefficients below z^length, then zeros to f's order."""
+    pad = [0] * (f.order - min(length, f.order))
+    return TruncSeries.from_rows(f.ctx, f.den, [row[:length] + pad for row in f.rows])
 
 
 def p_lucas_check(f: TruncSeries) -> CongruenceReport:

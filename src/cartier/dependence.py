@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import NotAUnit, NotInK0, ReconstructionFailed
@@ -145,10 +143,10 @@ def _normalized_derivative(f: TruncSeries, r: int) -> TruncSeries:
     g = f
     for _ in range(r):
         g = g.d_dz()
-    lead = next((j for j in range(g.order) if not g[j].is_zero()), None)
+    lead = g.first_nonzero()
     if lead is None:
         raise ValueError("derivative vanished to the reliable order")
-    inv = g[lead].inverse()
+    inv = g.coefficient(lead).inverse()
     return TruncSeries(tuple(inv * c for c in g.coeffs[lead:]), g.ctx)
 
 
@@ -164,9 +162,7 @@ def kolchin_scan(
 
     Per primitive sign-normalized ray u, multiples d*u are tried in
     increasing d while they fit the box, and the first certified multiple is
-    the ray's report. Worker count is capped by the PADIC_THREADS
-    environment variable; results are merged in lexicographic tuple order
-    either way.
+    the ray's report. Findings are reported in lexicographic tuple order.
     """
     fs = list(fs)
     m = len(fs)
@@ -220,12 +216,7 @@ def kolchin_scan(
             return Finding(a, product, screen), tested, screened_out
         return None, tested, screened_out
 
-    workers = max(1, int(os.environ.get("PADIC_THREADS", "1")))
-    if workers == 1:
-        results = [eval_ray(u) for u in rays]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(eval_ray, rays))
+    results = [eval_ray(u) for u in rays]
 
     findings = sorted(
         (r[0] for r in results if r[0] is not None), key=lambda f: f.exponents

@@ -13,8 +13,9 @@ j^n f_j = -(contributions of lower f's), and j^n never vanishes for j >= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from .errors import (
     BadParameters,
@@ -25,15 +26,18 @@ from .errors import (
     OrderExhausted,
 )
 from .rational import Polynomial, RationalFunction
-from .rings import Coefficient, PadicContext
+from .rings import PadicContext
 from .series import (
     TruncSeries,
-    _coeffs,
+    _align,
+    _coeff_rows,
+    _fold,
     _ints,
     _invert,
     _lincomb,
     _matmul_ints,
     _recurrence,
+    _unfolded,
 )
 
 
@@ -94,15 +98,8 @@ class SeriesMatrix:
     @classmethod
     def from_const(cls, ctx: PadicContext, entries, order: int) -> "SeriesMatrix":
         """Constant matrix, embedded as series of the given order."""
-        rows = []
-        for row in entries:
-            rows.append(
-                [
-                    TruncSeries((ctx.coeff(c),) + (ctx.zero(),) * (order - 1), ctx)
-                    for c in row
-                ]
-            )
-        return cls.from_rows(rows)
+        one = TruncSeries.one(ctx, order)
+        return cls.from_rows([[one * ctx.coeff(c) for c in row] for row in entries])
 
     @property
     def size(self) -> int:
@@ -144,12 +141,12 @@ class SeriesMatrix:
 
     def _ints(self):
         """(den, entries): every entry as component rows over one denominator."""
-        return _ints([[entry.coeffs for entry in row] for row in self.rows], self.ctx)
+        return _ints(self.rows)
 
     @classmethod
     def _from_ints(cls, den, entries, ctx) -> "SeriesMatrix":
         return cls.from_rows(
-            [[TruncSeries(_coeffs(den, entry, ctx), ctx) for entry in row] for row in entries]
+            [[TruncSeries._of(ctx, den, entry) for entry in row] for row in entries]
         )
 
     def matmul(self, other: "SeriesMatrix") -> "SeriesMatrix":
@@ -177,10 +174,10 @@ class SeriesMatrix:
         return self.map_entries(lambda e: e.truncate(order))
 
     def constant_matrix(self):
-        return [[self.entry(i, j)[0] for j in range(self.size)] for i in range(self.size)]
+        return self.coefficient_matrix(0)
 
     def coefficient_matrix(self, l: int):
-        return [[self.entry(i, j)[l] for j in range(self.size)] for i in range(self.size)]
+        return [[entry.coefficient(l) for entry in row] for row in self.rows]
 
     def invert_series(self) -> "SeriesMatrix":
         """Inverse as a series matrix; constant term must be invertible."""
@@ -204,7 +201,7 @@ class SeriesMatrix:
 
 def _const_ints(const_rows, ctx):
     """(den, entries) of a constant Coefficient matrix, as series of order 1."""
-    return _ints([[(c,) for c in row] for row in const_rows], ctx)
+    return _ints([[TruncSeries((c,), ctx) for c in row] for row in const_rows])
 
 
 def _invert_const(const_rows, ctx):
@@ -279,7 +276,7 @@ class DiffOp:
     @property
     def is_mom(self) -> bool:
         """All coefficients vanish at z = 0."""
-        return all(a[0].is_zero() for a in self.coeffs)
+        return not any(row[0] for a in self.coeffs for row in a.rows)
 
     @property
     def gauss_norm_bounded(self):
@@ -332,43 +329,74 @@ class DiffOp:
             raise OrderExhausted(
                 f"coefficients reliable to {self.series_order} < requested {order}"
             )
-        n = self.order
-        f = [self.ctx.one()]
-        for j in range(1, order):
-            s = self.ctx.zero()
-            for i in range(1, n + 1):
-                a = self.coeffs[i - 1]
-                for l in range(1, j + 1):
-                    c = a[l]
-                    if not c.is_zero():
-                        s = s + c * (Fraction(j - l) ** (n - i)) * f[j - l]
-            f.append(-s * Fraction(1, j**n))
-        return TruncSeries(tuple(f), self.ctx)
+        # a_i carries delta^(n-i): the generic recursion has C_(n-i) = a_i
+        return _unit_solution_ints(self.coeffs[::-1], self.ctx.one(), self.order, order)
 
 
 def _unit_solution_raw(raw_terms, ctx, n, order):
     # zdeg-0 term must be c * delta^n with c a unit: that is exactly MOM
-    # plus leading-unit, both established by monicize
+    # plus leading-unit, both established by monicize; the z^l term Q_l(delta)
+    # gives C_k its z^l coefficient, the delta^k coefficient of Q_l
     head = dict(raw_terms).get(0)
-    lead = head[-1]
-    f = [ctx.one()]
-    tail = [(z, poly) for z, poly in raw_terms if z > 0]
+    tail = {z: poly for z, poly in raw_terms if z > 0}
+    width = max(tail, default=0) + 1
+    degree = max(map(len, tail.values()), default=0)
+    zero = ctx.zero()
+    cs = [
+        TruncSeries(
+            tuple(tail[l][k] if k < len(tail.get(l, ())) else zero for l in range(width)),
+            ctx,
+        )
+        for k in range(degree)
+    ]
+    return _unit_solution_ints(cs, head[-1], n, order)
+
+
+def _unit_solution_ints(cs, lead, n, order):
+    """The series f with f_0 = 1 and, for j >= 1,
+    lead * j^n f_j = -sum_k (C_k * delta^k f)_j, where C_k = cs[k] vanishes
+    at 0: the unit-solution recursion of both the banded and the generic
+    form, in integers.
+
+    delta^k f is kept beside f as rows w[k] (w[k][t][i] = i^k f_t[i]) over
+    f's running denominator, so each step is one dot product per term of
+    C_k and pi-component, as in series._recurrence.
+    """
+    ctx = lead.ctx
+    e = ctx.e
+    dc, crows = _align(cs)
+    dl, linv = _coeff_rows((lead.inverse(),), e)
+    terms = [
+        (k, s, row[1:])
+        for k, entry in enumerate(crows)
+        for s, row in enumerate(entry)
+        if any(row[1:])
+    ]
+    # f_0 = 1, and (delta^k f)_0 = 0 for k >= 1
+    den = 1
+    w = [[[int(t == k == 0)] for t in range(e)] for k in range(max(len(cs), 1))]
     for j in range(1, order):
-        s = ctx.zero()
-        for zdeg, poly in tail:
-            if zdeg > j:
-                continue
-            arg = Fraction(j - zdeg)
-            q = ctx.zero()
-            power = Fraction(1)
-            for c in poly:
-                if not c.is_zero():
-                    q = q + c * power
-                power = power * arg
-            if not q.is_zero():
-                s = s + q * f[j - zdeg]
-        f.append(-s / (lead * Fraction(j) ** n))
-    return TruncSeries(tuple(f), ctx)
+        acc = _unfolded(ctx, 1)
+        for k, s, tail in terms:
+            head = tail[:j]
+            for t, ws in enumerate(w[k]):
+                acc[s + t][0] += sum(map(mul, head, reversed(ws)))
+        prod = _matmul_ints([[_fold(acc, ctx)]], [[linv]], ctx, 1)[0][0]
+        num = [-v for (v,) in prod]
+        dj = dc * den * dl * j**n
+        g = math.gcd(dj, *num)
+        dj //= g
+        grown = math.lcm(den, dj)
+        if grown != den:
+            scale = grown // den
+            w = [[[v * scale for v in ws] for ws in wk] for wk in w]
+            den = grown
+        scale = den // dj
+        for k, wk in enumerate(w):
+            jk = j**k * scale
+            for ws, v in zip(wk, num):
+                ws.append(v // g * jk)
+    return TruncSeries._of(ctx, den, w[0])
 
 
 def monicize(terms, ctx: PadicContext, order: int) -> DiffOp:

@@ -58,12 +58,8 @@ def _power_diag(ctx: PadicContext, n: int, exponent: int):
 
 
 def _first_nonzero_order(m: SeriesMatrix):
-    for j in range(m.order):
-        for row in m.rows:
-            for entry in row:
-                if not entry[j].is_zero():
-                    return j
-    return None
+    hits = [entry.first_nonzero() for row in m.rows for entry in row]
+    return min((j for j in hits if j is not None), default=None)
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,16 @@ def _json_val(v):
     return None if v == INF else v
 
 
-def antecedent_step(L: DiffOp, order: int) -> AntecedentLevel:
+def _require_descendable(L: DiffOp, order: int):
+    if not L.is_mom:
+        raise NotMOM("antecedent step needs vanishing coefficients at 0")
+    if L.series_order < order:
+        raise OrderExhausted(
+            f"operator coefficients reliable to {L.series_order} < {order}"
+        )
+
+
+def antecedent_step(L: DiffOp, order: int, A=None, transformed=None) -> AntecedentLevel:
     """One Cartier descent step.
 
     Computes the uniform part Y of the companion system, reads the descended
@@ -102,17 +107,19 @@ def antecedent_step(L: DiffOp, order: int) -> AntecedentLevel:
     H = Y (C(z^p))^(-1) diag(1, p, .., p^(n-1)). The defining identity, the
     value at 0, entry integrality, and annihilation of the transformed
     solution are all checked on the truncations.
+
+    A and transformed, when given, are L's companion truncated to order and
+    the Cartier transform of L's unit solution to order, already built by
+    the caller.
     """
-    if not L.is_mom:
-        raise NotMOM("antecedent step needs vanishing coefficients at 0")
-    if L.series_order < order:
-        raise OrderExhausted(
-            f"operator coefficients reliable to {L.series_order} < {order}"
-        )
+    _require_descendable(L, order)
     ctx = L.ctx
     p = ctx.prime
     n = L.order
-    A = L.companion().truncate(order)
+    if A is None:
+        A = L.companion().truncate(order)
+    if transformed is None:
+        transformed = L.unit_solution(order).cartier()
     Y = uniform_part(A, order)
     C = Y.cartier()
     a0_over_p = [[c * Fraction(1, p) for c in row] for row in A.constant_matrix()]
@@ -128,7 +135,7 @@ def antecedent_step(L: DiffOp, order: int) -> AntecedentLevel:
         .matmul_const(_power_diag(ctx, n, 1))
         .truncate(order)
     )
-    return _verified_level(1, L, L1, A1, passage, A, L.unit_solution(order).cartier())
+    return _verified_level(1, L, L1, A1, passage, A, transformed)
 
 
 def _verified_level(level, L, Lk, Ak, passage, A, transformed) -> AntecedentLevel:
@@ -155,8 +162,7 @@ def _verified_level(level, L, Lk, Ak, passage, A, transformed) -> AntecedentLeve
         raise VerificationFailed(
             f"passage matrix at level {level} has a negative-valuation entry"
         )
-    ann = Lk.apply(transformed.truncate(Lk.series_order))
-    bad = next((j for j in range(ann.order) if not ann[j].is_zero()), None)
+    bad = Lk.apply(transformed.truncate(Lk.series_order)).first_nonzero()
     if bad is not None:
         raise VerificationFailed(
             f"level-{level} operator does not annihilate the transformed solution",
@@ -181,9 +187,10 @@ def antecedent_chain(L: DiffOp, levels: int, order: int) -> list:
         raise OrderExhausted(
             f"order {order} cannot support {levels} levels at p = {p}"
         )
-    out = [antecedent_step(L, order)]
+    _require_descendable(L, order)
     A = L.companion().truncate(order)
     transformed = L.unit_solution(order).cartier()
+    out = [antecedent_step(L, order, A, transformed)]
     for k in range(2, levels + 1):
         prev = out[-1]
         step = antecedent_step(prev.operator, prev.operator.series_order)
@@ -195,37 +202,6 @@ def antecedent_chain(L: DiffOp, levels: int, order: int) -> list:
             )
         )
     return out
-
-
-# -- optional series-kernel cross-check --------------------------------------
-
-
-def cartier_kernel_terms(A: SeriesMatrix, count: int) -> list:
-    """Terms of the iterated-derivation sequence: T_0 = I and
-    T_(j+1) = delta(T_j) + T_j (A - jI). Used only as a consistency check
-    on small j; the full kernel series is never summed.
-    """
-    ctx = A.ctx
-    terms = [SeriesMatrix.identity(ctx, A.size, A.order)]
-    for j in range(count - 1):
-        t = terms[-1]
-        shift = [
-            [
-                -ctx.coeff(j) if a == b else ctx.zero()
-                for b in range(A.size)
-            ]
-            for a in range(A.size)
-        ]
-        terms.append(t.delta() + t.matmul(A) + t.matmul_const(shift))
-    return terms
-
-
-def cyclotomic_weight(ctx: PadicContext, j: int):
-    """Weight attached to the j-th kernel term; only j = 0 is provided
-    (value 1), which is all the consistency check consumes."""
-    if j != 0:
-        raise BadParameters("only the j = 0 weight is available")
-    return ctx.one()
 
 
 # -- integrality -------------------------------------------------------------

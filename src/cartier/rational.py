@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInK0, ReconstructionFailed
+from .errors import BadParameters, NegativeValuation, NotInK0, ReconstructionFailed
 from .rings import Coefficient, PadicContext
 from .series import TruncSeries
 
@@ -157,9 +157,9 @@ class Polynomial:
         return Polynomial.from_coeffs(self.ctx, out)
 
     def to_series(self, order: int) -> TruncSeries:
-        return TruncSeries(
-            tuple(self[j] for j in range(order)), self.ctx
-        )
+        head = TruncSeries(self.coeffs[:order], self.ctx)
+        pad = [0] * (order - head.order)
+        return TruncSeries.from_rows(self.ctx, head.den, [row + pad for row in head.rows])
 
     def gauss_valuation(self):
         """min coefficient valuation; INF for the zero polynomial."""
@@ -395,13 +395,10 @@ def pade_pairs(f: TruncSeries, window: int):
     """
     ctx = f.ctx
     e, p = ctx.e, ctx.prime
-    prefix = f.coeffs[:window]
-    scale = math.lcm(*(x.denominator for c in prefix for x in c.parts))
-    r_cur = _strip([
-        [x.numerator * (scale // x.denominator) for x in (c.parts[i] for c in prefix)]
-        for i in range(e)
-    ])
-    r_cur, t_cur = _primitive(r_cur, [[scale]] + [[0] for _ in range(e - 1)])
+    # the prefix over the series' denominator: a multiple of the pair over
+    # the prefix's own, which _primitive divides out
+    r_cur = _strip([row[:window] for row in f.rows])
+    r_cur, t_cur = _primitive(r_cur, [[f.den]] + [[0] for _ in range(e - 1)])
     r_prev = [[0] * window + [1]] + [[0] * (window + 1) for _ in range(e - 1)]
     t_prev = [[] for _ in range(e)]
     if not r_cur[0]:
@@ -446,16 +443,35 @@ class ResidueTarget:
         self.prime = p
         self.digits = -(-m // e)
         self.thresholds = tuple(p ** max(0, -((i - m) // e)) for i in range(e))
-        self.rows = _residue_rows(target.coeffs[:upto], e, p, p**self.digits)
+        rows = [row[:upto] for row in target.rows]
+        self.rows = _residue_rows(target.den, rows, p, p**self.digits)
 
 
-def _residue_rows(coeffs, e, p, mod):
-    """Component-major residues of the coefficients modulo mod, a power of
-    p, or None when a component has p in its denominator."""
+def _residue_rows(den, rows, p, mod):
+    """Residues modulo mod, a power of p, of the integer rows over den, or
+    None when one of the values rows[t][j] / den has p in its denominator."""
+    k = 0
+    while den % p == 0:
+        den //= p
+        k += 1
+    if k:
+        pk = p**k
+        if any(x % pk for row in rows for x in row):
+            return None
+        rows = [[x // pk for x in row] for row in rows]
+    if den == 1:
+        return [[x % mod for x in row] for row in rows]
+    inv = pow(den, -1, mod)
+    return [[x * inv % mod for x in row] for row in rows]
+
+
+def _poly_residues(poly: Polynomial, p, mod):
+    """Component-major residues of a polynomial's coefficients modulo mod,
+    or None when a component has p in its denominator."""
     rows = []
-    for i in range(e):
+    for i in range(poly.ctx.e):
         row = []
-        for c in coeffs:
+        for c in poly.coeffs:
             x = c.parts[i]
             d = x.denominator
             if d == 1:
@@ -519,8 +535,8 @@ def _residue_screen(num, den, res: ResidueTarget, upto):
     q = -(-v0 // e)
     shift = e * q - v0
     mod = p ** (res.digits + (upto + 1) * q)
-    dres = _residue_rows(den.coeffs, e, p, mod)
-    nres = _residue_rows(num.coeffs, e, p, mod)
+    dres = _poly_residues(den, p, mod)
+    nres = _poly_residues(num, p, mod)
     if nres is None or dres is None:
         return None
     lead = [row[0] for row in dres]
@@ -685,9 +701,21 @@ def product_congruence_outcome(cand, mult, target, m, upto, require_norm_one):
 
 
 def canonical_lift(f: TruncSeries, m: int) -> TruncSeries:
-    """Coefficientwise canonical residue representative mod pi^m.
+    """Coefficientwise canonical residue representative mod pi^m, the one
+    Coefficient.reduce_mod gives: component t reduced into [0, p^k) with
+    k = ceil((m - t)/e).
 
     Exposes rational structure that only exists modulo pi^m; used as the
     second Pade source. Requires integral coefficients.
     """
-    return TruncSeries(tuple(c.reduce_mod(m) for c in f.coeffs), f.ctx)
+    if m < 1:
+        raise BadParameters("level must be >= 1")
+    if f.min_valuation() < 0:
+        v = next(v for v in (c.valuation() for c in f.coeffs) if v < 0)
+        raise NegativeValuation(f"valuation {v} < 0")
+    e, p = f.ctx.e, f.ctx.prime
+    rows = []
+    for t, row in enumerate(f.rows):
+        k = -((t - m) // e)
+        rows.append(_residue_rows(f.den, [row], p, p**k)[0] if k > 0 else [0] * len(row))
+    return TruncSeries.from_rows(f.ctx, 1, rows)

@@ -1,65 +1,136 @@
 """Truncated power series over a p-adic context.
 
 A TruncSeries stores exactly the coefficients it is reliable for: index j is
-the coefficient of z^j and the length of the tuple is the reliable order.
+the coefficient of z^j and the number of coefficients is the reliable order.
 Every operation returns a series whose length reflects how far the result can
 be trusted; in particular the Cartier operator divides the order by p and
 substitution z -> z^(p^k) multiplies it, so chained computations keep honest
 bookkeeping without a separate precision field.
 
-Every series product runs through one integer kernel at the end of this
-module: a group of coefficient sequences is read as integer numerator rows,
-one row per pi-component, over the group's least common denominator.
-Products convolve those rows on ints, pi^e = -p is folded on the rows, and
-the result becomes Coefficients once, at the end. The series-matrix product,
-inverse and uniform part in diffops are built on the same kernel.
+A series is stored as integer numerator rows, one row per pi-component,
+over one common denominator: coefficient j is sum_t rows[t][j] pi^t / den.
+The form is canonical (den > 0 and the gcd of den and every numerator is 1),
+so equal values have equal rows. Every operation, and the product kernel at
+the end of this module, runs on these rows; coeffs, the tuple of
+Coefficients, is a view built on first use and cached, for code that
+indexes or renders a series. The series-matrix product, inverse and uniform
+part in diffops are built on the same kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import add, mul
 
 from .errors import BadParameters, NotAUnit
-from .rings import Coefficient, PadicContext
+from .rings import INF, Coefficient, PadicContext
 
 
-@dataclass(frozen=True)
 class TruncSeries:
-    coeffs: tuple
-    ctx: PadicContext
+    """A series known mod z^order, as integer rows over a denominator.
+
+    TruncSeries(coeffs, ctx) builds one from a sequence of Coefficients;
+    from_rows builds one from integer rows. Instances are immutable.
+    """
+
+    __slots__ = ("ctx", "den", "rows", "_view")
+
+    def __init__(self, coeffs, ctx: PadicContext):
+        view = tuple(c if isinstance(c, Coefficient) else ctx.coeff(c) for c in coeffs)
+        self.ctx = ctx
+        self.den, self.rows = _coeff_rows(view, ctx.e)
+        self._view = view
 
     # -- construction --------------------------------------------------------
 
     @classmethod
+    def from_rows(cls, ctx: PadicContext, den: int, rows) -> "TruncSeries":
+        """The series with coefficient j = sum_t rows[t][j] pi^t / den; rows
+        holds ctx.e integer rows of one length and den is a nonzero int."""
+        rows = [list(row) for row in rows]
+        if len(rows) != ctx.e or len({len(row) for row in rows}) > 1 or not den:
+            raise BadParameters("need e integer rows of one length over a nonzero denominator")
+        if den < 0:
+            den, rows = -den, [[-x for x in row] for row in rows]
+        return cls._of(ctx, den, rows)
+
+    @classmethod
+    def _of(cls, ctx, den, rows):
+        """Series of integer rows over den > 0, brought to canonical form."""
+        g = math.gcd(den, *chain.from_iterable(rows))
+        if g > 1:
+            den //= g
+            rows = [[x // g for x in row] for row in rows]
+        return cls._canonical(ctx, den, rows)
+
+    @classmethod
+    def _canonical(cls, ctx, den, rows):
+        """Series of rows over den that are already in canonical form."""
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.den = den
+        self.rows = rows
+        self._view = None
+        return self
+
+    @classmethod
     def from_coeffs(cls, ctx: PadicContext, values) -> "TruncSeries":
+        values = list(values)
+        if all(isinstance(v, (int, Fraction)) for v in values):
+            den = math.lcm(*(v.denominator for v in values))
+            row = [v.numerator * (den // v.denominator) for v in values]
+            zero = [0] * len(row)
+            return cls._canonical(ctx, den, [row] + [zero] * (ctx.e - 1))
         return cls(tuple(ctx.coeff(v) for v in values), ctx)
 
     @classmethod
     def zero(cls, ctx: PadicContext, order: int) -> "TruncSeries":
-        return cls((ctx.zero(),) * order, ctx)
+        return cls._canonical(ctx, 1, [[0] * order for _ in range(ctx.e)])
 
     @classmethod
     def one(cls, ctx: PadicContext, order: int) -> "TruncSeries":
-        return cls((ctx.one(),) + (ctx.zero(),) * (order - 1), ctx)
+        out = cls.zero(ctx, order)
+        if order:
+            out.rows[0][0] = 1
+        return out
+
+    # -- the Coefficient view ------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as a tuple of Coefficients, built once."""
+        view = self._view
+        if view is None:
+            view = self._view = tuple(
+                _coefficient(self.den, col, self.ctx) for col in zip(*self.rows)
+            )
+        return view
 
     @property
     def order(self) -> int:
         """Number of reliable coefficients (the series is known mod z^order)."""
-        return len(self.coeffs)
+        return len(self.rows[0])
 
     def __getitem__(self, j: int) -> Coefficient:
         return self.coeffs[j]
 
+    def coefficient(self, j: int) -> Coefficient:
+        """Coefficient j, without building the whole view."""
+        if self._view is not None:
+            return self._view[j]
+        return _coefficient(self.den, [row[j] for row in self.rows], self.ctx)
+
     def constant_term(self) -> Coefficient:
-        return self.coeffs[0]
+        return self.coefficient(0)
 
     def truncate(self, upto: int) -> "TruncSeries":
         if upto > self.order:
             raise ValueError(f"only {self.order} coefficients are reliable")
-        return TruncSeries(self.coeffs[:upto], self.ctx)
+        if upto == self.order:
+            return self
+        return TruncSeries._of(self.ctx, self.den, [row[:upto] for row in self.rows])
 
     # -- ring operations (result order = what both operands support) --------
 
@@ -70,32 +141,40 @@ class TruncSeries:
             return other
         raise TypeError("expected a TruncSeries")
 
-    def __add__(self, other):
+    def _lincomb(self, other, sign):
+        """self + sign * other on their common order."""
         o = self._common(other)
         n = min(self.order, o.order)
-        return TruncSeries(
-            tuple(a + b for a, b in zip(self.coeffs[:n], o.coeffs[:n])), self.ctx
-        )
+        den = math.lcm(self.den, o.den)
+        ka, kb = den // self.den, sign * (den // o.den)
+        rows = [
+            [ka * x + kb * y for x, y in zip(ra[:n], rb[:n])]
+            for ra, rb in zip(self.rows, o.rows)
+        ]
+        return TruncSeries._of(self.ctx, den, rows)
+
+    def __add__(self, other):
+        return self._lincomb(other, 1)
 
     def __sub__(self, other):
-        o = self._common(other)
-        n = min(self.order, o.order)
-        return TruncSeries(
-            tuple(a - b for a, b in zip(self.coeffs[:n], o.coeffs[:n])), self.ctx
-        )
+        return self._lincomb(other, -1)
 
     def __neg__(self):
-        return TruncSeries(tuple(-a for a in self.coeffs), self.ctx)
+        return TruncSeries._canonical(
+            self.ctx, self.den, [[-x for x in row] for row in self.rows]
+        )
 
     def __mul__(self, other):
+        ctx = self.ctx
         if isinstance(other, (int, Fraction, Coefficient)):
-            c = self.ctx.coeff(other)
-            return TruncSeries(tuple(c * a for a in self.coeffs), self.ctx)
+            dc, c = _coeff_rows((ctx.coeff(other),), ctx.e)
+            acc = _unfolded(ctx, self.order)
+            _mul_add(acc, c, self.rows)
+            return TruncSeries._of(ctx, self.den * dc, _fold(acc, ctx))
         o = self._common(other)
         n = min(self.order, o.order)
-        ctx = self.ctx
-        (da, a), (db, b) = _ints([[self.coeffs[:n]]], ctx), _ints([[o.coeffs[:n]]], ctx)
-        return TruncSeries(_coeffs(da * db, _matmul_ints(a, b, ctx, n)[0][0], ctx), ctx)
+        rows = _matmul_ints([[self.rows]], [[o.rows]], ctx, n)[0][0]
+        return TruncSeries._of(ctx, self.den * o.den, rows)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Coefficient)):
@@ -118,32 +197,40 @@ class TruncSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return self.ctx == other.ctx and self.den == other.den and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.coeffs, self.ctx.prime, self.ctx.ramification))
+        rows = tuple(map(tuple, self.rows))
+        return hash((self.den, rows, self.ctx.prime, self.ctx.ramification))
 
     def agrees_with(self, other, upto: int) -> bool:
         o = self._common(other)
         if upto > min(self.order, o.order):
             raise ValueError("comparison window beyond reliable order")
-        return all(self.coeffs[j] == o.coeffs[j] for j in range(upto))
+        return self.truncate(upto) == o.truncate(upto)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(map(any, self.rows))
+
+    def first_nonzero(self):
+        """Index of the first nonzero coefficient, or None for zero."""
+        hits = [next((j for j, x in enumerate(row) if x), None) for row in self.rows]
+        return min((j for j in hits if j is not None), default=None)
 
     # -- derivations and the Cartier operator --------------------------------
 
     def delta(self) -> "TruncSeries":
         """The derivation z d/dz: multiplies coefficient j by j."""
-        return TruncSeries(
-            tuple(c * j for j, c in enumerate(self.coeffs)), self.ctx
+        return TruncSeries._of(
+            self.ctx, self.den, [list(map(mul, row, range(len(row)))) for row in self.rows]
         )
 
     def d_dz(self) -> "TruncSeries":
         """Ordinary derivative; reliable order drops by one."""
-        return TruncSeries(
-            tuple(c * j for j, c in enumerate(self.coeffs))[1:], self.ctx
+        return TruncSeries._of(
+            self.ctx,
+            self.den,
+            [list(map(mul, row[1:], range(1, len(row)))) for row in self.rows],
         )
 
     def cartier(self) -> "TruncSeries":
@@ -152,7 +239,7 @@ class TruncSeries:
         The result is reliable to ceil(order/p).
         """
         p = self.ctx.prime
-        return TruncSeries(self.coeffs[::p], self.ctx)
+        return TruncSeries._of(self.ctx, self.den, [row[::p] for row in self.rows])
 
     def subst_zpk(self, k: int) -> "TruncSeries":
         """Substitute z -> z^(p^k); reliable order grows to order * p^k.
@@ -165,11 +252,12 @@ class TruncSeries:
         if k == 0:
             return self
         q = self.ctx.prime**k
-        zero = self.ctx.zero()
-        out = [zero] * (self.order * q)
-        for j, c in enumerate(self.coeffs):
-            out[j * q] = c
-        return TruncSeries(tuple(out), self.ctx)
+        rows = []
+        for row in self.rows:
+            out = [0] * (len(row) * q)
+            out[::q] = row
+            rows.append(out)
+        return TruncSeries._canonical(self.ctx, self.den, rows)
 
     # -- units ---------------------------------------------------------------
 
@@ -177,14 +265,13 @@ class TruncSeries:
         """Multiplicative inverse mod z^order; needs a unit constant term."""
         if self.order == 0:
             return self
-        f0 = self.coeffs[0]
+        f0 = self.constant_term()
         if f0.is_zero():
             raise NotAUnit("constant term vanishes")
         ctx = self.ctx
-        den, f = _ints([[self.coeffs]], ctx)
-        d0, inv0 = _ints([[(f0.inverse(),)]], ctx)
-        dg, g = _invert(den, f, self.order, inv0, d0, ctx)
-        return TruncSeries(_coeffs(dg, g[0][0], ctx), ctx)
+        d0, inv0 = _coeff_rows((f0.inverse(),), ctx.e)
+        dg, g = _invert(self.den, [[self.rows]], self.order, [[inv0]], d0, ctx)
+        return TruncSeries._of(ctx, dg, g[0][0])
 
     def log_derivative(self) -> "TruncSeries":
         """f'/f, reliable to order - 1."""
@@ -194,33 +281,49 @@ class TruncSeries:
         o = self._common(other)
         n = min(self.order, o.order)
         ctx = self.ctx
-        (da, [[a]]), (db, [[b]]) = _ints([[self.coeffs[:n]]], ctx), _ints([[o.coeffs[:n]]], ctx)
         acc = _unfolded(ctx, n)
-        for s, ra in enumerate(a):
-            for t, rb in enumerate(b):
+        for s, ra in enumerate(self.rows):
+            for t, rb in enumerate(o.rows):
                 acc[s + t] = list(map(add, acc[s + t], map(mul, ra, rb)))
-        return TruncSeries(_coeffs(da * db, acc, ctx), ctx)
+        return TruncSeries._of(ctx, self.den * o.den, _fold(acc, ctx))
 
-    # -- congruences ---------------------------------------------------------
+    # -- valuations and congruences ------------------------------------------
 
     def first_discrepancy(self, other, m: int, upto: int):
         """Smallest j < upto with v(f_j - g_j) < m, or None."""
         o = self._common(other)
         if upto > min(self.order, o.order):
             raise ValueError("congruence window beyond reliable order")
-        for j in range(upto):
-            if (self.coeffs[j] - o.coeffs[j]).valuation() < m:
-                return j
-        return None
+        e, p = self.ctx.e, self.ctx.prime
+        den = math.lcm(self.den, o.den)
+        ka, kb = den // self.den, den // o.den
+        # component t of the difference is d/den; v(d/den) pi^t >= m exactly
+        # when p^(ceil((m - t)/e) + v_p(den)) divides d
+        k = _p_adic_order(den, p)
+        thresholds = [p ** max(0, -((t - m) // e) + k) for t in range(e)]
+        found = upto
+        for ra, rb, thr in zip(self.rows, o.rows, thresholds):
+            if thr > 1:
+                diff = map(lambda x, y: (ka * x - kb * y) % thr, ra[:found], rb[:found])
+                found = next((j for j, r in enumerate(diff) if r), found)
+        return None if found == upto else found
 
     def congruent_mod(self, other, m: int, upto: int) -> bool:
         return self.first_discrepancy(other, m, upto) is None
 
     def min_valuation(self, upto=None):
-        """Smallest coefficient valuation on the window (INF if all zero)."""
-        window = self.coeffs if upto is None else self.coeffs[:upto]
-        vals = [c.valuation() for c in window]
-        return min(vals, default=float("inf"))
+        """Smallest coefficient valuation on the window (INF if all zero).
+
+        The smallest p-adic order along a row is that of the row's gcd.
+        """
+        e, p = self.ctx.e, self.ctx.prime
+        k = _p_adic_order(self.den, p)
+        best = INF
+        for t, row in enumerate(self.rows):
+            g = math.gcd(*(row if upto is None else row[:upto]))
+            if g:
+                best = min(best, e * (_p_adic_order(g, p) - k) + t)
+        return best
 
     # -- serialization -------------------------------------------------------
 
@@ -242,33 +345,67 @@ class TruncSeries:
             raise BadParameters("coefficient count does not match N")
         return cls.from_coeffs(ctx, coeffs)
 
+    def __repr__(self):
+        return f"TruncSeries(coeffs={self.coeffs!r}, ctx={self.ctx!r})"
+
     def __str__(self):
-        shown = ", ".join(c.render() for c in self.coeffs[:6])
+        shown = ", ".join(self.coefficient(j).render() for j in range(min(self.order, 6)))
         tail = ", .." if self.order > 6 else ""
         return f"[{shown}{tail}] mod z^{self.order}"
+
+
+def _p_adic_order(n: int, p: int) -> int:
+    """v_p of a nonzero int."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _coeff_rows(coeffs, e):
+    """(den, rows) of a sequence of Coefficients: rows[t][j] / den is the
+    pi^t part of coeffs[j], and den is the least common denominator of
+    every part, so the pair is in canonical form."""
+    den = math.lcm(*(x.denominator for c in coeffs for x in c.parts))
+    return den, [
+        [x.numerator * (den // x.denominator) for x in (c.parts[t] for c in coeffs)]
+        for t in range(e)
+    ]
+
+
+def _coefficient(den, column, ctx):
+    """The Coefficient with parts column[t] / den."""
+    if den == 1:
+        return Coefficient(tuple(map(Fraction, column)), ctx)
+    return Coefficient(tuple(Fraction(x, den) for x in column), ctx)
 
 
 # -- the integer kernel -------------------------------------------------------
 #
 # A "row" is a list of integer numerators along z. An entry (a series, or a
 # constant as a series of order 1) is a list of rows, one per pi-component,
-# over a denominator held beside it. A product of two entries has 2e - 1
-# "unfolded" rows (pi^0 up to pi^(2e-2)); _fold turns them back into e rows
-# with pi^e = -p.
+# over a denominator held beside it: a TruncSeries's rows are an entry. A
+# product of two entries has 2e - 1 "unfolded" rows (pi^0 up to pi^(2e-2));
+# _fold turns them back into e rows with pi^e = -p. Entries are never
+# modified in place, so results may share rows with their operands.
 
 
-def _ints(matrix, ctx):
-    """(den, entries) for a square matrix of coefficient sequences (a series
-    is a 1 x 1 matrix): entries[i][k][t][j] / den is the pi^t part of
-    matrix[i][k][j], and den is the least common denominator of every part."""
-    seqs = [seq for row in matrix for seq in row]
-    den = math.lcm(*(x.denominator for seq in seqs for c in seq for x in c.parts))
-    flat = [
-        [[x.numerator * (den // x.denominator) for x in (c.parts[t] for c in seq)]
-         for t in range(ctx.e)]
-        for seq in seqs
+def _align(series):
+    """(den, [rows]) for a list of series: each one's rows over den, the
+    least common denominator of all of them."""
+    den = math.lcm(*(s.den for s in series))
+    return den, [
+        s.rows if s.den == den else [[x * (den // s.den) for x in r] for r in s.rows]
+        for s in series
     ]
+
+
+def _ints(matrix):
+    """(den, entries) for a square matrix of series, aligned on one
+    denominator: entries[i][k] is matrix[i][k]'s rows over den."""
     n = len(matrix)
+    den, flat = _align([s for row in matrix for s in row])
     return den, [flat[i * n : (i + 1) * n] for i in range(n)]
 
 
@@ -284,15 +421,6 @@ def _fold(rows, ctx):
     for t, high in enumerate(rows[e:]):
         low[t] = [x - p * y for x, y in zip(low[t], high)]
     return low
-
-
-def _coeffs(den, rows, ctx):
-    """Coefficients of rows over den; unfolded rows are folded first."""
-    if len(rows) > ctx.e:
-        rows = _fold(rows, ctx)
-    return tuple(
-        Coefficient(tuple(Fraction(x, den) for x in col), ctx) for col in zip(*rows)
-    )
 
 
 def _conv_add(out, a, b):
@@ -318,6 +446,8 @@ def _mul_add(acc, a, b):
 def _matmul_ints(a, b, ctx, n):
     """Product of two square matrices of entries, each result entry summed
     over k in the unfolded domain and folded once, with rows of length n."""
+    if n == 1:
+        return _matmul_consts(a, b, ctx)
     size = len(a)
     out = []
     for row in a:
@@ -327,6 +457,27 @@ def _matmul_ints(a, b, ctx, n):
             for k in range(size):
                 _mul_add(acc, row[k], b[k][j])
             out_row.append(_fold(acc, ctx))
+        out.append(out_row)
+    return out
+
+
+def _matmul_consts(a, b, ctx):
+    """_matmul_ints with n = 1: only the constant terms, on bare ints."""
+    e, p = ctx.e, ctx.prime
+    b_cols = [[[(t, r[0]) for t, r in enumerate(b[k][j]) if r[0]] for k in range(len(b))]
+              for j in range(len(b))]
+    out = []
+    for row in a:
+        terms = [[(s, r[0]) for s, r in enumerate(entry) if r[0]] for entry in row]
+        out_row = []
+        for col in b_cols:
+            acc = [0] * (2 * e - 1)
+            for xs, ys in zip(terms, col):
+                for s, x in xs:
+                    for t, y in ys:
+                        acc[s + t] += x * y
+            out_row.append([[acc[t] - p * acc[t + e]] if t + e < len(acc) else [acc[t]]
+                            for t in range(e)])
         out.append(out_row)
     return out
 
@@ -355,9 +506,10 @@ def _recurrence(dm, m, x0, d0, order, solve, ctx):
     size = len(m)
     x = [[[r[:] for r in entry] for entry in row] for row in x0]
     den = d0
-    # the nonzero rows of M_1, M_2, ..: (i, k, s, row) with row[l - 1] = M_l
+    # the nonzero rows of M_1, M_2, ..: (i, k, s, row) with row[l - 1] = M_l,
+    # without trailing zeros, so that a polynomial M costs its degree per step
     terms = [
-        (i, k, s, row[1:])
+        (i, k, s, _trimmed(row[1:]))
         for i in range(size)
         for k in range(size)
         for s, row in enumerate(m[i][k])
@@ -386,6 +538,14 @@ def _recurrence(dm, m, x0, d0, order, solve, ctx):
                 for xs, (v,) in zip(entry, nentry):
                     xs.append(v // g * scale)
     return den, x
+
+
+def _trimmed(row):
+    """row without its trailing zeros."""
+    end = len(row)
+    while end and not row[end - 1]:
+        end -= 1
+    return row[:end]
 
 
 def _invert(dm, m, order, inv0, d0, ctx):

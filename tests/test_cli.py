@@ -454,6 +454,27 @@ class TestAntecedentRegression:
         assert elapsed < self.TIME_BOUND_S
 
 
+class TestRamifiedAntecedentRegression:
+    # the Dwork-context 2F1 job of the operators benchmark, a chain in
+    # Q_3(pi) with e = 2; the digest is of the report produced when series
+    # were still read out of Coefficients for every kernel call (about
+    # 0.1 s in-process on a 2-core VM), so the bound catches a blow-up only
+    ARGS = [
+        "antecedent", "--series", "hyp:1/2,1/2", "--prime", "3", "--dwork",
+        "--order", "40", "--levels", "2",
+    ]
+    SHA256 = "f170743f0143d6f3f224b79d37f85c9f25a123004d28741ee2900b15958060e2"
+    TIME_BOUND_S = 10
+
+    def test_report_is_unchanged_and_in_time(self, runner):
+        start = time.perf_counter()
+        result = runner.invoke(main, self.ARGS)
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == self.SHA256
+        assert elapsed < self.TIME_BOUND_S
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",

@@ -225,13 +225,6 @@ class TestKolchinScan:
             '"screened_out": 0, "tuples_tested": 2}}'
         )
 
-    def test_worker_count_does_not_change_the_report(self, monkeypatch):
-        f = half_series(U7, 36)
-        serial = kolchin_scan([f, f], 2, 2, 8)
-        monkeypatch.setenv("PADIC_THREADS", "3")
-        threaded = kolchin_scan([f, f], 2, 2, 8)
-        assert serial == threaded
-
     def test_certificate_survives_retruncation(self):
         rep = kolchin_scan([half_series(U7, 48)], 2, 2, 10)
         cert = rep.findings[0].product

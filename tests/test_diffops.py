@@ -427,6 +427,102 @@ class TestMatrixKernelAgainstCoefficientLoops:
             assert uniform_part(A, order) == ref_uniform_part(A, order)
 
 
+def ref_unit_solution_generic(L, order):
+    """The generic recursion on Coefficients:
+    j^n f_j = -sum_i sum_(l=1..j) a_i[l] (j-l)^(n-i) f_(j-l)."""
+    n, ctx = L.order, L.ctx
+    f = [ctx.one()]
+    for j in range(1, order):
+        s = ctx.zero()
+        for i, a in enumerate(L.coeffs, start=1):
+            for l in range(1, j + 1):
+                s = s + a[l] * Fraction(j - l) ** (n - i) * f[j - l]
+        f.append(-s * Fraction(1, j**n))
+    return TruncSeries(tuple(f), ctx)
+
+
+def ref_unit_solution_banded(raw_terms, ctx, n, order):
+    """The banded recursion on Coefficients:
+    lead j^n f_j = -sum_(zdeg > 0) Q_zdeg(j - zdeg) f_(j - zdeg)."""
+    lead = dict(raw_terms)[0][-1]
+    f = [ctx.one()]
+    for j in range(1, order):
+        s = ctx.zero()
+        for zdeg, poly in raw_terms:
+            if 0 < zdeg <= j:
+                q = sum((c * Fraction(j - zdeg) ** k for k, c in enumerate(poly)), ctx.zero())
+                s = s + q * f[j - zdeg]
+        f.append(-s / (lead * Fraction(j) ** n))
+    return TruncSeries(tuple(f), ctx)
+
+
+def ref_apply(L, f):
+    """delta^n f + sum_i a_i delta^(n-i) f, coefficient by coefficient."""
+    n = L.order
+    order = min(f.order, L.series_order)
+    out = []
+    for j in range(order):
+        s = f[j] * j**n
+        for i, a in enumerate(L.coeffs, start=1):
+            for l in range(j + 1):
+                s = s + a[l] * (j - l) ** (n - i) * f[j - l]
+        out.append(s)
+    return TruncSeries(tuple(out), L.ctx)
+
+
+def random_mom_operator(rng, ctx, n, order):
+    """monicize of lead delta^n + sum_(zdeg = 1..3) z^zdeg Q_zdeg(delta) with
+    random coefficients (p among their denominators): raw terms for the
+    banded recursion, series coefficients for the generic one."""
+    terms = [(0, [0] * n + [nonzero_coeff(rng, ctx)])]
+    for zdeg in range(1, 4):
+        if rng.random() < 0.8:
+            terms.append((zdeg, [random_coeff(rng, ctx) for _ in range(rng.randrange(1, n + 2))]))
+    return monicize(terms, ctx, order)
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+class TestOperatorRowsAgainstCoefficientLoops:
+    ORDERS = (0, 1, 13)
+
+    def test_unit_solution_banded(self, ctx):
+        rng = random.Random(f"banded/{ctx.e}")
+        for n in (1, 2, 3):
+            L = random_mom_operator(rng, ctx, n, 14)
+            for order in self.ORDERS:
+                want = ref_unit_solution_banded(L.raw_terms, ctx, n, order)
+                assert L.unit_solution(order) == want
+
+    def test_unit_solution_generic(self, ctx):
+        rng = random.Random(f"generic/{ctx.e}")
+        for n in (1, 2, 3):
+            for shape in SHAPES:
+                # a_i with zero constant terms: MOM
+                coeffs = tuple(
+                    TruncSeries((ctx.zero(),) + shaped_series(rng, ctx, 13, shape).coeffs[1:], ctx)
+                    for _ in range(n)
+                )
+                L = DiffOp(coeffs, ctx)
+                for order in self.ORDERS:
+                    assert L.unit_solution(order) == ref_unit_solution_generic(L, order)
+
+    def test_unit_solution_of_delta_power_is_one(self, ctx):
+        L = DiffOp((TruncSeries.zero(ctx, 13),) * 2, ctx)
+        assert L.unit_solution(13) == TruncSeries.one(ctx, 13)
+
+    def test_apply(self, ctx):
+        rng = random.Random(f"apply/{ctx.e}")
+        for n in (1, 2, 3):
+            L = random_mom_operator(rng, ctx, n, 13)
+            for order in self.ORDERS:
+                for shape in SHAPES:
+                    f = shaped_series(rng, ctx, order, shape)
+                    assert L.apply(f) == ref_apply(L, f)
+            # the banded and generic solutions are annihilated
+            assert L.apply(L.unit_solution(13)).is_zero()
+            assert L.apply(DiffOp(L.coeffs, ctx).unit_solution(13)).is_zero()
+
+
 class TestJsonInput:
     def test_round_trip_terms(self):
         data = {

@@ -4,21 +4,21 @@ from fractions import Fraction
 import pytest
 
 from cartier import (
-    BadParameters,
     NotMOM,
     OrderExhausted,
     PadicContext,
     ReconstructionFailed,
     SeriesKind,
     SeriesSpec,
+    VerificationFailed,
     build,
 )
-from cartier.diffops import SeriesMatrix, monicize, uniform_part
+from cartier import frobenius
+from cartier.catalog import _apery_numbers
+from cartier.diffops import monicize, uniform_part
 from cartier.frobenius import (
     antecedent_chain,
     antecedent_step,
-    cartier_kernel_terms,
-    cyclotomic_weight,
     frobenius_ratio_certificate,
     integrality_check,
     logderiv_certificate,
@@ -105,10 +105,19 @@ def diag_const(ctx, powers):
 
 class TestAperyCatalog:
     def test_term_ratio_walk_equals_binomial_sum(self):
-        # the catalog walks the term ratio of the binomial sum; apery_series
-        # evaluates each binomial with math.comb
+        # apery_series evaluates each binomial with math.comb
         entry = build(SeriesSpec(SeriesKind.APERY, PadicContext.unramified(5), 120))
         assert entry.series == apery_series(PadicContext.unramified(5), 120)
+
+    def test_recurrence_equals_binomial_sum_to_order_342(self):
+        # the catalog runs Apery's three-term recurrence; 342 is the order of
+        # the gen and check-lucas jobs of the operators benchmark
+        numbers = _apery_numbers(342)
+        assert numbers == [
+            sum(math.comb(n, k) ** 2 * math.comb(n + k, k) ** 2 for k in range(n + 1))
+            for n in range(342)
+        ]
+        assert _apery_numbers(1) == [1] and _apery_numbers(2) == [1, 5]
 
 
 class TestAntecedentStep:
@@ -154,6 +163,31 @@ class TestAntecedentStep:
 
 
 class TestAntecedentChain:
+    def test_every_level_is_verified(self, monkeypatch):
+        # the chain builds level 1's companion and transformed solution once
+        # and hands them to the step; every level still runs every check
+        calls = []
+        original = frobenius._verified_level
+
+        def counting(level, *args):
+            calls.append(level)
+            return original(level, *args)
+
+        monkeypatch.setattr(frobenius, "_verified_level", counting)
+        antecedent_chain(gauss_op(U5, 60), 2, 60)
+        assert calls == [1, 1, 2]
+        calls.clear()
+        antecedent_chain(gauss_op(U5, 60), 1, 60)
+        assert calls == [1]
+
+    def test_wrong_transformed_solution_is_caught(self):
+        L = gauss_op(U5, 40)
+        good = L.unit_solution(40).cartier()
+        bump = TruncSeries.from_coeffs(U5, [0, 0, 0, 1] + [0] * (good.order - 4))
+        with pytest.raises(VerificationFailed) as err:
+            antecedent_step(L, 40, transformed=good + bump)
+        assert err.value.order == 3
+
     def test_gauss_two_levels(self):
         L = gauss_op(U5, 60)
         levels = antecedent_chain(L, 2, 60)
@@ -211,21 +245,6 @@ class TestAntecedentChain:
         assert report["passage_min_valuation"] == 0
         assert report["residual_min_valuation"] is None
         assert report["checked_order"] == lv.checked_order
-
-
-class TestKernelTerms:
-    def test_recurrence_seed_and_step(self):
-        A = gauss_op(U5, 8).companion()
-        terms = cartier_kernel_terms(A, 3)
-        assert terms[0] == SeriesMatrix.identity(U5, 2, 8)
-        assert terms[1] == A
-        expected = A.delta() + A.matmul(A) - A
-        assert terms[2] == expected
-
-    def test_weight_zero_is_one(self):
-        assert cyclotomic_weight(U5, 0) == U5.one()
-        with pytest.raises(BadParameters):
-            cyclotomic_weight(U5, 1)
 
 
 class TestIntegralityCheck:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartier import NotAUnit, PadicContext
+from cartier import BadParameters, NotAUnit, PadicContext
 from cartier.series import TruncSeries
 
 U3 = PadicContext.unramified(3)
@@ -272,3 +272,149 @@ class TestSerialization:
         data = f.to_json_dict()
         assert data["ramification"] == "dwork"
         assert TruncSeries.from_json_dict(data) == f
+
+
+# Row storage: every row operation against a plain Coefficient loop on the
+# view, over series with p in their denominators, zero components, all-zero
+# series, and orders 0, 1 and 13.
+
+ROW_SHAPES = SHAPES + ("all-zero",)
+ROW_ORDERS = (0, 1, 13)
+
+
+def row_series(rng, ctx, order, shape):
+    if shape == "all-zero":
+        return TruncSeries(tuple(ctx.zero() for _ in range(order)), ctx)
+    return shaped_series(rng, ctx, order, shape)
+
+
+def assert_same(result, oracle):
+    """Equal as values, equal views, and the rows in canonical form."""
+    assert result == oracle
+    assert result.coeffs == oracle.coeffs
+    assert result.den > 0
+    assert math.gcd(result.den, *(x for row in result.rows for x in row)) == 1
+    assert len(result.rows) == result.ctx.e
+    assert all(len(row) == result.order for row in result.rows)
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+@pytest.mark.parametrize("shape", ROW_SHAPES)
+class TestRowsAgainstCoefficientLoops:
+    def pairs(self, ctx, shape, tag):
+        rng = random.Random(f"{tag}/{ctx.e}/{shape}")
+        for order in ROW_ORDERS:
+            f = row_series(rng, ctx, order, shape)
+            g = row_series(rng, ctx, order + rng.randrange(3), rng.choice(ROW_SHAPES))
+            yield rng, f, g
+
+    def test_add_sub_neg(self, ctx, shape):
+        for _, f, g in self.pairs(ctx, shape, "add"):
+            n = min(f.order, g.order)
+            fc, gc = f.coeffs[:n], g.coeffs[:n]
+            assert_same(f + g, TruncSeries(tuple(a + b for a, b in zip(fc, gc)), ctx))
+            assert_same(f - g, TruncSeries(tuple(a - b for a, b in zip(fc, gc)), ctx))
+            assert_same(-f, TruncSeries(tuple(-a for a in f.coeffs), ctx))
+            assert (f - f).is_zero()
+
+    def test_scalar_product(self, ctx, shape):
+        for rng, f, _ in self.pairs(ctx, shape, "scale"):
+            for c in (random_coeff(rng, ctx), Fraction(ctx.prime, 6), -3, 0, ctx.pi()):
+                want = TruncSeries(tuple(ctx.coeff(c) * a for a in f.coeffs), ctx)
+                assert_same(f * c, want)
+                if isinstance(c, (int, Fraction)):
+                    assert_same(c * f, want)
+
+    def test_derivations_and_cartier(self, ctx, shape):
+        for _, f, _ in self.pairs(ctx, shape, "delta"):
+            scaled = tuple(c * j for j, c in enumerate(f.coeffs))
+            assert_same(f.delta(), TruncSeries(scaled, ctx))
+            assert_same(f.d_dz(), TruncSeries(scaled[1:], ctx))
+            assert_same(f.cartier(), TruncSeries(f.coeffs[:: ctx.prime], ctx))
+
+    def test_subst_and_truncate(self, ctx, shape):
+        for _, f, _ in self.pairs(ctx, shape, "subst"):
+            for k in (0, 1, 2):
+                q = ctx.prime**k
+                out = [ctx.zero()] * (f.order * q)
+                out[::q] = f.coeffs
+                assert_same(f.subst_zpk(k), TruncSeries(tuple(out), ctx))
+            for upto in range(f.order + 1):
+                assert_same(f.truncate(upto), TruncSeries(f.coeffs[:upto], ctx))
+
+    def test_is_zero_and_first_nonzero(self, ctx, shape):
+        for _, f, _ in self.pairs(ctx, shape, "zero"):
+            assert f.is_zero() == all(c.is_zero() for c in f.coeffs)
+            first = next((j for j, c in enumerate(f.coeffs) if not c.is_zero()), None)
+            assert f.first_nonzero() == first
+
+    def test_min_valuation(self, ctx, shape):
+        for _, f, _ in self.pairs(ctx, shape, "val"):
+            for upto in (None, 0, 1, f.order // 2):
+                window = f.coeffs if upto is None else f.coeffs[:upto]
+                want = min((c.valuation() for c in window), default=float("inf"))
+                assert f.min_valuation(upto) == want
+
+    def test_first_discrepancy(self, ctx, shape):
+        for rng, f, g in self.pairs(ctx, shape, "disc"):
+            # a second series that agrees with f to a random pi-adic depth
+            bumps = [random_coeff(rng, ctx) * ctx.pi() ** rng.randrange(6) for _ in range(f.order)]
+            near = f + TruncSeries(tuple(bumps), ctx)
+            n = min(f.order, g.order)
+            for other, upto in ((g, n), (near, f.order)):
+                for m in (-1, 0, 1, 2, 5):
+                    want = next(
+                        (j for j in range(upto) if (f[j] - other[j]).valuation() < m), None
+                    )
+                    assert f.first_discrepancy(other, m, upto) == want
+
+
+class TestRowStorageIdentity:
+    @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+    def test_equal_values_are_equal_and_hash_equal(self, ctx):
+        rng = random.Random(f"hash/{ctx.e}")
+        f = shaped_series(rng, ctx, 9, "dense")
+        # the same value from rows that are not in canonical form
+        for scale in (1, 6, -ctx.prime, ctx.prime**3):
+            rows = [[x * scale for x in row] for row in f.rows]
+            g = TruncSeries.from_rows(ctx, f.den * scale, rows)
+            assert g == f
+            assert hash(g) == hash(f)
+            assert (g.den, g.rows) == (f.den, f.rows)
+            assert g.coeffs == f.coeffs
+        # and from a sequence of values through from_coeffs
+        h = TruncSeries.from_coeffs(ctx, f.coeffs)
+        assert h == f and hash(h) == hash(f)
+
+    def test_rational_values_by_any_constructor(self):
+        values = [Fraction(3, 10), 0, -7, Fraction(25, 5)]
+        a = TruncSeries.from_coeffs(U5, values)
+        b = TruncSeries(tuple(U5.coeff(v) for v in values), U5)
+        c = TruncSeries.from_rows(U5, 10, [[3, 0, -70, 50]])
+        assert a == b == c
+        assert len({hash(a), hash(b), hash(c)}) == 1
+
+    @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+    def test_zero_has_denominator_one(self, ctx):
+        z = TruncSeries.from_rows(ctx, 7 * ctx.prime, [[0] * 4 for _ in range(ctx.e)])
+        assert z == TruncSeries.zero(ctx, 4) and hash(z) == hash(TruncSeries.zero(ctx, 4))
+        assert z.den == 1
+
+    def test_different_values_differ(self):
+        f = TruncSeries.from_coeffs(U5, [1, 2, 3])
+        assert f != TruncSeries.from_coeffs(U5, [1, 2, 4])
+        assert f != f.truncate(2)
+        assert f != TruncSeries.from_coeffs(PadicContext.unramified(7), [1, 2, 3])
+
+    def test_from_rows_rejects_a_bad_shape(self):
+        with pytest.raises(BadParameters):
+            TruncSeries.from_rows(D3, 1, [[1, 2]])
+        with pytest.raises(BadParameters):
+            TruncSeries.from_rows(D3, 1, [[1, 2], [3]])
+        with pytest.raises(BadParameters):
+            TruncSeries.from_rows(U5, 0, [[1]])
+
+    def test_view_is_built_once(self):
+        f = TruncSeries.from_coeffs(U5, [1, 2, 3]) * 2
+        assert f.coeffs is f.coeffs
+        assert f.coefficient(2) == U5.coeff(6)
