@@ -384,11 +384,11 @@ def scan(series_texts, prime, dwork, order, exp_bound, level, deg_bound, derivat
         "deg_bound": deg_bound,
         "derivatives": list(derivatives) if derivatives else None,
     }
-    specs = [_parse_spec(text, prime, dwork, order) for text in series_texts]
-    if any(spec.ctx != specs[0].ctx for spec in specs):
-        raise click.UsageError("all scanned series must share one coefficient context")
 
     def body():
+        specs = [_parse_spec(text, prime, dwork, order) for text in series_texts]
+        if any(spec.ctx != specs[0].ctx for spec in specs):
+            raise click.UsageError("all scanned series must share one coefficient context")
         fs = [build(spec).series for spec in specs]
         report = kolchin_scan(
             fs,

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import NotAUnit, NotInK0, ReconstructionFailed
+from .errors import BadParameters, NotAUnit, NotInK0, OrderExhausted, ReconstructionFailed
 from .frobenius import Certificate
 from .rational import (
     ResidueTarget,
@@ -145,7 +145,7 @@ def _normalized_derivative(f: TruncSeries, r: int) -> TruncSeries:
         g = g.d_dz()
     lead = g.first_nonzero()
     if lead is None:
-        raise ValueError("derivative vanished to the reliable order")
+        raise OrderExhausted(f"derivative {r} vanishes to the reliable order {f.order}")
     inv = g.coefficient(lead).inverse()
     return TruncSeries(tuple(inv * c for c in g.coeffs[lead:]), g.ctx)
 
@@ -177,6 +177,8 @@ def kolchin_scan(
     if derivative_orders is not None:
         if len(derivative_orders) != m:
             raise ValueError("one derivative order per series")
+        if any(r < 0 for r in derivative_orders):
+            raise BadParameters(f"derivative orders must be >= 0, got {tuple(derivative_orders)}")
         gs = [_normalized_derivative(f, r) for f, r in zip(fs, derivative_orders)]
         derivative_orders = tuple(derivative_orders)
     else:

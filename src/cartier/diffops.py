@@ -26,7 +26,7 @@ from .errors import (
     OrderExhausted,
 )
 from .rational import Polynomial, RationalFunction
-from .rings import PadicContext
+from .rings import PadicContext, _solve_exact
 from .series import (
     TruncSeries,
     _align,
@@ -39,24 +39,6 @@ from .series import (
     _recurrence,
     _unfolded,
 )
-
-
-def _solve_coeff_system(matrix, rhs):
-    """Gauss elimination over Coefficient entries; matrix must be invertible."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [inv * x for x in a[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -94,12 +76,6 @@ class SeriesMatrix:
         return cls.from_rows(
             [[TruncSeries.zero(ctx, order)] * n for _ in range(n)]
         )
-
-    @classmethod
-    def from_const(cls, ctx: PadicContext, entries, order: int) -> "SeriesMatrix":
-        """Constant matrix, embedded as series of the given order."""
-        one = TruncSeries.one(ctx, order)
-        return cls.from_rows([[one * ctx.coeff(c) for c in row] for row in entries])
 
     @property
     def size(self) -> int:
@@ -205,13 +181,14 @@ def _const_ints(const_rows, ctx):
 
 
 def _invert_const(const_rows, ctx):
-    """Inverse of a constant Coefficient matrix via Gauss-Jordan."""
+    """Inverse of a constant Coefficient matrix via Gauss-Jordan; NotAUnit
+    when it is singular."""
     n = len(const_rows)
     cols = []
     for j in range(n):
         rhs = [ctx.one() if i == j else ctx.zero() for i in range(n)]
         try:
-            cols.append(_solve_coeff_system([row[:] for row in const_rows], rhs))
+            cols.append(_solve_exact(const_rows, rhs))
         except ZeroDivisionError:
             raise NotAUnit("constant term matrix is singular") from None
     return [[cols[j][i] for j in range(n)] for i in range(n)]
@@ -420,7 +397,7 @@ def monicize(terms, ctx: PadicContext, order: int) -> DiffOp:
                 coeffs[z] = coeffs[z] + poly[k]
         numerators.append(Polynomial.from_coeffs(ctx, coeffs))
     lead = numerators[n]
-    if lead.constant_term().is_zero():
+    if lead.vanishes_at_zero():
         raise LeadingNotUnit("leading delta coefficient vanishes at z = 0")
     lead_series_inv = lead.to_series(order).invert_unit()
     series_coeffs = []

@@ -251,6 +251,11 @@ def integrality_check(f: TruncSeries, level: int) -> IntegralityReport:
     return IntegralityReport(level, max(checked, 0), min_val, first_failure)
 
 
+def _require_period(h: int):
+    if h < 1:
+        raise BadParameters(f"period must be >= 1, got {h}")
+
+
 def _require_unit_start(f: TruncSeries):
     if f.order == 0 or f[0] != 1:
         raise ValueError("series must have constant term 1")
@@ -386,6 +391,7 @@ def logderiv_certificate(f: TruncSeries, h: int, level: int, deg_bound: int) -> 
     Falls back to differentiating a Frobenius ratio certificate when direct
     reconstruction finds nothing at this degree bound.
     """
+    _require_period(h)
     _require_unit_start(f)
     g = f.log_derivative()
     upto = g.order
@@ -405,6 +411,7 @@ def logderiv_certificate(f: TruncSeries, h: int, level: int, deg_bound: int) -> 
 def logderiv_from_frobenius(f: TruncSeries, h: int, level: int, deg_bound: int) -> Certificate:
     """Alternate route: R = B'/B for a Frobenius ratio certificate B at a
     level covering pi^level, re-verified against f'/f directly."""
+    _require_period(h)
     k = _ceil_div(level, h)
     b = frobenius_ratio_certificate(f, h, k, deg_bound).rational
     cand = b.derivative().divide(b)

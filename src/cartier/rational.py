@@ -9,14 +9,18 @@ then re-verified against the full reliable window, never trusted. Windows
 are tried smallest first so the least complex certificate wins and the
 result is deterministic.
 
-One fraction-free path serves every context, unramified (e = 1) or
-ramified (e > 1). The Euclid chain is a primitive pseudo-remainder sequence
-on integer pi-component vectors of Z[pi]/(pi^e + p) (pade_pairs). A pair is
-first screened in the residue ring O_K/p^K = (Z/p^K)[pi]/(pi^e + p)
-(raw_congruence_check), which falls back to exact arithmetic only for
-non-integral input. A pair with t(0) != 0 is already in lowest terms, so
-a candidate is only normalized by t(0), without a gcd; the survivors are
-verified exactly by congruence_outcome.
+A Polynomial is stored as a TruncSeries is, as integer rows over one
+canonical denominator, and computes with the series kernel. One
+fraction-free path serves every context, unramified (e = 1) or ramified
+(e > 1). The Euclid chain is a primitive pseudo-remainder sequence on
+integer pi-component vectors of Z[pi]/(pi^e + p) (pade_pairs), and the
+polynomials it yields hold its rows. A pair is first screened in the
+residue ring O_K/p^K = (Z/p^K)[pi]/(pi^e + p) (raw_congruence_check). A pair
+with t(0) != 0 is already in lowest terms, so a candidate is only
+normalized by t(0), without a gcd. The survivors pass one exact check
+(_congruent), shared by congruence_outcome, product_congruence_outcome and
+the non-integral fallback of the screen: the candidate expanded as a
+series, times mult where one is given, compared by first_discrepancy.
 """
 
 from __future__ import annotations
@@ -29,87 +33,140 @@ from fractions import Fraction
 
 from .errors import BadParameters, NegativeValuation, NotInK0, ReconstructionFailed
 from .rings import Coefficient, PadicContext
-from .series import TruncSeries
+from .series import TruncSeries, _coefficient
 
 
-@dataclass(frozen=True)
 class Polynomial:
-    """Dense polynomial; coeffs[j] is the z^j coefficient, no trailing zeros."""
+    """A dense polynomial, stored as a TruncSeries is: ctx, den and e integer
+    numerator rows, one per pi-component, so that coefficient j is
+    sum_t rows[t][j] pi^t / den. The form is canonical (den > 0, gcd of den
+    and every numerator 1) and the top column is nonzero, so equal
+    polynomials have equal rows and the zero polynomial has empty rows.
 
-    coeffs: tuple
-    ctx: PadicContext
+    Arithmetic pads the operands to the length of the result and runs the
+    series operation on them; a product of lengths la and lb is exact as a
+    series truncated to la + lb - 1. coeffs is a view of Coefficients built
+    on first use and cached; only the field Euclid (divmod, gcd) reads it.
+    Instances are immutable, and their rows are never modified in place.
+    """
+
+    __slots__ = ("ctx", "den", "rows", "_view")
+
+    @classmethod
+    def _canonical(cls, ctx, den, rows):
+        """The polynomial of rows over den, already canonical and stripped."""
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.den = den
+        self.rows = rows
+        self._view = None
+        return self
+
+    @classmethod
+    def _of_series(cls, s: TruncSeries) -> "Polynomial":
+        """The polynomial with the coefficients of the series s."""
+        rows = s.rows
+        n = len(rows[0])
+        while n and not any(row[n - 1] for row in rows):
+            n -= 1
+        if n < len(rows[0]):
+            rows = [row[:n] for row in rows]
+        return cls._canonical(s.ctx, s.den if n else 1, rows)
+
+    @classmethod
+    def from_rows(cls, ctx: PadicContext, den: int, rows) -> "Polynomial":
+        """The polynomial with coefficient j = sum_t rows[t][j] pi^t / den."""
+        return cls._of_series(TruncSeries.from_rows(ctx, den, rows))
 
     @classmethod
     def from_coeffs(cls, ctx: PadicContext, values) -> "Polynomial":
-        coeffs = [ctx.coeff(v) for v in values]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        return cls(tuple(coeffs), ctx)
+        return cls._of_series(TruncSeries.from_coeffs(ctx, values))
 
     @classmethod
     def zero(cls, ctx: PadicContext) -> "Polynomial":
-        return cls((), ctx)
+        return cls._canonical(ctx, 1, [[] for _ in range(ctx.e)])
 
     @classmethod
     def one(cls, ctx: PadicContext) -> "Polynomial":
-        return cls((ctx.one(),), ctx)
+        return cls.monomial(ctx, 0)
 
     @classmethod
     def monomial(cls, ctx: PadicContext, degree: int) -> "Polynomial":
-        return cls((ctx.zero(),) * degree + (ctx.one(),), ctx)
+        rows = [[0] * (degree + 1) for _ in range(ctx.e)]
+        rows[0][degree] = 1
+        return cls._canonical(ctx, 1, rows)
 
     @classmethod
     def from_series_prefix(cls, f: TruncSeries, upto: int) -> "Polynomial":
-        return cls.from_coeffs(f.ctx, f.coeffs[:upto])
+        return cls.from_rows(f.ctx, f.den, [row[:upto] for row in f.rows])
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as a tuple of Coefficients, built once."""
+        view = self._view
+        if view is None:
+            view = self._view = tuple(
+                _coefficient(self.den, col, self.ctx) for col in zip(*self.rows)
+            )
+        return view
 
     @property
     def degree(self) -> int:
         """-1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.rows[0]) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows[0]
+
+    def vanishes_at_zero(self) -> bool:
+        return not any(row[0] for row in self.rows if row)
 
     def __getitem__(self, j: int) -> Coefficient:
-        if j >= len(self.coeffs):
-            return self.ctx.zero()
-        return self.coeffs[j]
+        return self.coeffs[j] if j <= self.degree else self.ctx.zero()
 
     def constant_term(self) -> Coefficient:
         return self[0]
 
+    def _series(self, n=None) -> TruncSeries:
+        """The coefficients as a series, padded with zeros to the order n
+        when n is larger than their number."""
+        rows = self.rows
+        if n is not None and n > len(rows[0]):
+            rows = [row + [0] * (n - len(row)) for row in rows]
+        return TruncSeries._canonical(self.ctx, self.den, rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.ctx == other.ctx and self.den == other.den and self.rows == other.rows
+
+    def __hash__(self):
+        rows = tuple(map(tuple, self.rows))
+        return hash((self.den, rows, self.ctx.prime, self.ctx.ramification))
+
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.from_coeffs(
-            self.ctx, [self[j] + other[j] for j in range(n)]
-        )
+        n = max(self.degree, other.degree) + 1
+        return Polynomial._of_series(self._series(n) + other._series(n))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.from_coeffs(
-            self.ctx, [self[j] - other[j] for j in range(n)]
-        )
+        n = max(self.degree, other.degree) + 1
+        return Polynomial._of_series(self._series(n) - other._series(n))
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs), self.ctx)
+        return Polynomial._canonical(self.ctx, self.den, [[-x for x in row] for row in self.rows])
 
     def __mul__(self, other):
-        if isinstance(other, Coefficient):
+        if isinstance(other, (int, Fraction, Coefficient)):
             return self.scale(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.ctx)
-        out = [self.ctx.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return Polynomial.from_coeffs(self.ctx, out)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        n = self.degree + other.degree + 1
+        return Polynomial._of_series(self._series(n) * other._series(n))
+
+    __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        c = self.ctx.coeff(c)
-        return Polynomial.from_coeffs(self.ctx, [c * a for a in self.coeffs])
+        return Polynomial._of_series(self._series() * self.ctx.coeff(c))
 
     def divmod(self, other):
         """Euclidean division; coefficients form a field so this is exact."""
@@ -142,31 +199,24 @@ class Polynomial:
         return a.scale(a.coeffs[-1].inverse())
 
     def derivative(self) -> "Polynomial":
-        return Polynomial.from_coeffs(
-            self.ctx, [c * j for j, c in enumerate(self.coeffs)][1:]
-        )
+        return Polynomial._of_series(self._series().d_dz())
 
     def subst_zpk(self, k: int) -> "Polynomial":
         """Substitute z -> z^(p^k)."""
-        if k == 0 or self.is_zero():
-            return self
-        q = self.ctx.prime**k
-        out = [self.ctx.zero()] * (self.degree * q + 1)
-        for j, c in enumerate(self.coeffs):
-            out[j * q] = c
-        return Polynomial.from_coeffs(self.ctx, out)
+        return Polynomial._of_series(self._series().subst_zpk(k))
 
     def to_series(self, order: int) -> TruncSeries:
-        head = TruncSeries(self.coeffs[:order], self.ctx)
-        pad = [0] * (order - head.order)
-        return TruncSeries.from_rows(self.ctx, head.den, [row + pad for row in head.rows])
+        return self._series(order).truncate(order)
 
     def gauss_valuation(self):
         """min coefficient valuation; INF for the zero polynomial."""
-        return min((c.valuation() for c in self.coeffs), default=float("inf"))
+        return self._series().min_valuation()
 
     def render(self) -> list:
         return [c.render() for c in self.coeffs]
+
+    def __repr__(self):
+        return f"Polynomial(coeffs={self.coeffs!r}, ctx={self.ctx!r})"
 
     def __str__(self):
         if self.is_zero():
@@ -186,10 +236,10 @@ def no_roots_in_open_unit_disc(b: Polynomial) -> bool:
     """Newton-polygon test: nonzero at 0 and every slope from the left end
     is >= 0, i.e. v(b_j) >= v(b_0) for all j. Exactly characterizes
     denominators admissible for the unit-disc rational ring."""
-    if b.is_zero() or b.constant_term().is_zero():
+    if b.vanishes_at_zero():
         return False
-    v0 = b.constant_term().valuation()
-    return all(c.valuation() >= v0 for c in b.coeffs)
+    s = b._series()
+    return s.min_valuation() == s.min_valuation(1)
 
 
 @dataclass(frozen=True)
@@ -215,10 +265,8 @@ class RationalFunction:
     def from_coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
         """num/den for a pair without a common factor: only normalizes, by
         den(0), or by the lowest nonzero coefficient when den(0) = 0."""
-        c = den.constant_term()
-        if c.is_zero():
-            c = next(x for x in den.coeffs if not x.is_zero())
-        inv = c.inverse()
+        s = den._series()
+        inv = s.coefficient(s.first_nonzero()).inverse()
         return cls(num.scale(inv), den.scale(inv))
 
     @classmethod
@@ -231,7 +279,7 @@ class RationalFunction:
 
     @property
     def ctx(self) -> PadicContext:
-        return self.num.ctx if not self.num.is_zero() else self.den.ctx
+        return self.den.ctx
 
     def gauss_valuation(self):
         if self.num.is_zero():
@@ -244,26 +292,9 @@ class RationalFunction:
     def denominator_unit_disc_free(self) -> bool:
         return no_roots_in_open_unit_disc(self.den)
 
-    def series_coefficients(self):
-        """Stream the Taylor coefficients via den * S = num; needs den(0) != 0."""
-        d0 = self.den.constant_term()
-        if d0.is_zero():
-            raise ZeroDivisionError("denominator vanishes at 0")
-        inv = d0.inverse()
-        out = []
-        n = 0
-        while True:
-            s = self.num[n]
-            for k in range(1, min(n, self.den.degree) + 1):
-                s = s - self.den[k] * out[n - k]
-            value = inv * s
-            out.append(value)
-            yield value
-            n += 1
-
     def to_series(self, order: int) -> TruncSeries:
-        gen = self.series_coefficients()
-        return TruncSeries(tuple(next(gen) for _ in range(order)), self.den.ctx)
+        """The Taylor expansion mod z^order; needs den(0) != 0."""
+        return self.num.to_series(order) * self.den.to_series(order).invert_unit()
 
     def derivative(self) -> "RationalFunction":
         num = self.num.derivative() * self.den - self.num * self.den.derivative()
@@ -371,11 +402,6 @@ def _primitive(r, t):
     return r, t
 
 
-def _poly(ctx, rows) -> Polynomial:
-    columns = zip(*[list(map(Fraction, row)) for row in rows])
-    return Polynomial(tuple(Coefficient(parts, ctx) for parts in columns), ctx)
-
-
 def pade_pairs(f: TruncSeries, window: int):
     """Extended Euclid on (z^window, f mod z^window), fraction-free.
 
@@ -392,6 +418,9 @@ def pade_pairs(f: TruncSeries, window: int):
     chain. Consumers normalize by t(0). For an integral prefix whose
     coefficients share no integer factor the first pair is the truncation
     itself with t = 1.
+
+    r and t hold the chain's own rows (over den = 1, so already canonical),
+    which the chain only reads once they are yielded.
     """
     ctx = f.ctx
     e, p = ctx.e, ctx.prime
@@ -401,11 +430,12 @@ def pade_pairs(f: TruncSeries, window: int):
     r_cur, t_cur = _primitive(r_cur, [[f.den]] + [[0] for _ in range(e - 1)])
     r_prev = [[0] * window + [1]] + [[0] * (window + 1) for _ in range(e - 1)]
     t_prev = [[] for _ in range(e)]
+    pair = Polynomial._canonical
     if not r_cur[0]:
-        yield _poly(ctx, r_cur), _poly(ctx, t_cur)
+        yield pair(ctx, 1, r_cur), pair(ctx, 1, t_cur)
         return
     while r_cur[0]:
-        yield _poly(ctx, r_cur), _poly(ctx, t_cur)
+        yield pair(ctx, 1, r_cur), pair(ctx, 1, t_cur)
         deg = len(r_cur[0]) - 1
         lead = [row[deg] for row in r_cur]
         shift = len(r_prev[0]) - 1 - deg
@@ -465,25 +495,6 @@ def _residue_rows(den, rows, p, mod):
     return [[x * inv % mod for x in row] for row in rows]
 
 
-def _poly_residues(poly: Polynomial, p, mod):
-    """Component-major residues of a polynomial's coefficients modulo mod,
-    or None when a component has p in its denominator."""
-    rows = []
-    for i in range(poly.ctx.e):
-        row = []
-        for c in poly.coeffs:
-            x = c.parts[i]
-            d = x.denominator
-            if d == 1:
-                row.append(x.numerator % mod)
-            elif d % p:
-                row.append(x.numerator * pow(d, -1, mod) % mod)
-            else:
-                return None
-        rows.append(row)
-    return rows
-
-
 def _unit_inverse(d, p, mod):
     """Inverse of a unit d of (Z/mod)[pi]/(pi^e + p): Newton iteration
     x <- x(2 - dx) from x = 1/d_0, which doubles the pi-adic precision of
@@ -528,15 +539,15 @@ def _residue_screen(num, den, res: ResidueTarget, upto):
     when a coefficient is not integral.
     """
     p, thresholds, want = res.prime, res.thresholds, res.rows
-    v0 = den.constant_term().valuation()
+    v0 = den._series().min_valuation(1)
     if want is None or not 0 <= v0 < math.inf:
         return None
     e = len(thresholds)
     q = -(-v0 // e)
     shift = e * q - v0
     mod = p ** (res.digits + (upto + 1) * q)
-    dres = _poly_residues(den, p, mod)
-    nres = _poly_residues(num, p, mod)
+    dres = _residue_rows(den.den, den.rows, p, mod)
+    nres = _residue_rows(num.den, num.rows, p, mod)
     if nres is None or dres is None:
         return None
     lead = [row[0] for row in dres]
@@ -582,7 +593,7 @@ def raw_congruence_check(num, den, target, m, upto, residues=None) -> bool:
     its reduced form expand to the same series), but skips the reduction,
     so it is the cheap first look at a Pade pair. It runs in a residue ring
     O_K/p^K (_residue_screen) when num, den and the target are integral,
-    and in exact arithmetic otherwise. residues is
+    and as the exact check (_congruent) otherwise. residues is
     ResidueTarget(target, m, upto), passed by callers that screen many
     pairs against one target so that the target is reduced only once.
     """
@@ -592,17 +603,7 @@ def raw_congruence_check(num, den, target, m, upto, residues=None) -> bool:
         fast = _residue_screen(num, den, residues, upto)
         if fast is not None:
             return fast
-    inv = den.constant_term().inverse()
-    out = []
-    for n in range(upto):
-        s = num[n]
-        for k in range(1, min(n, den.degree) + 1):
-            s = s - den[k] * out[n - k]
-        value = inv * s
-        out.append(value)
-        if (value - target[n]).valuation() < m:
-            return False
-    return True
+    return _congruent(num, den, target, m, upto)
 
 
 def reconstruct_rational(
@@ -630,17 +631,16 @@ def reconstruct_rational(
                     break  # denominator degrees only grow along the pairs
                 if r.degree > deg_bound:
                     continue
-                if t.constant_term().is_zero():
+                if t.vanishes_at_zero():
                     continue
                 if raw_verify is not None and not raw_verify(r, t):
                     continue
                 # t(0) != 0 makes the pair coprime: a common factor would
                 # divide z^window (extended Euclid), and z does not divide t
                 cand = RationalFunction.from_coprime(r, t)
-                key = cand.key()
-                if key in seen:
+                if cand in seen:
                     continue
-                seen.add(key)
+                seen.add(cand)
                 outcome = verify(cand)
                 if outcome == VERIFY_OK:
                     return cand
@@ -653,51 +653,44 @@ def reconstruct_rational(
     )
 
 
-def congruence_outcome(cand, target, m, upto, require_norm_one):
-    """Shared verification: congruence on the window, then norm and poles.
+def _congruent(num, den, target, m, upto, mult=None) -> bool:
+    """The exact check: num/den, times the series mult when one is given,
+    agrees with target mod pi^m on the first upto coefficients. The
+    quotient is expanded on the series rows; den(0) must be nonzero.
 
-    Streams the candidate's coefficients and exits at the first discrepancy,
-    so junk candidates (which agree only on their Pade window) are cheap.
+    A Pade candidate matches by construction only the window it came
+    from, about deg num + deg den + 1 coefficients, so twice that prefix is
+    checked first and rejects most candidates at a fraction of the cost.
     """
-    if cand.den.constant_term().is_zero():
+    for n in sorted({min(upto, 2 * (num.degree + den.degree + 2)), upto}):
+        s = num.to_series(n) * den.to_series(n).invert_unit()
+        if mult is not None:
+            s = s * mult
+        if s.first_discrepancy(target, m, n) is not None:
+            return False
+    return True
+
+
+def _outcome(cand, mult, target, m, upto, require_norm_one):
+    if cand.den.vanishes_at_zero() or not _congruent(cand.num, cand.den, target, m, upto, mult):
         return VERIFY_FAIL
-    gen = cand.series_coefficients()
-    for j in range(upto):
-        if (next(gen) - target[j]).valuation() < m:
-            return VERIFY_FAIL
     if require_norm_one and not cand.has_gauss_norm_one():
         return VERIFY_FAIL
     if not cand.denominator_unit_disc_free():
         return VERIFY_NOT_K0
     return VERIFY_OK
+
+
+def congruence_outcome(cand, target, m, upto, require_norm_one):
+    """Shared verification: the exact congruence on the window, then the
+    Gauss norm (when required) and the poles."""
+    return _outcome(cand, None, target, m, upto, require_norm_one)
 
 
 def product_congruence_outcome(cand, mult, target, m, upto, require_norm_one):
-    """Verification for congruences of the shape cand * mult = target.
-
-    Same contract as congruence_outcome, but the candidate is checked through
-    a running convolution with the series mult, again exiting at the first
-    discrepancy.
-    """
-    if cand.den.constant_term().is_zero():
-        return VERIFY_FAIL
-    gen = cand.series_coefficients()
-    head = []
-    for j in range(upto):
-        head.append(next(gen))
-        s = target[j]
-        for i, c in enumerate(head):
-            if not c.is_zero():
-                m_coeff = mult[j - i]
-                if not m_coeff.is_zero():
-                    s = s - c * m_coeff
-        if s.valuation() < m:
-            return VERIFY_FAIL
-    if require_norm_one and not cand.has_gauss_norm_one():
-        return VERIFY_FAIL
-    if not cand.denominator_unit_disc_free():
-        return VERIFY_NOT_K0
-    return VERIFY_OK
+    """Verification for congruences of the shape cand * mult = target, with
+    the same contract as congruence_outcome."""
+    return _outcome(cand, mult, target, m, upto, require_norm_one)
 
 
 def canonical_lift(f: TruncSeries, m: int) -> TruncSeries:

@@ -143,15 +143,22 @@ class Coefficient:
 
     # -- ring structure -----------------------------------------------------
 
-    def _lift(self, other) -> "Coefficient":
+    def _lift(self, other):
+        """other as a Coefficient of this context, or None for an operand
+        that is not an int, a Fraction or a Coefficient (the operators then
+        return NotImplemented, so the other operand's reflected one runs)."""
         if isinstance(other, Coefficient):
             if other.ctx != self.ctx:
                 raise BadParameters("mixed contexts")
             return other
-        return self.ctx.coeff(other)
+        if isinstance(other, (int, Fraction)):
+            return self.ctx.coeff(other)
+        return None
 
     def __add__(self, other):
         o = self._lift(other)
+        if o is None:
+            return NotImplemented
         return Coefficient(tuple(a + b for a, b in zip(self.parts, o.parts)), self.ctx)
 
     __radd__ = __add__
@@ -161,13 +168,18 @@ class Coefficient:
 
     def __sub__(self, other):
         o = self._lift(other)
+        if o is None:
+            return NotImplemented
         return Coefficient(tuple(a - b for a, b in zip(self.parts, o.parts)), self.ctx)
 
     def __rsub__(self, other):
-        return self._lift(other) - self
+        o = self._lift(other)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         o = self._lift(other)
+        if o is None:
+            return NotImplemented
         e = self.ctx.e
         if e == 1:
             return Coefficient((self.parts[0] * o.parts[0],), self.ctx)
@@ -209,10 +221,12 @@ class Coefficient:
         return Coefficient(tuple(sol), self.ctx)
 
     def __truediv__(self, other):
-        return self * self._lift(other).inverse()
+        o = self._lift(other)
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
-        return self._lift(other) * self.inverse()
+        o = self._lift(other)
+        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -283,7 +297,7 @@ class Coefficient:
         return Coefficient(tuple(out), self.ctx)
 
     def congruent_mod(self, other, m: int) -> bool:
-        return (self - self._lift(other)).valuation() >= m
+        return (self - other).valuation() >= m
 
     # -- text form -----------------------------------------------------------
 
@@ -358,7 +372,9 @@ def parse_coefficient(text: str, ctx: PadicContext) -> Coefficient:
 
 
 def _solve_exact(matrix, rhs):
-    """Gaussian elimination over Fractions; matrix must be invertible."""
+    """Gauss-Jordan elimination over a field: the entries are Fractions or
+    Coefficients, read only through != 0, 1 / x and ring operations.
+    ZeroDivisionError when the matrix is singular."""
     n = len(matrix)
     a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
     for col in range(n):

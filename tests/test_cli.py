@@ -1,9 +1,14 @@
 import hashlib
+import io
 import json
 import time
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartier.cli import main
 
@@ -321,6 +326,21 @@ class TestCertify:
         assert payload["error"]["type"] == "ReconstructionFailed"
         assert payload["error"]["deg_bound"] == 2
 
+    LOGDERIV = ["certify-logderiv", "--series", "hyp:1/2", "--prime", "5", "--order", "10"]
+
+    def test_zero_period_is_a_reported_error(self, runner):
+        # the Frobenius fallback used to divide the level by the period
+        args = self.LOGDERIV + ["--deg-bound", "0", "--period", "0"]
+        result, payload = run_json(runner, args)
+        assert result.exit_code == 1
+        assert payload["error"]["type"] == "BadParameters"
+        assert payload["request"]["period"] == 0
+
+    def test_negative_period_is_a_reported_error(self, runner):
+        result, payload = run_json(runner, self.LOGDERIV + ["--period", "-1"])
+        assert result.exit_code == 1
+        assert payload["error"]["type"] == "BadParameters"
+
 
 class TestScan:
     def test_square_relation(self, runner):
@@ -414,6 +434,27 @@ class TestScan:
             ],
         )
         assert result.exit_code == 2
+
+    SMALL = ["--exp-bound", "1", "--level", "1", "--deg-bound", "2", "--order", "8"]
+
+    def test_composite_prime_is_a_reported_error(self, runner):
+        args = ["scan", "--series", "apery", "--prime", "4"] + self.SMALL
+        result, payload = run_json(runner, args)
+        assert result.exit_code == 1
+        assert payload["error"]["type"] == "BadParameters"
+        assert payload["request"]["prime"] == 4
+
+    def test_negative_derivative_is_a_reported_error(self, runner):
+        args = ["scan", "--series", "hyp:1/2", "--prime", "7", "--derivative", "-1"] + self.SMALL
+        result, payload = run_json(runner, args)
+        assert result.exit_code == 1
+        assert payload["error"]["type"] == "BadParameters"
+
+    def test_vanishing_derivative_is_a_reported_error(self, runner):
+        args = ["scan", "--series", "hyp:1/2", "--prime", "7", "--derivative", "1"]
+        result, payload = run_json(runner, args + self.SMALL[:-1] + ["1"])
+        assert result.exit_code == 1
+        assert payload["error"]["type"] == "OrderExhausted"
 
 
 class TestRamifiedScanRegression:
@@ -525,3 +566,95 @@ class TestDeterminism:
         second = runner.invoke(main, args)
         assert first.exit_code == 0
         assert first.output == second.output
+
+
+REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references.json"
+
+
+def _reference_jobs():
+    return sorted(json.loads(REFERENCES.read_text(encoding="utf-8")).items())
+
+
+class TestBenchReferences:
+    """Every job of bench/references.json, run in-process the way
+    bench/run.py runs it, prints the recorded bytes and exit code."""
+
+    @pytest.mark.parametrize("key,ref", _reference_jobs(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_job_is_byte_identical(self, key, ref):
+        buf = io.StringIO()
+        code = 0
+        try:
+            with redirect_stdout(buf):
+                main.main(args=key.split(" "), prog_name="cartier")
+        except SystemExit as exc:
+            code = exc.code
+        data = buf.getvalue().encode("utf-8")
+        assert code == ref["exit"]
+        assert len(data) == ref["bytes"]
+        assert hashlib.sha256(data).hexdigest() == ref["sha256"]
+
+
+# -- fuzzing: every invocation is a JSON report (exit 0 or 1) or a usage
+# error (exit 2), never a traceback
+
+SERIES = ["apery", "bessel", "exp", "ffrak", "hyp:1/2", "hyp:1/2,1/2", "hyp:1/3,2/3", "hyp:1/4", "nope", "hyp:1/0"]
+SMALL = st.integers(-1, 3)
+
+
+def _opt(flag, values):
+    return values.map(lambda v: [flag, str(v)])
+
+
+def _maybe(flag, values):
+    """The option with a drawn value, or left out."""
+    return st.one_of(st.just([]), _opt(flag, values))
+
+
+def _command(name, required=(), optional=(), series=1, dwork=True):
+    parts = [_opt("--series", st.sampled_from(SERIES))] * series + [
+        _opt("--prime", st.integers(2, 7)),
+        _opt("--order", st.integers(1, 12)),
+        st.sampled_from([[], ["--dwork"]] if dwork else [[]]),
+        *(_opt(flag, values) for flag, values in required),
+        *(_maybe(flag, SMALL) for flag in optional),
+    ]
+    return st.tuples(*parts).map(lambda xs: [name] + sum(xs, []))
+
+
+def _scan(k):
+    derivatives = st.lists(SMALL, min_size=k, max_size=k).map(
+        lambda ds: [x for d in ds for x in ("--derivative", str(d))]
+    )
+    required = [("--exp-bound", st.integers(-1, 2)), ("--level", SMALL), ("--deg-bound", SMALL)]
+    head = _command("scan", required, series=k)
+    return st.tuples(head, st.one_of(st.just([]), derivatives)).map(lambda xs: xs[0] + xs[1])
+
+
+# one strategy per subcommand, so that each of them is fuzzed on every run
+INVOCATIONS = {
+    "gen": _command("gen"),
+    "check-lucas": _command("check-lucas"),
+    "check-integrality": _command("check-integrality", optional=["--level"]),
+    "check-dwork": _command("check-dwork", [("--s", SMALL)], dwork=False),
+    "antecedent": _command("antecedent", optional=["--levels"]),
+    "certify-ratio": _command("certify-ratio", optional=["--level", "--deg-bound"]),
+    "certify-logderiv": _command("certify-logderiv", optional=["--level", "--deg-bound", "--period"]),
+    "scan": st.integers(1, 2).flatmap(_scan),
+}
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("command", sorted(INVOCATIONS))
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_every_invocation_is_a_report_or_a_usage_error(self, command, data):
+        args = data.draw(INVOCATIONS[command])
+        result = CliRunner().invoke(main, args)
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        assert result.exit_code in (0, 1, 2), args
+        if result.exit_code == 2:
+            assert "Error" in result.output, args
+        else:
+            payload = json.loads(result.stdout)
+            assert payload["request"]["command"] == command
+            assert ("error" in payload) <= (result.exit_code == 1)

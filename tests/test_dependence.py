@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartier import NotAUnit, PadicContext
+from cartier import BadParameters, NotAUnit, OrderExhausted, PadicContext
 from cartier.dependence import (
     analytic_element_certificate,
     kolchin_scan,
@@ -199,9 +199,13 @@ class TestKolchinScan:
         with pytest.raises(NotAUnit):
             kolchin_scan([f], 1, 1, 2)
 
+    def test_negative_derivative_order(self):
+        with pytest.raises(BadParameters):
+            kolchin_scan([half_series(U7, 12)], 1, 1, 2, derivative_orders=(-1,))
+
     def test_vanishing_derivative(self):
         ones = TruncSeries.from_coeffs(U7, [1, 0, 0, 0])
-        with pytest.raises(ValueError):
+        with pytest.raises(OrderExhausted):
             kolchin_scan([ones], 1, 1, 2, derivative_orders=(1,))
 
     def test_names_are_embedded(self):

@@ -8,12 +8,20 @@ from hypothesis import strategies as st
 
 from cartier import (
     LeadingNotUnit,
+    NotAUnit,
     NotMOM,
     NotNilpotent,
     OrderExhausted,
     PadicContext,
 )
-from cartier.diffops import DiffOp, SeriesMatrix, monicize, raw_terms_from_json, uniform_part
+from cartier.diffops import (
+    DiffOp,
+    SeriesMatrix,
+    _invert_const,
+    monicize,
+    raw_terms_from_json,
+    uniform_part,
+)
 from cartier.rational import Polynomial
 from cartier.series import TruncSeries
 from test_series import KERNEL_CONTEXTS, SHAPES, random_coeff, ref_mul, shaped_series
@@ -541,3 +549,39 @@ class TestJsonInput:
         terms = raw_terms_from_json(data, D3)
         L = monicize(terms, D3, 6)
         assert L.coeffs[0][1] == -D3.pi()
+
+
+class TestInvertConst:
+    """The constant-matrix inverse runs Gauss-Jordan on Coefficients."""
+
+    D5 = PadicContext.dwork(5)
+
+    def product(self, a, b):
+        n = len(a)
+        return [[sum((a[i][k] * b[k][j] for k in range(n)), self.D5.zero()) for j in range(n)]
+                for i in range(n)]
+
+    def test_three_by_three_in_q5_pi(self):
+        ctx = self.D5
+        rng = random.Random("invert-const")
+        ident = [[ctx.one() if i == j else ctx.zero() for j in range(3)] for i in range(3)]
+        inverted = 0
+        for _ in range(5):
+            # a zero in the first pivot position forces a row swap
+            a = [[random_coeff(rng, ctx) for _ in range(3)] for _ in range(3)]
+            a[0][0] = ctx.zero()
+            try:
+                inv = _invert_const(a, ctx)
+            except NotAUnit:
+                continue
+            assert self.product(a, inv) == ident
+            assert self.product(inv, a) == ident
+            inverted += 1
+        assert inverted
+
+    def test_singular_matrix_is_not_a_unit(self):
+        ctx = self.D5
+        pi = ctx.pi()
+        a = [[ctx.one(), pi, ctx.coeff(3)], [pi, pi * pi, pi * 3], [ctx.zero(), ctx.one(), pi]]
+        with pytest.raises(NotAUnit):
+            _invert_const(a, ctx)

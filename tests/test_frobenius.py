@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cartier import (
+    BadParameters,
     NotMOM,
     OrderExhausted,
     PadicContext,
@@ -433,6 +434,14 @@ class TestLogderivCertificate:
         )
         g = f.log_derivative()
         assert congruence_outcome(cert.rational, g, 1, g.order, require_norm_one=False) == VERIFY_OK
+
+    @pytest.mark.parametrize("h", [0, -1])
+    def test_period_must_be_positive(self, h):
+        f = half_series(U5, 20)
+        with pytest.raises(BadParameters):
+            logderiv_certificate(f, h, 1, 4)
+        with pytest.raises(BadParameters):
+            logderiv_from_frobenius(f, h, 1, 4)
 
     def test_json_report(self):
         cert = logderiv_certificate(exp_pi_series(D3, 20), 1, 2, 2)

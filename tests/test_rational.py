@@ -1,3 +1,6 @@
+import copy
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,15 +14,20 @@ from cartier.rational import (
     Polynomial,
     RationalFunction,
     ResidueTarget,
+    VERIFY_FAIL,
+    VERIFY_NOT_K0,
     VERIFY_OK,
     canonical_lift,
     congruence_outcome,
     no_roots_in_open_unit_disc,
     pade_pairs,
+    product_congruence_outcome,
     raw_congruence_check,
     reconstruct_rational,
 )
+from cartier.rings import INF
 from cartier.series import TruncSeries
+from test_series import KERNEL_CONTEXTS, random_coeff
 
 U5 = PadicContext.unramified(5)
 U7 = PadicContext.unramified(7)
@@ -313,6 +321,22 @@ class TestFractionFreePade:
             want = exact_congruent(r, t, f, 2, f.order)
             assert raw_congruence_check(r, t, f, 2, f.order) is want
 
+    def test_yielded_rows_are_never_modified(self, diff_case):
+        # a pair holds the chain's own row lists; neither the rest of the
+        # chain nor the screen, the normalization and the exact check may
+        # write to them
+        for f in diff_case[0]:
+            for w in DIFF_WINDOWS:
+                pairs, snapshots = [], []
+                for r, t in pade_pairs(f, w):
+                    pairs.append((r, t))
+                    snapshots.append(copy.deepcopy((r.den, r.rows, t.den, t.rows)))
+                for r, t in pairs:
+                    if not t.vanishes_at_zero():
+                        raw_congruence_check(r, t, f, 2, f.order)
+                        congruence_outcome(RationalFunction.from_coprime(r, t), f, 2, f.order, True)
+                assert [(r.den, r.rows, t.den, t.rows) for r, t in pairs] == snapshots
+
     def test_make_equals_pair_normalized_by_t0(self, diff_case):
         for _, r, t in diff_case[1]:
             if t.constant_term().is_zero():
@@ -320,3 +344,233 @@ class TestFractionFreePade:
             cand = RationalFunction.make(r, t)
             assert (cand.num, cand.den) == normalized(r, t)
             assert cand == RationalFunction.from_coprime(r, t)
+
+
+# -- Polynomial and RationalFunction on rows, against Coefficient loops --------
+#
+# The references spell each operation out as a plain loop over the
+# Coefficient view.
+
+POLY_SHAPES = ("dense", "zero", "trailing-zeros", "pi-divisible")
+
+
+def poly_values(rng, ctx, length, shape):
+    values = [random_coeff(rng, ctx) for _ in range(length)]
+    if shape == "zero":
+        values = [ctx.zero()] * length
+    elif shape == "trailing-zeros":
+        values += [ctx.zero()] * 3
+    elif shape == "pi-divisible":
+        values = [c * ctx.pi() for c in values]
+    return values
+
+
+def stripped(values):
+    values = list(values)
+    while values and values[-1].is_zero():
+        values.pop()
+    return tuple(values)
+
+
+def assert_poly(result, values):
+    """result has exactly the given coefficients, in canonical rows with a
+    nonzero top column."""
+    want = stripped(values)
+    assert result.coeffs == want
+    other = Polynomial.from_coeffs(result.ctx, want)
+    assert result == other and hash(result) == hash(other)
+    assert result.den > 0
+    assert math.gcd(result.den, *(x for row in result.rows for x in row)) == 1
+    assert len(result.rows) == result.ctx.e
+    assert all(len(row) == len(want) for row in result.rows)
+    assert result.degree == len(want) - 1
+    if want:
+        assert any(row[-1] for row in result.rows)
+    else:
+        assert result.den == 1 and result.is_zero()
+
+
+def ref_gauss_valuation(poly):
+    return min((c.valuation() for c in poly.coeffs), default=INF)
+
+
+def ref_no_roots(b):
+    if b.is_zero() or b[0].is_zero():
+        return False
+    return all(c.valuation() >= b[0].valuation() for c in b.coeffs)
+
+
+def ref_stream(num, den, upto):
+    """The first upto Taylor coefficients of num/den from den * S = num."""
+    inv = den[0].inverse()
+    out = []
+    for n in range(upto):
+        s = num[n]
+        for k in range(1, min(n, den.degree) + 1):
+            s = s - den[k] * out[n - k]
+        out.append(inv * s)
+    return out
+
+
+def ref_outcome(cand, mult, target, m, upto, require_norm_one):
+    """congruence_outcome (mult None) and product_congruence_outcome as
+    Coefficient streams."""
+    ctx = cand.den.ctx
+    if cand.den[0].is_zero():
+        return VERIFY_FAIL
+    head = ref_stream(cand.num, cand.den, upto)
+    for j in range(upto):
+        s = head[j]
+        if mult is not None:
+            s = sum((head[i] * mult[j - i] for i in range(j + 1)), ctx.zero())
+        if (s - target[j]).valuation() < m:
+            return VERIFY_FAIL
+    if require_norm_one and ref_gauss_valuation(cand.num) - ref_gauss_valuation(cand.den) != 0:
+        return VERIFY_FAIL
+    if not ref_no_roots(cand.den):
+        return VERIFY_NOT_K0
+    return VERIFY_OK
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+@pytest.mark.parametrize("shape", POLY_SHAPES)
+class TestPolynomialRowsAgainstCoefficientLoops:
+    LENGTHS = (0, 1, 2, 7)
+
+    def cases(self, ctx, shape, tag):
+        rng = random.Random(f"{tag}/{ctx.e}/{shape}")
+        for length in self.LENGTHS:
+            a = poly_values(rng, ctx, length, shape)
+            b = poly_values(rng, ctx, rng.randrange(5), rng.choice(POLY_SHAPES))
+            yield rng, a, b
+
+    def test_construction(self, ctx, shape):
+        for _, a, _ in self.cases(ctx, shape, "make"):
+            pa = Polynomial.from_coeffs(ctx, a)
+            assert_poly(pa, a)
+            scale = 6 * ctx.prime
+            rows = [[x * scale for x in row] for row in pa.rows]
+            assert_poly(Polynomial.from_rows(ctx, -pa.den * scale, rows), [-c for c in a])
+            f = TruncSeries(tuple(a), ctx)
+            for upto in range(len(a) + 2):
+                assert_poly(Polynomial.from_series_prefix(f, upto), a[:upto])
+
+    def test_add_sub_neg(self, ctx, shape):
+        zero = ctx.zero()
+        for _, a, b in self.cases(ctx, shape, "add"):
+            pa, pb = Polynomial.from_coeffs(ctx, a), Polynomial.from_coeffs(ctx, b)
+            n = max(len(a), len(b))
+            a0, b0 = a + [zero] * (n - len(a)), b + [zero] * (n - len(b))
+            assert_poly(pa + pb, [x + y for x, y in zip(a0, b0)])
+            assert_poly(pa - pb, [x - y for x, y in zip(a0, b0)])
+            assert_poly(-pa, [-x for x in a])
+            assert (pa - pa).is_zero()
+
+    def test_mul_and_scale(self, ctx, shape):
+        for rng, a, b in self.cases(ctx, shape, "mul"):
+            pa, pb = Polynomial.from_coeffs(ctx, a), Polynomial.from_coeffs(ctx, b)
+            out = [ctx.zero()] * max(len(a) + len(b) - 1, 0)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] = out[i + j] + x * y
+            assert_poly(pa * pb, out)
+            assert_poly(pb * pa, out)
+            for c in (random_coeff(rng, ctx), ctx.pi(), Fraction(ctx.prime, 6), -3, 0):
+                want = [ctx.coeff(c) * x for x in a]
+                assert_poly(pa.scale(c), want)
+                assert_poly(pa * c, want)
+                assert_poly(c * pa, want)
+
+    def test_derivative_subst_and_series(self, ctx, shape):
+        for _, a, _ in self.cases(ctx, shape, "subst"):
+            pa = Polynomial.from_coeffs(ctx, a)
+            assert_poly(pa.derivative(), [c * j for j, c in enumerate(a)][1:])
+            for k in (0, 1, 2):
+                q = ctx.prime**k
+                out = [ctx.zero()] * (len(a) * q)
+                out[::q] = a
+                assert_poly(pa.subst_zpk(k), out)
+            for order in {0, 1, len(a) - 1, len(a), len(a) + 3} - {-1}:
+                want = (list(a) + [ctx.zero()] * order)[:order]
+                assert pa.to_series(order) == TruncSeries(tuple(want), ctx)
+
+    def test_valuations_and_indexing(self, ctx, shape):
+        for _, a, _ in self.cases(ctx, shape, "val"):
+            pa = Polynomial.from_coeffs(ctx, a)
+            assert pa.gauss_valuation() == ref_gauss_valuation(pa)
+            assert no_roots_in_open_unit_disc(pa) == ref_no_roots(pa)
+            assert pa.vanishes_at_zero() == (not a or a[0].is_zero())
+            want = stripped(a)
+            for j in range(len(want) + 2):
+                assert pa[j] == (want[j] if j < len(want) else ctx.zero())
+            assert pa.constant_term() == pa[0]
+
+    def test_operands_are_not_modified(self, ctx, shape):
+        for rng, a, b in self.cases(ctx, shape, "pure"):
+            pa, pb = Polynomial.from_coeffs(ctx, a), Polynomial.from_coeffs(ctx, b)
+            before = copy.deepcopy((pa.den, pa.rows, pb.den, pb.rows))
+            pa + pb, pa - pb, -pa, pa * pb, pa.scale(random_coeff(rng, ctx))
+            pa.derivative(), pa.subst_zpk(1), pa.to_series(len(a) + 2), pa.to_series(1)
+            assert (pa.den, pa.rows, pb.den, pb.rows) == before
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+class TestRationalRowsAgainstCoefficientLoops:
+    def test_to_series_is_the_quotient_stream(self, ctx):
+        rng = random.Random(f"quotient/{ctx.e}")
+        for length in (1, 2, 4):
+            num = Polynomial.from_coeffs(ctx, poly_values(rng, ctx, length, "dense"))
+            den_values = poly_values(rng, ctx, length, rng.choice(["dense", "pi-divisible"]))
+            den_values[0] = random_coeff(rng, ctx) or ctx.one()
+            den = Polynomial.from_coeffs(ctx, den_values)
+            for order in (0, 1, 9):
+                got = RationalFunction(num, den).to_series(order)
+                assert got == TruncSeries(tuple(ref_stream(num, den, order)), ctx)
+
+    def test_outcomes_match_the_coefficient_stream(self, ctx):
+        # candidates are the normalized Pade pairs of the differential
+        # sources: a few true certificates among many that only agree on
+        # their window; the product check multiplies by a unit series
+        sources = diff_sources(ctx)
+        mult = sources[0]
+        seen = set()
+        for f in sources[:3]:
+            target = f * mult
+            for w in (2, 5, 8):
+                for r, t in pade_pairs(f, w):
+                    if t.vanishes_at_zero():
+                        continue
+                    cand = RationalFunction.from_coprime(r, t)
+                    for m in (1, 3):
+                        for norm in (False, True):
+                            want = ref_outcome(cand, None, f, m, f.order, norm)
+                            assert congruence_outcome(cand, f, m, f.order, norm) == want
+                            seen.add(want)
+                            if not norm:
+                                # the screen on a candidate over den(0)
+                                raw = raw_congruence_check(cand.num, cand.den, f, m, f.order)
+                                assert raw is (want != VERIFY_FAIL)
+                            want = ref_outcome(cand, mult, target, m, f.order, norm)
+                            got = product_congruence_outcome(cand, mult, target, m, f.order, norm)
+                            assert got == want
+                            seen.add(want)
+        assert {VERIFY_OK, VERIFY_FAIL} <= seen
+
+    def test_non_integral_pairs_use_the_exact_check(self, ctx):
+        rng = random.Random(f"exact/{ctx.e}")
+        f = diff_sources(ctx)[-1]  # p in every denominator
+        one = Polynomial.one(ctx)
+        # f itself, f off by p^2 z^3, and random pairs
+        prefix = Polynomial.from_series_prefix(f, f.order)
+        pairs = [(prefix, one), (prefix + Polynomial.monomial(ctx, 3).scale(ctx.prime**2), one)]
+        for _ in range(6):
+            num = Polynomial.from_coeffs(ctx, poly_values(rng, ctx, 3, "dense"))
+            den = Polynomial.from_coeffs(ctx, [ctx.one()] + poly_values(rng, ctx, 2, "dense"))
+            pairs.append((num, den))
+        passed = set()
+        for num, den in pairs:
+            for m in (-2, 0, 1, 3, 2 * ctx.e + 1):
+                want = ref_outcome(RationalFunction(num, den), None, f, m, f.order, False)
+                assert raw_congruence_check(num, den, f, m, f.order) is (want != VERIFY_FAIL)
+                passed.add(want != VERIFY_FAIL)
+        assert passed == {True, False}

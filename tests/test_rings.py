@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from cartier import (
     PadicContext,
     parse_coefficient,
 )
+from cartier.series import TruncSeries
 
 U5 = PadicContext.unramified(5)
 U3 = PadicContext.unramified(3)
@@ -169,3 +171,27 @@ def test_hash_consistent_with_equality():
     a = D3.coeff((1, 2))
     b = D3.coeff((Fraction(2, 2), Fraction(4, 2)))
     assert a == b and hash(a) == hash(b)
+
+
+class TestForeignOperands:
+    @pytest.mark.parametrize("ctx", [U5, D3, D5], ids=lambda c: f"e{c.e}")
+    def test_coefficient_times_series_commutes(self, ctx):
+        f = TruncSeries.from_coeffs(ctx, [1, 2, Fraction(1, ctx.prime), 0, 7])
+        for c in (ctx.pi(), ctx.coeff([Fraction(2, 3)] * ctx.e), ctx.zero()):
+            assert c * f == f * c
+            assert (c * f).coeffs == tuple(c * a for a in f.coeffs)
+
+    def test_other_operands_are_not_coerced(self):
+        c = D3.coeff((1, 2))
+        for bad in ("3", (3,), 3.0, None):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(TypeError):
+                    op(c, bad)
+                with pytest.raises(TypeError):
+                    op(bad, c)
+
+    def test_ints_and_fractions_still_coerce(self):
+        c = D3.coeff((1, 2))
+        assert c * 2 == 2 * c == c + c
+        assert Fraction(1, 2) - c == -(c - Fraction(1, 2))
+        assert 1 / c == c.inverse() and c / 3 == c * Fraction(1, 3)
