@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .diffops import DiffOp, monicize
 from .errors import BadContext, BadParameters, IntegralityFailure, OrderExhausted
@@ -47,11 +48,23 @@ class SeriesSpec:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A catalog series with its annotations. operator_terms is the raw
+    term list of the operator annihilating the series, or None; the monic
+    operator itself is built from it on first read of operator, since only
+    some commands use it."""
+
     spec: SeriesSpec
     series: TruncSeries
-    operator: DiffOp
+    operator_terms: tuple
     frobenius_period: int
     warnings: tuple
+
+    @cached_property
+    def operator(self) -> DiffOp:
+        """The monic operator, or None when the entry has none."""
+        if self.operator_terms is None:
+            return None
+        return monicize(self.operator_terms, self.spec.ctx, self.spec.order)
 
 
 def _mult_order(p: int, d: int) -> int:
@@ -85,8 +98,7 @@ def _hypergeometric(spec: SeriesSpec):
         poly = [Fraction(0)] + poly
         for i in range(len(poly) - 1):
             poly[i] += a * poly[i + 1]
-    raw = [(0, [0] * n + [1]), (1, [-c for c in poly])]
-    op = monicize(raw, spec.ctx, spec.order)
+    raw = ((0, (0,) * n + (1,)), (1, tuple(-c for c in poly)))
 
     d_alpha = math.lcm(*(a.denominator for a in alphas))
     h = _mult_order(spec.ctx.prime, d_alpha)
@@ -96,7 +108,7 @@ def _hypergeometric(spec: SeriesSpec):
             f"p = {spec.ctx.prime} divides d_alpha = {d_alpha}; "
             "integrality claims are off",
         )
-    return series, op, h, warnings
+    return series, raw, h, warnings
 
 
 def _apery_numbers(count: int) -> list:
@@ -113,8 +125,7 @@ def _apery_numbers(count: int) -> list:
 def _apery(spec: SeriesSpec):
     coeffs = _apery_numbers(spec.order)
     series = TruncSeries.from_coeffs(spec.ctx, coeffs)
-    raw = [(0, [0, 0, 0, 1]), (1, [-5, -27, -51, -34]), (2, [1, 3, 3, 1])]
-    return series, monicize(raw, spec.ctx, spec.order)
+    return series, ((0, (0, 0, 0, 1)), (1, (-5, -27, -51, -34)), (2, (1, 3, 3, 1)))
 
 
 def _bessel(spec: SeriesSpec):
@@ -131,7 +142,7 @@ def _bessel(spec: SeriesSpec):
             c = c * pi2 * Fraction(-1, 4 * n * n)
         coeffs[2 * n] = c
     series = TruncSeries(tuple(coeffs), ctx)
-    return series, monicize([(0, [0, 0, 1]), (2, [pi2])], ctx, spec.order)
+    return series, ((0, (0, 0, 1)), (2, (pi2,)))
 
 
 def _exponential(spec: SeriesSpec):
@@ -143,7 +154,7 @@ def _exponential(spec: SeriesSpec):
     for j in range(1, spec.order):
         coeffs.append(coeffs[-1] * pi * Fraction(1, j))
     series = TruncSeries(tuple(coeffs), ctx)
-    return series, monicize([(0, [0, 1]), (1, [-pi])], ctx, spec.order)
+    return series, ((0, (0, 1)), (1, (-pi,)))
 
 
 def _ffrak(spec: SeriesSpec):
@@ -155,27 +166,28 @@ def _ffrak(spec: SeriesSpec):
 
 
 def build(spec: SeriesSpec) -> CatalogEntry:
-    """Series, operator when one is known, period annotation, warnings."""
+    """Series, operator terms when an operator is known, period annotation,
+    warnings."""
     if spec.order < 1:
         raise BadParameters("order must be at least 1")
     if spec.kind is SeriesKind.HYPERGEOMETRIC:
         if not spec.alphas:
             raise BadParameters("hypergeometric entry needs parameters")
-        series, op, h, warnings = _hypergeometric(spec)
-        return CatalogEntry(spec, series, op, h, warnings)
+        series, raw, h, warnings = _hypergeometric(spec)
+        return CatalogEntry(spec, series, raw, h, warnings)
     if spec.alphas is not None:
         raise BadParameters("parameters are for hypergeometric entries only")
     if spec.kind is SeriesKind.APERY:
-        series, op = _apery(spec)
+        series, raw = _apery(spec)
     elif spec.kind is SeriesKind.BESSEL:
-        series, op = _bessel(spec)
+        series, raw = _bessel(spec)
     elif spec.kind is SeriesKind.EXPONENTIAL:
-        series, op = _exponential(spec)
+        series, raw = _exponential(spec)
     elif spec.kind is SeriesKind.FFRAK:
-        series, op = _ffrak(spec), None
+        series, raw = _ffrak(spec), None
     else:
         raise BadParameters(f"unknown series kind {spec.kind!r}")
-    return CatalogEntry(spec, series, op, 1, ())
+    return CatalogEntry(spec, series, raw, 1, ())
 
 
 # -- congruence checkers -----------------------------------------------------

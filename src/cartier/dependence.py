@@ -22,6 +22,7 @@ from .errors import BadParameters, NotAUnit, NotInK0, OrderExhausted, Reconstruc
 from .frobenius import Certificate
 from .rational import (
     ResidueTarget,
+    admits_certificate,
     canonical_lift,
     congruence_outcome,
     raw_congruence_check,
@@ -51,16 +52,22 @@ def product_power(fs, exps) -> TruncSeries:
 
 
 def _certificate(g: TruncSeries, level: int, deg_bound: int, kind: str):
-    """Certified rational congruent to g mod pi^level, or None."""
+    """Certified rational congruent to g mod pi^level, or None.
+
+    The Pade sweep runs only when admits_certificate finds the linear system
+    mod pi^level that every acceptable certificate satisfies solvable; in a
+    scan most searches end there, without a Pade pair.
+    """
     upto = g.order
     sources = [g]
     if g.min_valuation() >= 0:
         sources.append(canonical_lift(g, level))
+    residues = ResidueTarget(g, level, upto)
+    if not admits_certificate(residues, deg_bound):
+        return None
 
     def verify(cand):
         return congruence_outcome(cand, g, level, upto, require_norm_one=False)
-
-    residues = ResidueTarget(g, level, upto)
 
     def raw_verify(num, den):
         return raw_congruence_check(num, den, g, level, upto, residues)
@@ -146,8 +153,8 @@ def _normalized_derivative(f: TruncSeries, r: int) -> TruncSeries:
     lead = g.first_nonzero()
     if lead is None:
         raise OrderExhausted(f"derivative {r} vanishes to the reliable order {f.order}")
-    inv = g.coefficient(lead).inverse()
-    return TruncSeries(tuple(inv * c for c in g.coeffs[lead:]), g.ctx)
+    tail = TruncSeries.from_rows(g.ctx, g.den, [row[lead:] for row in g.rows])
+    return tail * g.coefficient(lead).inverse()
 
 
 def kolchin_scan(

@@ -176,6 +176,9 @@ def _verified_level(level, L, Lk, Ak, passage, A, transformed) -> AntecedentLeve
 def antecedent_chain(L: DiffOp, levels: int, order: int) -> list:
     """Iterate the descent, composing passages: H_(k) = H_(k-1) G(z^(p^(k-1)))
     where G is the single-step passage of the level k-1 operator.
+
+    Returns one AntecedentLevel per level, so levels = 0 gives [] without
+    checking the operator or the order; negative levels are BadParameters.
     """
     if levels < 0:
         raise BadParameters(f"levels must be >= 0, got {levels}")

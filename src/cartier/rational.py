@@ -495,6 +495,79 @@ def _residue_rows(den, rows, p, mod):
     return [[x * inv % mod for x in row] for row in rows]
 
 
+def admits_certificate(res: ResidueTarget, deg_bound: int) -> bool:
+    """Whether some t = 1 + t_1 z + .. + t_D z^D over O_K, D = deg_bound,
+    makes coefficients D+1 .. upto-1 of t*g vanish mod pi^m, for the target
+    g and the level m of res (upto = len(res.rows[0])).
+
+    Every certificate r/t that reconstruct_rational can accept against g has
+    t(0) = 1, deg r and deg t <= D, and no root of t in the open unit disc,
+    so t is integral and t*g = r mod (pi^m, z^upto). False therefore means
+    that no such search can succeed. True (also for a non-integral target)
+    promises nothing.
+
+    The system is linear over Z/p^k, k = res.digits: the unknowns are the e
+    pi-components of t_1..t_D, and the equation for component i of a
+    coefficient, which holds mod thresholds[i], is scaled by
+    p^k / thresholds[i] to hold mod p^k.
+    """
+    want = res.rows
+    if want is None:
+        return True
+    p, thresholds = res.prime, res.thresholds
+    e = len(thresholds)
+    mod = p**res.digits
+    rows, rhs = [], []
+    for n in range(deg_bound + 1, len(want[0])):
+        # the target coefficients that t_1..t_D meet at z^n
+        cols = [[w[n - j] for w in want] for j in range(1, deg_bound + 1)]
+        for i, thr in enumerate(thresholds):
+            scale = mod // thr
+            if scale == mod:
+                continue
+            # component i of pi^c g: g_(i-c), or -p g_(e+i-c) past pi^e
+            rows.append([
+                (g[i - c] if c <= i else -p * g[e + i - c]) * scale % mod
+                for g in cols
+                for c in range(e)
+            ])
+            rhs.append(-want[i][n] * scale % mod)
+    return _solvable(rows, rhs, p, mod)
+
+
+def _solvable(rows, rhs, p, mod):
+    """Whether rows x = rhs has a solution over Z/mod, mod a power of p.
+
+    Elimination that always pivots on an entry of least p-adic valuation,
+    the Smith form over the chain ring Z/p^k: such a pivot p^v u clears its
+    column from every other row with an integral multiplier, and its own
+    equation is solvable exactly when p^v divides its right-hand side. The
+    least valuation of the live entries never drops, so it is found by
+    raising unit = p^v until some entry is not divisible by p * unit; once
+    unit reaches mod every live entry is zero.
+    """
+    unit = 1
+    while rows and unit < mod:
+        step = unit * p
+        hit = next(
+            ((r, c) for r, row in enumerate(rows) for c, x in enumerate(row) if x % step), None
+        )
+        if hit is None:
+            unit = step
+            continue
+        r, c = hit
+        prow, pb = rows.pop(r), rhs.pop(r)
+        if pb % unit:
+            return False
+        inv = pow(prow[c] // unit, -1, mod)
+        for k, row in enumerate(rows):
+            if row[c]:
+                f = row[c] // unit * inv % mod
+                rows[k] = [(x - f * y) % mod for x, y in zip(row, prow)]
+                rhs[k] = (rhs[k] - f * pb) % mod
+    return not any(rhs)
+
+
 def _unit_inverse(d, p, mod):
     """Inverse of a unit d of (Z/mod)[pi]/(pi^e + p): Newton iteration
     x <- x(2 - dx) from x = 1/d_0, which doubles the pi-adic precision of

@@ -499,9 +499,10 @@ def _recurrence(dm, m, x0, d0, order, solve, ctx):
 
     m holds M's entries over dm and x0 constant entries. solve(j, r, dr) gets
     R_j as constant entries r over dr and returns X_j the same way, as
-    (entries, denominator). Returns (den, x): X's entries over one common
-    denominator, which grows only to the least common denominator of the
-    coefficients solved so far.
+    (entries, denominator). solve must be linear: a step whose R_j is zero
+    gets X_j = 0 without a call. Returns (den, x): X's entries over one
+    common denominator, which grows only to the least common denominator of
+    the coefficients solved so far.
     """
     size = len(m)
     x = [[[r[:] for r in entry] for entry in row] for row in x0]
@@ -516,13 +517,23 @@ def _recurrence(dm, m, x0, d0, order, solve, ctx):
         if any(row[1:])
     ]
     for j in range(1, order):
-        r = [[_unfolded(ctx, 1) for _ in range(size)] for _ in range(size)]
+        r = None
         for i, k, s, tail in terms:
             head = tail[:j]
             for c in range(size):
-                acc = r[i][c]
                 for t, xs in enumerate(x[k][c]):
-                    acc[s + t][0] += sum(map(mul, head, reversed(xs)))
+                    v = sum(map(mul, head, reversed(xs)))
+                    if v:
+                        if r is None:
+                            r = [[_unfolded(ctx, 1) for _ in range(size)] for _ in range(size)]
+                        r[i][c][s + t][0] += v
+        if r is None:
+            # R_j = 0, so X_j = 0 (solve is linear): no fold, solve or gcd
+            for row in x:
+                for entry in row:
+                    for xs in entry:
+                        xs.append(0)
+            continue
         r = [[_fold(acc, ctx) for acc in row] for row in r]
         num, dj = solve(j, r, dm * den)
         g = math.gcd(dj, *(v for row in num for entry in row for (v,) in entry))

@@ -271,3 +271,24 @@ class TestEntryShape:
         assert entry.spec is spec
         assert entry.warnings == ()
         assert entry.operator is not None
+
+    def test_operator_is_built_on_first_read_and_kept(self, monkeypatch):
+        from cartier import catalog
+
+        built = []
+        real = catalog.monicize
+
+        def monicize(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(catalog, "monicize", monicize)
+        entry = build(SeriesSpec(SeriesKind.APERY, U5, 30))
+        assert built == []
+        op = entry.operator
+        assert entry.operator is op
+        assert len(built) == 1
+        assert op.order == 3 and op.is_mom
+        assert op.unit_solution(30) == entry.series
+        assert build(SeriesSpec(SeriesKind.FFRAK, U5, 8)).operator is None
+        assert len(built) == 1

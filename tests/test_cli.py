@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartier import LeadingNotUnit, catalog
 from cartier.cli import main
 
 
@@ -80,6 +81,33 @@ class TestGen:
         assert result.exit_code == 0
         assert "frobenius_period: 1" in result.output
         assert not result.output.startswith("{")
+
+
+class TestLazyOperator:
+    """The catalog builds an entry's operator on first read: an error there
+    reaches gen and antecedent as a report, and commands that never read
+    the operator do not build it."""
+
+    def failing_monicize(self, *args):
+        raise LeadingNotUnit("leading delta coefficient vanishes at z = 0")
+
+    @pytest.mark.parametrize("command", [["gen"], ["antecedent", "--levels", "1"]])
+    def test_error_reaches_the_commands_that_read_it(self, runner, monkeypatch, command):
+        monkeypatch.setattr(catalog, "monicize", self.failing_monicize)
+        args = command + ["--series", "apery", "--prime", "5", "--order", "12"]
+        result, payload = run_json(runner, args)
+        assert result.exit_code == 1
+        assert payload["error"] == {
+            "type": "LeadingNotUnit",
+            "message": "leading delta coefficient vanishes at z = 0",
+        }
+
+    def test_other_commands_do_not_build_it(self, runner, monkeypatch):
+        monkeypatch.setattr(catalog, "monicize", self.failing_monicize)
+        args = ["check-lucas", "--series", "apery", "--prime", "5", "--order", "12"]
+        result, payload = run_json(runner, args)
+        assert result.exit_code == 0
+        assert payload["report"]["passed"]
 
 
 class TestChecks:

@@ -1,13 +1,18 @@
+import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartier import BadParameters, NotAUnit, OrderExhausted, PadicContext
+from cartier import BadParameters, NotAUnit, OrderExhausted, PadicContext, dependence, rational
+from cartier.cli import main
 from cartier.dependence import (
+    _normalized_derivative,
     analytic_element_certificate,
     kolchin_scan,
     product_power,
@@ -237,3 +242,75 @@ class TestKolchinScan:
             cert.rational, shorter, 2, 30, require_norm_one=False
         )
         assert outcome == VERIFY_OK
+
+
+class TestNormalizedDerivative:
+    @pytest.mark.parametrize(
+        "ctx", [U7, PadicContext.dwork(3), PadicContext.dwork(5)], ids=lambda c: f"e{c.e}"
+    )
+    def test_equals_the_coefficient_division(self, ctx):
+        rng = random.Random(f"normalized/{ctx.e}")
+        for r in (0, 1, 2):
+            # leading zeros after r derivatives, and p in some denominators
+            dens = (1, 2, ctx.prime)
+            values = [0] * rng.randint(0, 2) + [
+                ctx.coeff([Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(ctx.e)])
+                for _ in range(10)
+            ]
+            values[-10] = ctx.coeff(rng.choice([1, ctx.prime, Fraction(1, ctx.prime)]))
+            f = TruncSeries(tuple(values), ctx)
+            g = f
+            for _ in range(r):
+                g = g.d_dz()
+            lead = next(j for j, c in enumerate(g.coeffs) if not c.is_zero())
+            inv = g[lead].inverse()
+            want = TruncSeries(tuple(inv * c for c in g.coeffs[lead:]), ctx)
+            got = _normalized_derivative(f, r)
+            assert got == want
+            assert got[0] == ctx.one()
+
+
+class TestCertificateFilterGuard:
+    """The feasibility filter in the scan: on a negative-control scan in
+    Q_3(pi), every search it rules out runs no Pade chain at all, and the
+    report is the one the full sweep produced."""
+
+    ARGS = [
+        "scan", "--series", "apery", "--series", "bessel", "--prime", "3", "--dwork",
+        "--order", "20", "--exp-bound", "2", "--level", "3", "--deg-bound", "5",
+    ]
+    # stdout of the scan before the filter existed
+    SHA256 = "1599355bf6fc5a13acfcfe10961f20696400d1ec099ef8cc17661a8e416c7feb"
+
+    def test_pruned_searches_call_no_pade(self, monkeypatch):
+        chains = [0]
+        searches = []  # [filter verdict, Pade chains run] per search
+        real_pairs = rational.pade_pairs
+        real_admits = dependence.admits_certificate
+        real_certificate = dependence._certificate
+
+        def pade_pairs(f, window):
+            chains[0] += 1
+            return real_pairs(f, window)
+
+        def admits_certificate(res, deg_bound):
+            searches[-1][0] = real_admits(res, deg_bound)
+            return searches[-1][0]
+
+        def certificate(*args):
+            searches.append([None, -chains[0]])
+            out = real_certificate(*args)
+            searches[-1][1] += chains[0]
+            return out
+
+        monkeypatch.setattr(rational, "pade_pairs", pade_pairs)
+        monkeypatch.setattr(dependence, "admits_certificate", admits_certificate)
+        monkeypatch.setattr(dependence, "_certificate", certificate)
+        result = CliRunner().invoke(main, self.ARGS)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == self.SHA256
+        pruned = [chains for verdict, chains in searches if verdict is False]
+        swept = [chains for verdict, chains in searches if verdict is True]
+        assert len(pruned) == 12 and len(swept) == 12
+        assert pruned == [0] * 12
+        assert all(swept)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from cartier.rational import (
     VERIFY_FAIL,
     VERIFY_NOT_K0,
     VERIFY_OK,
+    admits_certificate,
     canonical_lift,
     congruence_outcome,
     no_roots_in_open_unit_disc,
@@ -574,3 +576,122 @@ class TestRationalRowsAgainstCoefficientLoops:
                 assert raw_congruence_check(num, den, f, m, f.order) is (want != VERIFY_FAIL)
                 passed.add(want != VERIFY_FAIL)
         assert passed == {True, False}
+
+
+# -- the feasibility filter mod pi^m ------------------------------------------
+#
+# admits_certificate(ResidueTarget(g, m, upto), D) decides whether some
+# integral t = 1 + t_1 z + .. + t_D z^D makes coefficients D+1 .. upto-1 of
+# t*g vanish mod pi^m. The oracles are the full certificate sweep (which the
+# filter must never contradict) and, for tiny rings, enumeration of t.
+
+U2 = PadicContext.unramified(2)
+U3 = PadicContext.unramified(3)
+
+
+def integral_series(rng, ctx, order):
+    """Integral coefficients over a unit denominator, about half of them
+    divisible by p, so that valuations vary."""
+    p = ctx.prime
+    den = rng.choice([1, 1, 2 if p != 2 else 3])
+    rows = [
+        [rng.randint(-p * p, p * p) * rng.choice([1, p]) for _ in range(order)]
+        for _ in range(ctx.e)
+    ]
+    return TruncSeries.from_rows(ctx, den, rows)
+
+
+def planted_rational(rng, ctx, order, m, deg):
+    """r/t + pi^m * noise with t integral, t(0) = 1 and deg r, deg t <= deg;
+    r/t enters by its canonical lift mod pi^m, which keeps the integers
+    small."""
+    t = integral_series(rng, ctx, rng.randint(1, deg + 1))
+    rows = [[x * t.den for x in row] for row in t.rows]  # integral numerators
+    for i, row in enumerate(rows):
+        row[0] = int(i == 0)
+    den = Polynomial.from_rows(ctx, 1, rows)
+    num = Polynomial.from_series_prefix(integral_series(rng, ctx, rng.randint(1, deg + 1)), deg + 1)
+    noise = integral_series(rng, ctx, order) * ctx.pi() ** m
+    return canonical_lift(RationalFunction(num, den).to_series(order), m) + noise
+
+
+def filter_targets(rng, ctx, m, deg, order):
+    """A random target, a planted rational, and the canonical lift of each."""
+    g = integral_series(rng, ctx, order)
+    planted = planted_rational(rng, ctx, order, m, deg)
+    return [
+        (g, False),
+        (planted, True),
+        (canonical_lift(g, m), False),
+        (canonical_lift(planted, m), True),
+    ]
+
+
+def sweep_certifies(g, m, deg):
+    """The certificate search of the scan, run without the filter."""
+    upto = g.order
+    res = ResidueTarget(g, m, upto)
+    try:
+        reconstruct_rational(
+            [g, canonical_lift(g, m)],
+            deg,
+            lambda cand: congruence_outcome(cand, g, m, upto, require_norm_one=False),
+            "filter oracle",
+            lambda r, t: raw_congruence_check(r, t, g, m, upto, res),
+        )
+    except (ReconstructionFailed, NotInK0):
+        return False
+    return True
+
+
+def brute_force_feasible(g, m, deg):
+    """Enumerate t_1..t_deg over O_K/pi^m (component i mod p^ceil((m-i)/e))."""
+    ctx, upto = g.ctx, g.order
+    e, p = ctx.e, ctx.prime
+    digits = [range(p ** max(0, -((i - m) // e))) for i in range(e)]
+    elements = list(itertools.product(*digits))
+    for ts in itertools.product(elements, repeat=deg):
+        rows = [[int(i == 0)] + [t[i] for t in ts] + [0] * (upto - deg - 1) for i in range(e)]
+        s = TruncSeries.from_rows(ctx, 1, rows) * g
+        if all(s.coefficient(n).valuation() >= m for n in range(deg + 1, upto)):
+            return True
+    return False
+
+
+class TestCertificateFilter:
+    @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+    def test_never_rejects_a_certified_or_planted_search(self, ctx):
+        rng = random.Random(f"filter/{ctx.e}")
+        verdicts = set()
+        for _ in range(12):
+            m, deg = rng.randint(1, 5), rng.randint(1, 9)
+            order = rng.randint(deg + 2, deg + 8)
+            for g, planted in filter_targets(rng, ctx, m, deg, order):
+                feasible = admits_certificate(ResidueTarget(g, m, order), deg)
+                if planted:
+                    assert feasible, (m, deg, order)
+                if sweep_certifies(g, m, deg):
+                    assert feasible, (m, deg, order)
+                    verdicts.add("certified")
+                verdicts.add(feasible)
+        # the cases reach both answers and the sweep certifies some of them
+        assert verdicts == {True, False, "certified"}
+
+    @pytest.mark.parametrize("ctx", [U2, U3, D3], ids=["p2", "p3", "p3-e2"])
+    def test_equals_enumeration_in_tiny_rings(self, ctx):
+        rng = random.Random(f"filter-brute/{ctx.prime}/{ctx.e}")
+        verdicts = set()
+        for m in (1, 2):
+            for deg in (1, 2):
+                for order in range(deg + 1, 2 * deg + 5):
+                    for g, _ in filter_targets(rng, ctx, m, deg, order):
+                        want = brute_force_feasible(g, m, deg)
+                        assert admits_certificate(ResidueTarget(g, m, order), deg) is want, (
+                            m, deg, order, g,
+                        )
+                        verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_non_integral_target_is_not_decided(self):
+        g = TruncSeries.from_coeffs(U5, [1, Fraction(1, 5), 3, 4, 1, 2])
+        assert admits_certificate(ResidueTarget(g, 2, g.order), 1)

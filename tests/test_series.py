@@ -233,6 +233,21 @@ class TestKernelAgainstCoefficientLoops:
             f = with_unit_constant(rng, shaped_series(rng, ctx, order, shape))
             assert f.invert_unit() == ref_invert_unit(f)
 
+    def test_invert_unit_with_empty_steps(self, ctx, shape):
+        # 1 leaves nothing to solve after the constant term; 1 - z leaves
+        # something at every step; f(z^p) only at multiples of p
+        rng = random.Random(f"inv-sparse/{ctx.e}/{shape}")
+        f = with_unit_constant(rng, shaped_series(rng, ctx, 48 // ctx.prime, shape))
+        cases = [
+            TruncSeries.one(ctx, 48),
+            TruncSeries.from_coeffs(ctx, [1, -1] + [0] * 46),
+            f.subst_zpk(1),
+        ]
+        for u in cases:
+            assert u.invert_unit() == ref_invert_unit(u)
+        assert cases[0].invert_unit() == cases[0]
+        assert cases[1].invert_unit() == TruncSeries.from_coeffs(ctx, [1] * 48)
+
     def test_hadamard(self, ctx, shape):
         rng = random.Random(f"had/{ctx.e}/{shape}")
         for order in self.ORDERS:
