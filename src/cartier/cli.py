@@ -55,6 +55,13 @@ def _parse_spec(text: str, prime: int, dwork: bool, order: int) -> SeriesSpec:
     return SeriesSpec(kind, ctx, order, alphas=alphas)
 
 
+def _build(spec: SeriesSpec, warnings: list):
+    """The catalog entry of spec, its warnings added to warnings once each."""
+    entry = build(spec)
+    warnings.extend(w for w in entry.warnings if w not in warnings)
+    return entry
+
+
 def _load_operator(path: str, prime: int, dwork: bool, order: int):
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
@@ -111,17 +118,21 @@ _ERROR_FIELDS = ("order", "deg_bound", "index")
 
 
 def _finish(request: dict, table: bool, body, ok=True):
-    """Emit the report and translate outcomes into exit codes."""
+    """Emit the report and translate outcomes into exit codes. body collects
+    the warnings of the catalog entries it builds (_build) for the report."""
+    warnings = []
     try:
-        payload = body()
+        payload = body(warnings)
     except CartierError as err:
         error = {"type": type(err).__name__, "message": str(err)}
         for field in _ERROR_FIELDS:
             value = getattr(err, field, None)
             if value is not None:
                 error[field] = value
-        _emit({"request": request, "error": error}, table)
-        raise SystemExit(1)
+        payload = {"error": error}
+        ok = False
+    if warnings:
+        payload = {**payload, "warnings": warnings}
     _emit({"request": request, **payload}, table)
     passed = ok(payload) if callable(ok) else ok
     if not passed:
@@ -158,8 +169,8 @@ def gen(series_text, prime, dwork, order, table):
         "order": order,
     }
 
-    def body():
-        entry = build(_parse_spec(series_text, prime, dwork, order))
+    def body(warnings):
+        entry = _build(_parse_spec(series_text, prime, dwork, order), warnings)
         operator = None
         if entry.operator is not None:
             operator = {"order": entry.operator.order, "mom": entry.operator.is_mom}
@@ -191,8 +202,8 @@ def check_integrality(series_text, prime, dwork, order, level, table):
         "level": level,
     }
 
-    def body():
-        entry = build(_parse_spec(series_text, prime, dwork, order))
+    def body(warnings):
+        entry = _build(_parse_spec(series_text, prime, dwork, order), warnings)
         return {"report": integrality_check(entry.series, level).to_json_dict()}
 
     _finish(request, table, body, ok=lambda p: p["report"]["passed"])
@@ -214,8 +225,8 @@ def check_lucas(series_text, prime, dwork, order, table):
         "order": order,
     }
 
-    def body():
-        entry = build(_parse_spec(series_text, prime, dwork, order))
+    def body(warnings):
+        entry = _build(_parse_spec(series_text, prime, dwork, order), warnings)
         return {"report": p_lucas_check(entry.series).to_json_dict()}
 
     _finish(request, table, body, ok=lambda p: p["report"]["passed"])
@@ -237,8 +248,8 @@ def check_dwork(series_text, prime, order, s, table):
         "s": s,
     }
 
-    def body():
-        entry = build(_parse_spec(series_text, prime, False, order))
+    def body(warnings):
+        entry = _build(_parse_spec(series_text, prime, False, order), warnings)
         return {"report": dwork_congruence_check(entry.series, s).to_json_dict()}
 
     _finish(request, table, body, ok=lambda p: p["report"]["passed"])
@@ -271,11 +282,11 @@ def antecedent(series_text, operator_file, prime, dwork, order, levels, table):
         "levels": levels,
     }
 
-    def body():
+    def body(warnings):
         if operator_file is not None:
             op = _load_operator(operator_file, prime, dwork, order)
         else:
-            entry = build(_parse_spec(series_text, prime, dwork, order))
+            entry = _build(_parse_spec(series_text, prime, dwork, order), warnings)
             if entry.operator is None:
                 raise BadParameters(f"series {series_text!r} ships without an operator")
             op = entry.operator
@@ -305,8 +316,8 @@ def certify_ratio(series_text, prime, dwork, order, level, deg_bound, table):
         "deg_bound": deg_bound,
     }
 
-    def body():
-        entry = build(_parse_spec(series_text, prime, dwork, order))
+    def body(warnings):
+        entry = _build(_parse_spec(series_text, prime, dwork, order), warnings)
         cert = ratio_certificate(entry.series, level, deg_bound)
         return {"certificate": cert.to_json_dict()}
 
@@ -340,8 +351,8 @@ def certify_logderiv(series_text, prime, dwork, order, level, deg_bound, period,
         "period": period,
     }
 
-    def body():
-        entry = build(_parse_spec(series_text, prime, dwork, order))
+    def body(warnings):
+        entry = _build(_parse_spec(series_text, prime, dwork, order), warnings)
         h = period if period is not None else entry.frobenius_period or 1
         cert = logderiv_certificate(entry.series, h, level, deg_bound)
         return {"certificate": cert.to_json_dict(), "period": h}
@@ -385,11 +396,11 @@ def scan(series_texts, prime, dwork, order, exp_bound, level, deg_bound, derivat
         "derivatives": list(derivatives) if derivatives else None,
     }
 
-    def body():
+    def body(warnings):
         specs = [_parse_spec(text, prime, dwork, order) for text in series_texts]
         if any(spec.ctx != specs[0].ctx for spec in specs):
             raise click.UsageError("all scanned series must share one coefficient context")
-        fs = [build(spec).series for spec in specs]
+        fs = [_build(spec, warnings).series for spec in specs]
         report = kolchin_scan(
             fs,
             exp_bound,

@@ -154,7 +154,7 @@ def _normalized_derivative(f: TruncSeries, r: int) -> TruncSeries:
     if lead is None:
         raise OrderExhausted(f"derivative {r} vanishes to the reliable order {f.order}")
     tail = TruncSeries.from_rows(g.ctx, g.den, [row[lead:] for row in g.rows])
-    return tail * g.coefficient(lead).inverse()
+    return tail._times(*tail._inverse_of(0))
 
 
 def kolchin_scan(
@@ -190,7 +190,7 @@ def kolchin_scan(
         derivative_orders = tuple(derivative_orders)
     else:
         for f in fs:
-            if f.order == 0 or f[0] != 1:
+            if f.order == 0 or f.coefficient(0) != 1:
                 raise NotAUnit("scan needs constant term 1 (or derivative orders)")
         gs = fs
     logs = [g.log_derivative() for g in gs]

@@ -26,11 +26,10 @@ from .errors import (
     OrderExhausted,
 )
 from .rational import Polynomial, RationalFunction
-from .rings import PadicContext, _solve_exact
+from .rings import PadicContext, _int_parts, _ring_inverse, _ring_mul, _solve_exact
 from .series import (
     TruncSeries,
     _align,
-    _coeff_rows,
     _fold,
     _ints,
     _invert,
@@ -184,14 +183,11 @@ def _invert_const(const_rows, ctx):
     """Inverse of a constant Coefficient matrix via Gauss-Jordan; NotAUnit
     when it is singular."""
     n = len(const_rows)
-    cols = []
-    for j in range(n):
-        rhs = [ctx.one() if i == j else ctx.zero() for i in range(n)]
-        try:
-            cols.append(_solve_exact(const_rows, rhs))
-        except ZeroDivisionError:
-            raise NotAUnit("constant term matrix is singular") from None
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    identity = [[ctx.one() if i == j else ctx.zero() for j in range(n)] for i in range(n)]
+    try:
+        return _solve_exact(const_rows, identity)
+    except ZeroDivisionError:
+        raise NotAUnit("constant term matrix is singular") from None
 
 
 # -- operators ---------------------------------------------------------------
@@ -342,7 +338,7 @@ def _unit_solution_ints(cs, lead, n, order):
     ctx = lead.ctx
     e = ctx.e
     dc, crows = _align(cs)
-    dl, linv = _coeff_rows((lead.inverse(),), e)
+    dl, linv = _ring_inverse(*_int_parts(lead), ctx.prime)
     terms = [
         (k, s, row[1:])
         for k, entry in enumerate(crows)
@@ -358,8 +354,7 @@ def _unit_solution_ints(cs, lead, n, order):
             head = tail[:j]
             for t, ws in enumerate(w[k]):
                 acc[s + t][0] += sum(map(mul, head, reversed(ws)))
-        prod = _matmul_ints([[_fold(acc, ctx)]], [[linv]], ctx, 1)[0][0]
-        num = [-v for (v,) in prod]
+        num = [-v for v in _ring_mul([v for (v,) in _fold(acc, ctx)], linv, ctx.prime)]
         dj = dc * den * dl * j**n
         g = math.gcd(dj, *num)
         dj //= g

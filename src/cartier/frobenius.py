@@ -260,7 +260,7 @@ def _require_period(h: int):
 
 
 def _require_unit_start(f: TruncSeries):
-    if f.order == 0 or f[0] != 1:
+    if f.order == 0 or f.coefficient(0) != 1:
         raise ValueError("series must have constant term 1")
 
 

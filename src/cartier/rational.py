@@ -1,31 +1,25 @@
 """Polynomials and rational functions over a p-adic context, plus the Pade
 reconstruction engine used by every certificate search.
 
-The certificate story is always the same: some truncated series is supposed
-to be congruent, modulo pi^m, to a rational function with controlled degrees
-and no poles in the open unit disc. Candidates come from the extended
-Euclidean algorithm run on (z^T, first T coefficients); each candidate is
-then re-verified against the full reliable window, never trusted. Windows
-are tried smallest first so the least complex certificate wins and the
-result is deterministic.
+A certificate is a rational function with controlled degrees and no poles in
+the open unit disc, congruent modulo pi^m to a truncated series. Candidates
+come from extended Euclid on (z^T, first T coefficients), windows smallest
+first, so the least complex certificate wins deterministically; each one is
+re-verified against the full reliable window, never trusted.
 
 A Polynomial is stored as a TruncSeries is, as integer rows over one
-canonical denominator, and computes with the series kernel. One
-fraction-free path serves every context, unramified (e = 1) or ramified
-(e > 1). The Euclid chain is a primitive pseudo-remainder sequence on
-integer pi-component vectors of Z[pi]/(pi^e + p) (pade_pairs), and the
-polynomials it yields hold its rows. A pair is first screened in the
-residue ring O_K/p^K = (Z/p^K)[pi]/(pi^e + p) (raw_congruence_check). A pair
-with t(0) != 0 is already in lowest terms, so a candidate is only
-normalized by t(0), without a gcd. The survivors pass one exact check
-(_congruent), shared by congruence_outcome, product_congruence_outcome and
-the non-integral fallback of the screen: the candidate expanded as a
-series, times mult where one is given, compared by first_discrepancy.
+canonical denominator. One Euclid serves every context: the primitive
+pseudo-remainder sequence of rings._pseudo_step on integer pi-component
+rows of Z[pi]/(pi^e + p). It yields the Pade pairs (pade_pairs), reduces
+fractions from its terminal cofactors (RationalFunction.make), and inverts
+ring elements (rings._adjugate). A pair is first screened in the residue
+ring O_K/p^K = (Z/p^K)[pi]/(pi^e + p) (raw_congruence_check); the survivors
+pass one exact check (_congruent): the candidate expanded as a series, times
+mult where one is given, compared by first_discrepancy.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -33,6 +27,7 @@ from fractions import Fraction
 
 from .errors import BadParameters, NegativeValuation, NotInK0, ReconstructionFailed
 from .rings import Coefficient, PadicContext
+from .rings import _adjugate, _primitive, _pseudo_step, _ring_mul, _scale, _strip
 from .series import TruncSeries, _coefficient
 
 
@@ -46,8 +41,9 @@ class Polynomial:
     Arithmetic pads the operands to the length of the result and runs the
     series operation on them; a product of lengths la and lb is exact as a
     series truncated to la + lb - 1. coeffs is a view of Coefficients built
-    on first use and cached; only the field Euclid (divmod, gcd) reads it.
-    Instances are immutable, and their rows are never modified in place.
+    on first use and cached, for indexing and rendering; no computation
+    reads it. Instances are immutable, and their rows are never modified in
+    place.
     """
 
     __slots__ = ("ctx", "den", "rows", "_view")
@@ -168,35 +164,9 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         return Polynomial._of_series(self._series() * self.ctx.coeff(c))
 
-    def divmod(self, other):
-        """Euclidean division; coefficients form a field so this is exact."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        lead_inv = other.coeffs[-1].inverse()
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial.zero(self.ctx), self
-        quot = [self.ctx.zero()] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * lead_inv
-            if not c.is_zero():
-                quot[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return (
-            Polynomial.from_coeffs(self.ctx, quot),
-            Polynomial.from_coeffs(self.ctx, rem),
-        )
-
-    def gcd(self, other) -> "Polynomial":
-        """Monic gcd via Euclid."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a.scale(a.coeffs[-1].inverse())
+    def _times(self, den: int, c) -> "Polynomial":
+        """This polynomial times the ring element c / den (TruncSeries._times)."""
+        return Polynomial._of_series(self._series()._times(den, c))
 
     def derivative(self) -> "Polynomial":
         return Polynomial._of_series(self._series().d_dz())
@@ -242,6 +212,17 @@ def no_roots_in_open_unit_disc(b: Polynomial) -> bool:
     return s.min_valuation() == s.min_valuation(1)
 
 
+def _integral_lead(polys, p):
+    """[r, *cofactors] times adj(lead r) when that lead is not an integer,
+    then divided by their integer content: at e > 1 the integers of make's
+    chain grow exponentially without it."""
+    r = polys[0]
+    if r[0] and any(row[-1] for row in r[1:]):
+        adj = _adjugate([row[-1] for row in r], p)[1]
+        polys = [_scale(adj, poly, p) for poly in polys]
+    return _primitive(*polys)
+
+
 @dataclass(frozen=True)
 class RationalFunction:
     """Reduced fraction of polynomials, denominator normalized to den(0) = 1
@@ -252,22 +233,33 @@ class RationalFunction:
 
     @classmethod
     def make(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den in lowest terms, normalized by from_coprime: the primitive
+        remainder sequence of the rows carries the cofactors of each
+        remainder r = s*num + t*den, and its first zero remainder has s and t
+        coprime, so num/den = -t/s, with no gcd and no division."""
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if not num.is_zero():
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-        return cls.from_coprime(num, den)
+        if num.is_zero():
+            return cls.from_coprime(num, den)
+        ctx, e, p = num.ctx, num.ctx.e, num.ctx.prime
+        one, zero = [[1]] + [[0]] * (e - 1), [[]] * e
+        # when deg num < deg den the first step only swaps the two
+        prev, cur = [num.rows, one, zero], _integral_lead([den.rows, zero, one], p)
+        while cur[0][0]:
+            prev, cur = cur, _integral_lead(_pseudo_step(prev, cur, p), p)
+        _, s, t = cur
+        return cls.from_coprime(
+            Polynomial.from_rows(ctx, num.den, [[-x for x in row] for row in t]),
+            Polynomial.from_rows(ctx, den.den, s),
+        )
 
     @classmethod
     def from_coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
         """num/den for a pair without a common factor: only normalizes, by
         den(0), or by the lowest nonzero coefficient when den(0) = 0."""
         s = den._series()
-        inv = s.coefficient(s.first_nonzero()).inverse()
-        return cls(num.scale(inv), den.scale(inv))
+        d, inv = s._inverse_of(s.first_nonzero())
+        return cls(num._times(d, inv), den._times(d, inv))
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial) -> "RationalFunction":
@@ -329,93 +321,18 @@ VERIFY_OK = "ok"
 VERIFY_FAIL = "fail"
 VERIFY_NOT_K0 = "not-in-k0"
 
-# The Pade chain and the residue screen run on plain ints. An element of
-# Z[pi]/(pi^e + p) is a list of its e pi-components, and a polynomial over
-# that ring is stored component-major: e int lists of one common length,
-# list i holding component i of every z-coefficient. At e = 1 each ring
-# operation below is one int operation per coefficient of a single list.
-
-
-def _terms(c, rows, p):
-    """c * rows as (component, factor, row) terms: component i of c times
-    row j lands in component i + j, folded through pi^e = -p."""
-    e = len(rows)
-    return [
-        (i + j, ci, row) if i + j < e else (i + j - e, -p * ci, row)
-        for i, ci in enumerate(c)
-        if ci
-        for j, row in enumerate(rows)
-    ]
-
-
-def _scale(c, rows, p):
-    """The polynomial rows times the ring element c."""
-    if len(rows) == 1:
-        return [[c[0] * x for x in rows[0]]]
-    out = [None] * len(rows)
-    for k, f, row in _terms(c, rows, p):
-        prev = out[k]
-        out[k] = [f * x for x in row] if prev is None else [u + f * x for u, x in zip(prev, row)]
-    return [[0] * len(rows[0]) if row is None else row for row in out]
-
-
-def _ring_mul(a, b, p):
-    """Product of two elements of Z[pi]/(pi^e + p)."""
-    return [row[0] for row in _scale(a, [[x] for x in b], p)]
-
-
-def _rowop(a, acc, c, shift, rows, p):
-    """a*acc - c*z^shift*rows for ring elements a and c; acc must be long enough."""
-    n = len(rows[0])
-    if len(acc) == 1:
-        out, f = [a[0] * x for x in acc[0]], c[0]
-        out[shift:shift + n] = [u - f * x for u, x in zip(out[shift:shift + n], rows[0])]
-        return [out]
-    out = _scale(a, acc, p)
-    for k, f, row in _terms(c, rows, p):
-        dst = out[k]
-        dst[shift:shift + n] = [u - f * x for u, x in zip(dst[shift:shift + n], row)]
-    return out
-
-
-def _strip(rows):
-    """Drop the top z-degrees at which every component is zero."""
-    if len(rows) == 1:
-        row = rows[0]
-        while row and not row[-1]:
-            row.pop()
-        return rows
-    n = len(rows[0])
-    while n and not any([row[n - 1] for row in rows]):
-        n -= 1
-    for row in rows:
-        del row[n:]
-    return rows
-
-
-def _primitive(r, t):
-    """Divide the (r, t) row pair by the gcd of all its integers."""
-    g = math.gcd(*itertools.chain(*r, *t))
-    if g > 1:
-        r = [[x // g for x in row] for row in r]
-        t = [[x // g for x in row] for row in t]
-    return r, t
-
 
 def pade_pairs(f: TruncSeries, window: int):
     """Extended Euclid on (z^window, f mod z^window), fraction-free.
 
     Yields (r, t) pairs with t*f = r mod z^window, in order of increasing
     denominator degree. The chain is a primitive pseudo-remainder sequence
-    over Z[pi]/(pi^e + p) (Collins 1967, Brown-Traub 1971), the same for
-    every ramification index: the prefix's denominators are cleared once,
-    each step pseudo-divides by the leading ring element, and each new
-    (r, t) row is divided by the integer content of all its components.
-    A yielded pair is therefore a nonzero scalar multiple of the pair that
-    exact Euclid over the field gives at the same chain position (von zur
-    Gathen-Gerhard, Modern Computer Algebra 5.7), with integral
-    coefficients whose common integer factors do not pile up along the
-    chain. Consumers normalize by t(0). For an integral prefix whose
+    over Z[pi]/(pi^e + p) (Collins 1967, Brown-Traub 1971): the prefix's
+    denominators are cleared once, and each new (r, t) pair from
+    _pseudo_step is divided by its integer content. A yielded pair is a
+    nonzero scalar multiple of the pair exact Euclid over the field gives at
+    the same chain position (von zur Gathen-Gerhard, Modern Computer Algebra
+    5.7). Consumers normalize by t(0). For an integral prefix whose
     coefficients share no integer factor the first pair is the truncation
     itself with t = 1.
 
@@ -426,32 +343,14 @@ def pade_pairs(f: TruncSeries, window: int):
     e, p = ctx.e, ctx.prime
     # the prefix over the series' denominator: a multiple of the pair over
     # the prefix's own, which _primitive divides out
-    r_cur = _strip([row[:window] for row in f.rows])
-    r_cur, t_cur = _primitive(r_cur, [[f.den]] + [[0] for _ in range(e - 1)])
-    r_prev = [[0] * window + [1]] + [[0] * (window + 1) for _ in range(e - 1)]
-    t_prev = [[] for _ in range(e)]
+    cur = _primitive(_strip([row[:window] for row in f.rows]), [[f.den]] + [[0]] * (e - 1))
+    prev = [[[0] * window + [1]] + [[0] * (window + 1)] * (e - 1), [[]] * e]
     pair = Polynomial._canonical
-    if not r_cur[0]:
-        yield pair(ctx, 1, r_cur), pair(ctx, 1, t_cur)
-        return
-    while r_cur[0]:
-        yield pair(ctx, 1, r_cur), pair(ctx, 1, t_cur)
-        deg = len(r_cur[0]) - 1
-        lead = [row[deg] for row in r_cur]
-        shift = len(r_prev[0]) - 1 - deg
-        # pseudo-division of r_prev by r_cur, with the same row ops on the
-        # cofactor: (rem, t) <- lead*(rem, t) - c*z^k*(r_cur, t_cur). The top
-        # coefficient of r_prev is nonzero, so k = shift always acts.
-        rem = r_prev
-        width = max(len(t_prev[0]), shift + len(t_cur[0]))
-        t_new = [row + [0] * (width - len(row)) for row in t_prev]
-        for k in range(shift, -1, -1):
-            c = [row[k + deg] for row in rem]
-            if any(c):
-                rem = _rowop(lead, rem, c, k, r_cur, p)
-                t_new = _rowop(lead, t_new, c, k, t_cur, p)
-        r_prev, t_prev = r_cur, t_cur
-        r_cur, t_cur = _primitive(_strip(rem), _strip(t_new))
+    yield pair(ctx, 1, cur[0]), pair(ctx, 1, cur[1])
+    while cur[0][0]:
+        prev, cur = cur, _primitive(*_pseudo_step(prev, cur, p))
+        if cur[0][0]:
+            yield pair(ctx, 1, cur[0]), pair(ctx, 1, cur[1])
 
 
 class ResidueTarget:
@@ -568,21 +467,6 @@ def _solvable(rows, rhs, p, mod):
     return not any(rhs)
 
 
-def _unit_inverse(d, p, mod):
-    """Inverse of a unit d of (Z/mod)[pi]/(pi^e + p): Newton iteration
-    x <- x(2 - dx) from x = 1/d_0, which doubles the pi-adic precision of
-    dx = 1 at each step."""
-    one = [1] + [0] * (len(d) - 1)
-    x = [pow(d[0], -1, mod)] + one[1:]
-    if not any(d[1:]):
-        return x
-    while True:
-        dx = [v % mod for v in _ring_mul(d, x, p)]
-        if dx == one:
-            return x
-        x = [v % mod for v in _ring_mul(x, [2 - dx[0]] + [-v for v in dx[1:]], p)]
-
-
 def _divide_by_pi(x, shift, q, p, mod):
     """x * pi^shift / p^q: x divided by X = p^q / pi^shift, an element of
     valuation v = e*q - shift, from residues mod p^K. The result holds mod
@@ -626,8 +510,10 @@ def _residue_screen(num, den, res: ResidueTarget, upto):
     lead = [row[0] for row in dres]
     if q:
         lead = _divide_by_pi(lead, shift, q, p, mod)
-    # divide through by the unit lead = den(0)/X, so that den'(0) = X
-    inv = _unit_inverse(lead, p, mod)
+    # divide through by the unit lead = den(0)/X, so that den'(0) = X; the
+    # adjugate's r is prime to p, because it has left the chain primitive
+    r, adj = _adjugate(lead, p)
+    inv = [x * pow(r, -1, mod) % mod for x in adj]
     nres = _scale(inv, nres, p)
     nn = len(nres[0])
     dd = den.degree
@@ -777,7 +663,8 @@ def canonical_lift(f: TruncSeries, m: int) -> TruncSeries:
     if m < 1:
         raise BadParameters("level must be >= 1")
     if f.min_valuation() < 0:
-        v = next(v for v in (c.valuation() for c in f.coeffs) if v < 0)
+        # the first prefix of negative valuation ends at the coefficient named
+        v = next(v for v in map(f.min_valuation, range(1, f.order + 1)) if v < 0)
         raise NegativeValuation(f"valuation {v} < 0")
     e, p = f.ctx.e, f.ctx.prime
     rows = []

@@ -16,6 +16,7 @@ no cancellation to account for.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -180,45 +181,21 @@ class Coefficient:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        e = self.ctx.e
-        if e == 1:
+        if self.ctx.e == 1:
             return Coefficient((self.parts[0] * o.parts[0],), self.ctx)
-        p = self.ctx.prime
-        acc = [Fraction(0)] * e
-        for i, a in enumerate(self.parts):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.parts):
-                if b == 0:
-                    continue
-                k = i + j
-                if k < e:
-                    acc[k] += a * b
-                else:
-                    # pi^e = -p folds the overflow back down
-                    acc[k - e] += -p * a * b
-        return Coefficient(tuple(acc), self.ctx)
+        (da, a), (db, b) = _int_parts(self), _int_parts(o)
+        prod = _ring_mul(a, b, self.ctx.prime)
+        return Coefficient(tuple(Fraction(x, da * db) for x in prod), self.ctx)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Coefficient":
-        """Exact field inverse, by solving the multiplication matrix."""
+        """Exact field inverse, from the integer remainder sequence of
+        X^e + p and this element (_ring_inverse)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        e = self.ctx.e
-        if e == 1:
-            return Coefficient((1 / self.parts[0],), self.ctx)
-        pi = self.ctx.pi()
-        cols = []
-        power = self
-        for _ in range(e):
-            cols.append(power.parts)
-            power = power * pi
-        # rows[i][j] = component i of self*pi^j; solve M x = e_0
-        m = [[cols[j][i] for j in range(e)] for i in range(e)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (e - 1)
-        sol = _solve_exact(m, rhs)
-        return Coefficient(tuple(sol), self.ctx)
+        d, inv = _ring_inverse(*_int_parts(self), self.ctx.prime)
+        return Coefficient(tuple(Fraction(x, d) for x in inv), self.ctx)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -372,11 +349,12 @@ def parse_coefficient(text: str, ctx: PadicContext) -> Coefficient:
 
 
 def _solve_exact(matrix, rhs):
-    """Gauss-Jordan elimination over a field: the entries are Fractions or
-    Coefficients, read only through != 0, 1 / x and ring operations.
-    ZeroDivisionError when the matrix is singular."""
+    """X with matrix X = rhs, both given as lists of rows, by Gauss-Jordan
+    elimination over a field: the entries are Fractions or Coefficients,
+    read only through != 0, 1 / x and ring operations. ZeroDivisionError
+    when the matrix is singular."""
     n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    a = [row[:] + rhs[i] for i, row in enumerate(matrix)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
@@ -388,4 +366,127 @@ def _solve_exact(matrix, rhs):
             if r != col and a[r][col] != 0:
                 factor = a[r][col]
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    return [a[i][n:] for i in range(n)]
+
+
+# -- integer rows ---------------------------------------------------------------
+#
+# An element of Z[pi]/(pi^e + p) is a list of its e integer pi-components; a
+# polynomial over it is e int lists of one length, list i holding component i
+# of every z-coefficient. With one list, it is a polynomial over Z.
+
+
+def _int_parts(c: Coefficient):
+    """(den, nums): the parts of c are nums[i] / den, den their lcm."""
+    den = math.lcm(*(x.denominator for x in c.parts))
+    return den, [x.numerator * (den // x.denominator) for x in c.parts]
+
+
+def _terms(c, rows, p):
+    """c * rows as (component, factor, row) terms: component i of c times
+    row j lands in component i + j, folded through pi^e = -p."""
+    e = len(rows)
+    return [
+        (i + j, ci, row) if i + j < e else (i + j - e, -p * ci, row)
+        for i, ci in enumerate(c)
+        if ci
+        for j, row in enumerate(rows)
+    ]
+
+
+def _scale(c, rows, p):
+    """The polynomial rows times the ring element c."""
+    if len(rows) == 1:
+        return [[c[0] * x for x in rows[0]]]
+    out = [None] * len(rows)
+    for k, f, row in _terms(c, rows, p):
+        prev = out[k]
+        out[k] = [f * x for x in row] if prev is None else [u + f * x for u, x in zip(prev, row)]
+    return [[0] * len(rows[0]) if row is None else row for row in out]
+
+
+def _ring_mul(a, b, p):
+    """Product of two elements of Z[pi]/(pi^e + p)."""
+    return [row[0] for row in _scale(a, [[x] for x in b], p)]
+
+
+def _rowop(a, acc, c, shift, rows, p):
+    """a*acc - c*z^shift*rows for ring elements a and c; acc must be long enough."""
+    n = len(rows[0])
+    if len(acc) == 1:
+        out, f = [a[0] * x for x in acc[0]], c[0]
+        out[shift:shift + n] = [u - f * x for u, x in zip(out[shift:shift + n], rows[0])]
+        return [out]
+    out = _scale(a, acc, p)
+    for k, f, row in _terms(c, rows, p):
+        dst = out[k]
+        dst[shift:shift + n] = [u - f * x for u, x in zip(dst[shift:shift + n], row)]
+    return out
+
+
+def _strip(rows):
+    """Drop the top z-degrees at which every component is zero."""
+    if len(rows) == 1:
+        row = rows[0]
+        while row and not row[-1]:
+            row.pop()
+        return rows
+    n = len(rows[0])
+    while n and not any([row[n - 1] for row in rows]):
+        n -= 1
+    for row in rows:
+        del row[n:]
+    return rows
+
+
+def _primitive(*polys):
+    """The row polynomials divided by the gcd of all their integers."""
+    g = math.gcd(*itertools.chain.from_iterable(itertools.chain.from_iterable(polys)))
+    if g > 1:
+        return [[[x // g for x in row] for row in poly] for poly in polys]
+    return list(polys)
+
+
+def _pseudo_step(prev, cur, p):
+    """One pseudo-division step over Z[pi]/(pi^e + p): prev and cur are
+    lists [r, *cofactors] of row polynomials, cur's r nonzero, and each
+    member of prev becomes lead*member - c*z^k*(cur's member), k from the
+    top down, lead being the leading ring element of cur's r. A relation
+    r = sum_i cofactor_i * x_i of prev and cur holds for the stripped result."""
+    r_prev, r_cur = prev[0], cur[0]
+    deg = len(r_cur[0]) - 1
+    lead = [row[deg] for row in r_cur]
+    shift = len(r_prev[0]) - 1 - deg
+    out = [r_prev] + [
+        [row + [0] * (max(len(a[0]), shift + len(b[0])) - len(row)) for row in a]
+        for a, b in zip(prev[1:], cur[1:])
+    ]
+    for k in range(shift, -1, -1):
+        c = [row[k + deg] for row in out[0]]
+        if any(c):
+            out = [_rowop(lead, a, c, k, b, p) for a, b in zip(out, cur)]
+    return [_strip(a) for a in out]
+
+
+def _adjugate(c, p):
+    """(r, t) with t * c = r in Z[pi]/(pi^e + p), r a nonzero integer, for a
+    nonzero ring element c: the primitive remainder sequence over Z of the
+    Eisenstein X^e + p and c(X), prime to each other, ends at a constant
+    r = s (X^e + p) + t c(X), and X = pi gives t c = r."""
+    e = len(c)
+    prev = [[[p] + [0] * (e - 1) + [1]], [[]]]
+    cur = [_strip([list(c)]), [[1]]]
+    while len(cur[0][0]) > 1:
+        prev, cur = cur, _primitive(*_pseudo_step(prev, cur, p))
+    r, t = cur[0][0][0], cur[1][0]
+    return r, t + [0] * (e - len(t))
+
+
+def _ring_inverse(den, c, p):
+    """(d, x) with x / d the inverse of the nonzero element c / den of
+    Q[pi]/(pi^e + p), c its e integer pi-components, in canonical form
+    (d > 0, gcd(d, *x) = 1)."""
+    r, t = _adjugate(c, p)
+    x = [den * v if r > 0 else -den * v for v in t]
+    g = math.gcd(r, *x)
+    return abs(r) // g, [v // g for v in x]

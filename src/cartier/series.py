@@ -25,7 +25,7 @@ from itertools import chain
 from operator import add, mul
 
 from .errors import BadParameters, NotAUnit
-from .rings import INF, Coefficient, PadicContext
+from .rings import INF, Coefficient, PadicContext, _ring_inverse, _scale
 
 
 class TruncSeries:
@@ -168,9 +168,7 @@ class TruncSeries:
         ctx = self.ctx
         if isinstance(other, (int, Fraction, Coefficient)):
             dc, c = _coeff_rows((ctx.coeff(other),), ctx.e)
-            acc = _unfolded(ctx, self.order)
-            _mul_add(acc, c, self.rows)
-            return TruncSeries._of(ctx, self.den * dc, _fold(acc, ctx))
+            return self._times(dc, [x for (x,) in c])
         o = self._common(other)
         n = min(self.order, o.order)
         rows = _matmul_ints([[self.rows]], [[o.rows]], ctx, n)[0][0]
@@ -180,6 +178,14 @@ class TruncSeries:
         if isinstance(other, (int, Fraction, Coefficient)):
             return self * other
         return NotImplemented
+
+    def _times(self, den: int, c) -> "TruncSeries":
+        """This series times c / den, c integer pi-components and den > 0."""
+        return TruncSeries._of(self.ctx, self.den * den, _scale(c, self.rows, self.ctx.prime))
+
+    def _inverse_of(self, j: int):
+        """(d, x): x / d is the inverse of the nonzero coefficient j."""
+        return _ring_inverse(self.den, [row[j] for row in self.rows], self.ctx.prime)
 
     def pow_int(self, n: int) -> "TruncSeries":
         """Integer power; negative exponents go through invert_unit."""
@@ -265,12 +271,11 @@ class TruncSeries:
         """Multiplicative inverse mod z^order; needs a unit constant term."""
         if self.order == 0:
             return self
-        f0 = self.constant_term()
-        if f0.is_zero():
+        if not any(row[0] for row in self.rows):
             raise NotAUnit("constant term vanishes")
         ctx = self.ctx
-        d0, inv0 = _coeff_rows((f0.inverse(),), ctx.e)
-        dg, g = _invert(self.den, [[self.rows]], self.order, [[inv0]], d0, ctx)
+        d0, inv0 = self._inverse_of(0)
+        dg, g = _invert(self.den, [[self.rows]], self.order, [[[[x] for x in inv0]]], d0, ctx)
         return TruncSeries._of(ctx, dg, g[0][0])
 
     def log_derivative(self) -> "TruncSeries":

@@ -83,6 +83,42 @@ class TestGen:
         assert not result.output.startswith("{")
 
 
+HYP_WARNING = "p = 3 divides d_alpha = 3; integrality claims are off"
+
+
+class TestCatalogWarnings:
+    """Every command that builds a catalog entry reports the entry's
+    warnings, on success and on error, and adds no key when there are none."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check-integrality", "--level", "1"],
+            ["check-lucas"],
+            ["check-dwork", "--s", "1"],
+            ["antecedent", "--levels", "1"],
+            ["certify-ratio"],
+            ["certify-logderiv"],
+            ["scan", "--series", "hyp:1/2", "--exp-bound", "1", "--level", "1", "--deg-bound", "2"],
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_every_command_carries_them(self, runner, command):
+        args = command + ["--series", "hyp:1/3", "--prime", "3", "--order", "12"]
+        result, payload = run_json(runner, args)
+        assert result.exit_code in (0, 1)
+        assert payload["warnings"] == [HYP_WARNING]
+        clean = [a if a != "hyp:1/3" else "hyp:1/2" for a in args]
+        result, payload = run_json(runner, clean)
+        assert "warnings" not in payload
+
+    def test_scan_reports_a_shared_warning_once(self, runner):
+        args = ["scan", "--series", "hyp:1/3", "--series", "hyp:2/3", "--prime", "3"]
+        args += ["--order", "12", "--exp-bound", "1", "--level", "1", "--deg-bound", "2"]
+        result, payload = run_json(runner, args)
+        assert payload["warnings"] == [HYP_WARNING]
+
+
 class TestLazyOperator:
     """The catalog builds an entry's operator on first read: an error there
     reaches gen and antecedent as a report, and commands that never read

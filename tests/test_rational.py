@@ -5,10 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cartier import NotInK0, PadicContext, ReconstructionFailed
+from cartier import NegativeValuation, NotInK0, PadicContext, ReconstructionFailed
 from cartier import rational
 from cartier.catalog import SeriesKind, SeriesSpec, build
 from cartier.rational import (
@@ -40,6 +40,49 @@ def poly(ctx, *values):
     return Polynomial.from_coeffs(ctx, values)
 
 
+# -- field Euclid oracles: plain division of Coefficient polynomials ----------
+
+
+def poly_divmod(a, b):
+    """Euclidean division of a by b over the field."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    lead_inv = b.coeffs[-1].inverse()
+    dq = len(rem) - len(b.coeffs)
+    if dq < 0:
+        return Polynomial.zero(a.ctx), a
+    quot = [a.ctx.zero()] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[k + b.degree] * lead_inv
+        if not c.is_zero():
+            quot[k] = c
+            for j, x in enumerate(b.coeffs):
+                rem[k + j] = rem[k + j] - c * x
+    return Polynomial.from_coeffs(a.ctx, quot), Polynomial.from_coeffs(a.ctx, rem)
+
+
+def poly_gcd(a, b):
+    """Monic gcd by Euclid over the field."""
+    while not b.is_zero():
+        a, b = b, poly_divmod(a, b)[1]
+    if a.is_zero():
+        return a
+    return a.scale(a.coeffs[-1].inverse())
+
+
+def make_oracle(num, den):
+    """RationalFunction.make by the field Euclid: divide out the monic gcd."""
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    if not num.is_zero():
+        g = poly_gcd(num, den)
+        if g.degree > 0:
+            num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+    c = next(x for x in den.coeffs if not x.is_zero()).inverse()
+    return RationalFunction(num.scale(c), den.scale(c))
+
+
 def polynomials(ctx, max_deg=6):
     return st.builds(
         lambda cs: Polynomial.from_coeffs(ctx, cs),
@@ -66,14 +109,14 @@ class TestPolynomial:
     def test_divmod_identity(self, a, b):
         if b.is_zero():
             return
-        q, r = a.divmod(b)
+        q, r = poly_divmod(a, b)
         assert q * b + r == a
         assert r.is_zero() or r.degree < b.degree
 
     def test_gcd(self):
         a = poly(U5, 1, -1) * poly(U5, 1, 1)
         b = poly(U5, 1, -1) * poly(U5, 2)
-        g = a.gcd(b)
+        g = poly_gcd(a, b)
         assert g == poly(U5, -1, 1)  # the monic multiple of 1 - z
         assert g.coeffs[-1] == U5.one()
 
@@ -206,6 +249,19 @@ class TestLiftAndSearch:
         lifted = canonical_lift(f, 1)
         assert lifted == TruncSeries.from_coeffs(U5, [1, 1, 1])
 
+    @pytest.mark.parametrize(
+        "ctx, values, v",
+        [
+            (U5, [1, 0, Fraction(1, 25), Fraction(1, 5)], -2),
+            (D3, [1, (0, Fraction(1, 3)), Fraction(1, 3)], -1),
+            (D3, [(0, 1), 0, (Fraction(1, 9), Fraction(1, 3)), Fraction(1, 27)], -4),
+        ],
+    )
+    def test_canonical_lift_names_the_first_negative_valuation(self, ctx, values, v):
+        f = TruncSeries.from_coeffs(ctx, values)
+        with pytest.raises(NegativeValuation, match=rf"^valuation {v} < 0$"):
+            canonical_lift(f, 2)
+
 
 # -- differential tests of the fraction-free Pade path ------------------------
 #
@@ -228,7 +284,7 @@ def euclid_pairs(f, window):
         return
     while not r_cur.is_zero():
         yield r_cur, t_cur
-        q, rem = r_prev.divmod(r_cur)
+        q, rem = poly_divmod(r_prev, r_cur)
         r_prev, r_cur = r_cur, rem
         t_prev, t_cur = t_cur, t_prev - q * t_cur
 
@@ -695,3 +751,173 @@ class TestCertificateFilter:
     def test_non_integral_target_is_not_decided(self):
         g = TruncSeries.from_coeffs(U5, [1, Fraction(1, 5), 3, 4, 1, 2])
         assert admits_certificate(ResidueTarget(g, 2, g.order), 1)
+
+
+# -- RationalFunction.make against the field Euclid ----------------------------
+#
+# make reduces num/den from the terminal cofactors of one primitive
+# remainder sequence; make_oracle divides out the monic gcd that the field
+# Euclid on the Coefficient view finds. Both then normalize by the lowest
+# nonzero denominator coefficient, so the results are equal, not just equal
+# up to a scalar.
+
+MAKE_CONTEXTS = [U5, D3, D5]
+
+
+def ring_elements(ctx, nonzero=False):
+    dens = st.sampled_from([1, 1, 2, 3, ctx.prime])
+    parts = st.lists(st.builds(Fraction, st.integers(-9, 9), dens), min_size=ctx.e, max_size=ctx.e)
+    elements = parts.map(lambda xs: ctx.coeff(tuple(xs)))
+    return elements.filter(lambda c: not c.is_zero()) if nonzero else elements
+
+
+def ring_polynomials(ctx, degree):
+    """A polynomial of exactly this degree."""
+    return st.tuples(
+        st.lists(ring_elements(ctx), min_size=degree, max_size=degree),
+        ring_elements(ctx, nonzero=True),
+    ).map(lambda parts: Polynomial.from_coeffs(ctx, parts[0] + [parts[1]]))
+
+
+class TestMakeAgainstFieldEuclid:
+    @pytest.mark.parametrize("ctx", MAKE_CONTEXTS, ids=lambda c: f"e{c.e}")
+    @pytest.mark.parametrize("common", ["none", "constant", "z-power", "polynomial"])
+    @pytest.mark.parametrize("shape", ["below", "equal", "above"])
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_matches_the_oracle(self, ctx, common, shape, data):
+        low = data.draw(st.integers(0, 3))
+        high = low + data.draw(st.integers(1, 3))
+        dn, dd = {"below": (low, high), "equal": (low, low), "above": (high, low)}[shape]
+        if common == "none":
+            g = Polynomial.one(ctx)
+        elif common == "constant":
+            g = data.draw(ring_polynomials(ctx, 0))
+        elif common == "z-power":
+            g = Polynomial.monomial(ctx, data.draw(st.integers(1, 3)))
+        else:
+            g = data.draw(ring_polynomials(ctx, data.draw(st.integers(1, 3))))
+            if data.draw(st.booleans()):
+                g = g * Polynomial.monomial(ctx, 1)
+        num = data.draw(ring_polynomials(ctx, dn)) * g
+        den = data.draw(ring_polynomials(ctx, dd)) * g
+        assert RationalFunction.make(num, den) == make_oracle(num, den)
+
+    @pytest.mark.parametrize("ctx", MAKE_CONTEXTS, ids=lambda c: f"e{c.e}")
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_zero_numerator_keeps_the_denominator(self, ctx, data):
+        den = data.draw(ring_polynomials(ctx, data.draw(st.integers(0, 4))))
+        den = den * Polynomial.monomial(ctx, data.draw(st.integers(0, 2)))
+        got = RationalFunction.make(Polynomial.zero(ctx), den)
+        assert got == make_oracle(Polynomial.zero(ctx), den)
+        assert got.num.is_zero() and got.den.degree == den.degree
+
+    @pytest.mark.parametrize("ctx", [D3, D5], ids=lambda c: f"e{c.e}")
+    def test_integral_lead_scales_by_one_element(self, ctx):
+        """_integral_lead leaves an integer leading coefficient and multiplies
+        the remainder and its cofactors by one common ring element."""
+        rng = random.Random(f"integral-lead/{ctx.e}")
+        for _ in range(20):
+            polys = [
+                [[rng.randint(-30, 30) for _ in range(n)] for _ in range(ctx.e)]
+                for n in (rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 4))
+            ]
+            if not any(row[-1] for row in polys[0]):
+                continue
+            out = rational._integral_lead(polys, ctx.prime)
+            assert not any(row[-1] for row in out[0][1:])
+            before = [Polynomial.from_rows(ctx, 1, x) for x in polys]
+            after = [Polynomial.from_rows(ctx, 1, x) for x in out]
+            for a, b in itertools.combinations(range(3), 2):
+                assert after[a] * before[b] == after[b] * before[a]
+
+    def test_growth_case_at_e4(self):
+        """Degree 12 over genuine K coefficients at e = 4: without the
+        adj(lead) normalization the chain's integers reach about 29k bits
+        here and the reduction takes about a second; with it, 1.5k bits."""
+        rng = random.Random("make/growth")
+
+        def element():
+            return D5.coeff(tuple(Fraction(rng.randint(1, 9), rng.choice([1, 2, 5])) for _ in range(4)))
+
+        def polynomial(deg):
+            return Polynomial.from_coeffs(D5, [element() for _ in range(deg + 1)])
+
+        g = polynomial(4)
+        num, den = polynomial(8) * g, polynomial(8) * g
+        got = RationalFunction.make(num, den)
+        assert got == make_oracle(num, den)
+        assert got.num.degree == got.den.degree == 8
+
+
+# -- planted certificates in ramified contexts at unramified sizes --------------
+#
+# reconstruct_rational on r/t plus pi^m noise, in the scan's setting: the
+# target and its canonical lift as sources, the exact check as verify, the
+# residue screen as raw_verify. The reductions of r and t mod pi have the
+# degrees of r and t and no common factor, so a certificate r'/t' congruent to
+# the target has deg r' >= deg r and deg t' >= deg t; no window before
+# deg r + deg t + 1 yields one, and at that window the pair is r/t itself.
+# The noise starts past the last window: inside the windows it would make the
+# sweep return a different certificate that is equally valid mod pi^m.
+
+
+def residue_degree_of_gcd(a, b, p):
+    """Degree of the gcd over F_p of two integer rows (coefficients mod p)."""
+
+    def strip(x):
+        while x and not x[-1]:
+            x.pop()
+        return x
+
+    u, v = strip([x % p for x in a]), strip([x % p for x in b])
+    while v:
+        inv = pow(v[-1], -1, p)
+        while len(u) >= len(v):
+            c, shift = u[-1] * inv % p, len(u) - len(v)
+            for j, x in enumerate(v):
+                u[shift + j] = (u[shift + j] - c * x) % p
+            strip(u)
+        u, v = v, u
+    return len(u) - 1
+
+
+class TestPlantedRamifiedReconstruction:
+    @pytest.mark.parametrize("ctx", MAKE_CONTEXTS, ids=lambda c: f"e{c.e}")
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_certificate_is_the_planted_rational(self, ctx, data):
+        e, p = ctx.e, ctx.prime
+        deg = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 4))
+        order = data.draw(st.integers(max(2 * deg + 2, 12), 40))
+        ints = st.integers(-(p**2), p**2)
+        units = st.builds(lambda k, j: k + p * j, st.integers(1, p - 1), st.integers(-p, p))
+
+        def rows(length, first=None):
+            out = [data.draw(st.lists(ints, min_size=length, max_size=length)) for _ in range(e)]
+            out[0][-1] = data.draw(units)  # a unit top coefficient
+            if first is not None:
+                for i, row in enumerate(out):
+                    row[0] = first[i]
+            return out
+
+        t_rows = rows(data.draw(st.integers(1, deg)) + 1, first=[1] + [0] * (e - 1))
+        r_rows = rows(data.draw(st.integers(0, deg)) + 1)
+        assume(residue_degree_of_gcd(r_rows[0], t_rows[0], p) == 0)
+        r, t = Polynomial.from_rows(ctx, 1, r_rows), Polynomial.from_rows(ctx, 1, t_rows)
+        noise = [[0] * (2 * deg + 1) + data.draw(
+            st.lists(ints, min_size=order - 2 * deg - 1, max_size=order - 2 * deg - 1)
+        ) for _ in range(e)]
+        g = RationalFunction(r, t).to_series(order)
+        g = g + TruncSeries.from_rows(ctx, 1, noise) * ctx.pi() ** m
+        res = ResidueTarget(g, m, order)
+        cand = reconstruct_rational(
+            [g, canonical_lift(g, m)],
+            deg,
+            lambda c: congruence_outcome(c, g, m, order, require_norm_one=False),
+            "planted",
+            lambda num, den: raw_congruence_check(num, den, g, m, order, res),
+        )
+        assert cand == RationalFunction.make(r, t)

@@ -14,6 +14,7 @@ from cartier import (
     PadicContext,
     parse_coefficient,
 )
+from cartier.rings import _solve_exact
 from cartier.series import TruncSeries
 
 U5 = PadicContext.unramified(5)
@@ -21,6 +22,7 @@ U3 = PadicContext.unramified(3)
 D3 = PadicContext.dwork(3)
 D5 = PadicContext.dwork(5)
 D2 = PadicContext.dwork(2)
+D7 = PadicContext.dwork(7)
 
 
 def rationals(max_num=50, max_den=12):
@@ -35,6 +37,48 @@ def coefficients(ctx):
     return st.builds(
         lambda parts: ctx.coeff(parts), st.tuples(*[rationals() for _ in range(ctx.e)])
     )
+
+
+def solve_exact_inverse(c):
+    """The field inverse by Gauss-Jordan on the multiplication matrix: column
+    j holds the components of c * pi^j, and the inverse solves M x = 1."""
+    e = c.ctx.e
+    cols, power = [], c
+    for _ in range(e):
+        cols.append(power.parts)
+        power = power * c.ctx.pi()
+    matrix = [[cols[j][i] for j in range(e)] for i in range(e)]
+    unit = [[Fraction(int(i == 0))] for i in range(e)]
+    return Coefficient(tuple(x for (x,) in _solve_exact(matrix, unit)), c.ctx)
+
+
+class TestInverseAgainstSolveExact:
+    """Coefficient.inverse runs the integer remainder sequence of X^e + p and
+    the element; the reference solves the e x e Fraction system."""
+
+    @pytest.mark.parametrize("ctx", [U5, D2, D3, D5, D7], ids=lambda c: f"p{c.prime}e{c.e}")
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches(self, ctx, data):
+        dens = st.sampled_from([1, 2, 3, ctx.prime, ctx.prime**2, 4 * ctx.prime**3])
+        parts = [
+            Fraction(data.draw(st.integers(-10**6, 10**6)), data.draw(dens)) for _ in range(ctx.e)
+        ]
+        if data.draw(st.booleans()):
+            # a single component, or the top one only, or p-divisible ones
+            keep = data.draw(st.integers(0, ctx.e - 1))
+            parts = [x if i == keep else Fraction(0) for i, x in enumerate(parts)]
+        c = ctx.coeff(tuple(parts))
+        if c.is_zero():
+            return
+        assert c.inverse() == solve_exact_inverse(c)
+        assert c * c.inverse() == ctx.one()
+
+    @pytest.mark.parametrize("ctx", [D3, D5, D7], ids=lambda c: f"e{c.e}")
+    def test_powers_of_pi_and_units(self, ctx):
+        pi = ctx.pi()
+        for c in (pi, pi ** (ctx.e - 1), pi**ctx.e, 1 + pi, ctx.coeff(Fraction(-7, ctx.prime))):
+            assert c.inverse() == solve_exact_inverse(c)
 
 
 class TestContext:
