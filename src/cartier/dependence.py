@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 from .errors import BadParameters, NotAUnit, NotInK0, OrderExhausted, ReconstructionFailed
 from .frobenius import Certificate
-from .rational import (
-    ResidueTarget,
-    admits_certificate,
-    canonical_lift,
-    congruence_outcome,
-    raw_congruence_check,
-    reconstruct_rational,
-)
+from .rational import ResidueTarget, admits_certificate, reconstruct_rational
 from .series import TruncSeries
 
 
@@ -54,30 +47,17 @@ def product_power(fs, exps) -> TruncSeries:
 def _certificate(g: TruncSeries, level: int, deg_bound: int, kind: str):
     """Certified rational congruent to g mod pi^level, or None.
 
-    The Pade sweep runs only when admits_certificate finds the linear system
+    The search runs only when admits_certificate finds the linear system
     mod pi^level that every acceptable certificate satisfies solvable; in a
     scan most searches end there, without a Pade pair.
     """
-    upto = g.order
-    sources = [g]
-    if g.min_valuation() >= 0:
-        sources.append(canonical_lift(g, level))
-    residues = ResidueTarget(g, level, upto)
-    if not admits_certificate(residues, deg_bound):
+    if not admits_certificate(ResidueTarget(g, level, g.order), deg_bound):
         return None
-
-    def verify(cand):
-        return congruence_outcome(cand, g, level, upto, require_norm_one=False)
-
-    def raw_verify(num, den):
-        return raw_congruence_check(num, den, g, level, upto, residues)
-
     try:
-        cand = reconstruct_rational(sources, deg_bound, verify, kind, raw_verify)
+        cand, resid = reconstruct_rational(g, level, deg_bound, kind)
     except (ReconstructionFailed, NotInK0):
         return None
-    resid = (cand.to_series(upto) - g.truncate(upto)).min_valuation()
-    return Certificate(kind, level, cand, upto, resid)
+    return Certificate(kind, level, cand, g.order, resid)
 
 
 def analytic_element_certificate(g: TruncSeries, level: int, deg_bound: int):

@@ -36,10 +36,10 @@ from .rational import (
     RationalFunction,
     VERIFY_NOT_K0,
     VERIFY_OK,
-    canonical_lift,
     congruence_outcome,
     product_congruence_outcome,
     reconstruct_rational,
+    residual_valuation,
 )
 from .rings import INF, PadicContext
 from .series import TruncSeries
@@ -123,7 +123,8 @@ def antecedent_step(L: DiffOp, order: int, A=None, transformed=None) -> Antecede
     Y = uniform_part(A, order)
     C = Y.cartier()
     a0_over_p = [[c * Fraction(1, p) for c in row] for row in A.constant_matrix()]
-    F = (C.delta() + C.matmul_const(a0_over_p)).matmul(C.invert_series())
+    C_inv = C.invert_series()
+    F = (C.delta() + C.matmul_const(a0_over_p)).matmul(C_inv)
     # monic coefficient of delta^(n-k) is -(1/p^(k-1)) * F[n, n-k+1]
     coeffs = tuple(
         F.entry(n - 1, n - k) * Fraction(-1, p ** (k - 1)) for k in range(1, n + 1)
@@ -131,7 +132,7 @@ def antecedent_step(L: DiffOp, order: int, A=None, transformed=None) -> Antecede
     L1 = DiffOp(coeffs, ctx)
     A1 = L1.companion()
     passage = (
-        Y.matmul(C.subst_zpk(1).invert_series())
+        Y.matmul(C_inv.subst_zpk(1))
         .matmul_const(_power_diag(ctx, n, 1))
         .truncate(order)
     )
@@ -292,36 +293,15 @@ class Certificate:
         }
 
 
-def _sources(g: TruncSeries, m: int) -> list:
-    out = [g]
-    if g.min_valuation() >= 0:
-        out.append(canonical_lift(g, m))
-    return out
-
-
-def _product_residual(cand, mult, target, upto):
-    resid = cand.to_series(upto) * mult.truncate(upto) - target.truncate(upto)
-    return resid.min_valuation()
-
-
-def _direct_residual(cand, target, upto):
-    return (cand.to_series(upto) - target.truncate(upto)).min_valuation()
-
-
 def ratio_certificate(f: TruncSeries, m: int, deg_bound: int) -> Certificate:
     """D with D(z) (Cartier f)(z^p) congruent to f mod pi^m."""
     _require_unit_start(f)
     u = f.cartier().subst_zpk(1)
     upto = min(f.order, u.order)
-    u = u.truncate(upto)
-    target = f.truncate(upto)
-    g = target * u.invert_unit()
-
-    def verify(cand):
-        return product_congruence_outcome(cand, u, target, m, upto, require_norm_one=True)
-
-    cand = reconstruct_rational(_sources(g, m), deg_bound, verify, "ratio certificate")
-    return Certificate("ratio", m, cand, upto, _product_residual(cand, u, target, upto))
+    cand, resid = reconstruct_rational(
+        f.truncate(upto), m, deg_bound, "ratio certificate", u.truncate(upto), require_norm_one=True
+    )
+    return Certificate("ratio", m, cand, upto, resid)
 
 
 def period_ratio_certificate(f: TruncSeries, h: int, k: int, deg_bound: int) -> Certificate:
@@ -335,14 +315,11 @@ def period_ratio_certificate(f: TruncSeries, h: int, k: int, deg_bound: int) -> 
         raise OrderExhausted(
             f"{kh}-fold Cartier transform leaves order {lam.order} < 2"
         )
-    upto = lam.order
-    g = lam * f.truncate(upto).invert_unit()
-
-    def verify(cand):
-        return congruence_outcome(cand, g, kh, upto, require_norm_one=True)
-
-    cand = reconstruct_rational(_sources(g, kh), deg_bound, verify, "period certificate")
-    return Certificate("period-ratio", kh, cand, upto, _direct_residual(cand, g, upto))
+    g = lam * f.truncate(lam.order).invert_unit()
+    cand, resid = reconstruct_rational(
+        g, kh, deg_bound, "period certificate", require_norm_one=True
+    )
+    return Certificate("period-ratio", kh, cand, g.order, resid)
 
 
 def frobenius_ratio_certificate(f: TruncSeries, h: int, k: int, deg_bound: int) -> Certificate:
@@ -354,16 +331,10 @@ def frobenius_ratio_certificate(f: TruncSeries, h: int, k: int, deg_bound: int) 
             "frobenius-ratio", 0, RationalFunction.constant(f.ctx, 1), f.order, INF
         )
     u = f.subst_zpk(kh).truncate(f.order)
-    upto = f.order
-    g = f * u.invert_unit()
-
-    def verify(cand):
-        return product_congruence_outcome(cand, u, f, kh, upto, require_norm_one=True)
-
-    cand = reconstruct_rational(
-        _sources(g, kh), deg_bound, verify, "frobenius ratio certificate"
+    cand, resid = reconstruct_rational(
+        f, kh, deg_bound, "frobenius ratio certificate", u, require_norm_one=True
     )
-    return Certificate("frobenius-ratio", kh, cand, upto, _product_residual(cand, u, f, upto))
+    return Certificate("frobenius-ratio", kh, cand, f.order, resid)
 
 
 def successive_frobenius_quotient(f: TruncSeries, h: int, k: int, deg_bound: int) -> Certificate:
@@ -382,9 +353,7 @@ def successive_frobenius_quotient(f: TruncSeries, h: int, k: int, deg_bound: int
         raise NotInK0("successive quotient denominator has a root in the open unit disc")
     if outcome != VERIFY_OK:
         raise VerificationFailed("successive quotient fails its congruence")
-    return Certificate(
-        "frobenius-quotient", kh, quot, upto, _product_residual(quot, u, f, upto)
-    )
+    return Certificate("frobenius-quotient", kh, quot, upto, residual_valuation(quot, f, u))
 
 
 def logderiv_certificate(f: TruncSeries, h: int, level: int, deg_bound: int) -> Certificate:
@@ -397,18 +366,11 @@ def logderiv_certificate(f: TruncSeries, h: int, level: int, deg_bound: int) -> 
     _require_period(h)
     _require_unit_start(f)
     g = f.log_derivative()
-    upto = g.order
-
-    def verify(cand):
-        return congruence_outcome(cand, g, level, upto, require_norm_one=False)
-
     try:
-        cand = reconstruct_rational(
-            _sources(g, level), deg_bound, verify, "log-derivative certificate"
-        )
+        cand, resid = reconstruct_rational(g, level, deg_bound, "log-derivative certificate")
     except ReconstructionFailed:
         return logderiv_from_frobenius(f, h, level, deg_bound)
-    return Certificate("logderiv", level, cand, upto, _direct_residual(cand, g, upto))
+    return Certificate("logderiv", level, cand, g.order, resid)
 
 
 def logderiv_from_frobenius(f: TruncSeries, h: int, level: int, deg_bound: int) -> Certificate:
@@ -425,4 +387,4 @@ def logderiv_from_frobenius(f: TruncSeries, h: int, level: int, deg_bound: int) 
         raise NotInK0("log-derivative denominator has a root in the open unit disc")
     if outcome != VERIFY_OK:
         raise VerificationFailed("differentiated certificate misses the congruence")
-    return Certificate("logderiv", level, cand, upto, _direct_residual(cand, g, upto))
+    return Certificate("logderiv", level, cand, upto, residual_valuation(cand, g))

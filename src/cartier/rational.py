@@ -1,21 +1,25 @@
-"""Polynomials and rational functions over a p-adic context, plus the Pade
-reconstruction engine used by every certificate search.
+"""Polynomials and rational functions over a p-adic context, plus the one
+certificate search (reconstruct_rational).
 
-A certificate is a rational function with controlled degrees and no poles in
-the open unit disc, congruent modulo pi^m to a truncated series. Candidates
-come from extended Euclid on (z^T, first T coefficients), windows smallest
-first, so the least complex certificate wins deterministically; each one is
-re-verified against the full reliable window, never trusted.
+A certificate is a rational function R with controlled degrees and no poles
+in the open unit disc with R * mult congruent modulo pi^m to a truncated
+series target: the scan's analytic-element witnesses and log-derivatives
+(no mult), and the Frobenius ratios and their quotients. Candidates come
+from extended Euclid on (z^T, first T coefficients) of g = target / mult,
+windows smallest first, so the least complex certificate wins
+deterministically; each one is re-verified against the full reliable
+window, never trusted.
 
 A Polynomial is stored as a TruncSeries is, as integer rows over one
 canonical denominator. One Euclid serves every context: the primitive
 pseudo-remainder sequence of rings._pseudo_step on integer pi-component
 rows of Z[pi]/(pi^e + p). It yields the Pade pairs (pade_pairs), reduces
 fractions from its terminal cofactors (RationalFunction.make), and inverts
-ring elements (rings._adjugate). A pair is first screened in the residue
-ring O_K/p^K = (Z/p^K)[pi]/(pi^e + p) (raw_congruence_check); the survivors
-pass one exact check (_congruent): the candidate expanded as a series, times
-mult where one is given, compared by first_discrepancy.
+ring elements (rings._adjugate). Every search screens a pair in the residue
+ring O_K/p^K = (Z/p^K)[pi]/(pi^e + p) (raw_congruence_check) wherever that
+screen decides the congruence exactly; the survivors pass one exact check
+(_congruent): the candidate expanded as a series, times mult where one is
+given, compared by first_discrepancy.
 """
 
 from __future__ import annotations
@@ -357,8 +361,9 @@ class ResidueTarget:
     """A target series reduced into O_K/p^k = (Z/p^k)[pi]/(pi^e + p).
 
     k = ceil(m/e), so p^k lies in pi^m O_K and the ring sees everything a
-    congruence mod pi^m can. Two integral values are congruent mod pi^m
-    exactly when component i of their difference is divisible by
+    congruence mod pi^m can; k = 0 when m <= 0, where every congruence
+    holds. Two integral values are congruent mod pi^m exactly when
+    component i of their difference is divisible by
     thresholds[i] = p^ceil((m - i)/e). rows holds the target's first upto
     coefficients component-major, or is None when one of them is not
     integral (the screen then never applies). Built once per target, it
@@ -370,7 +375,7 @@ class ResidueTarget:
     def __init__(self, target: TruncSeries, m: int, upto: int):
         e, p = target.ctx.e, target.ctx.prime
         self.prime = p
-        self.digits = -(-m // e)
+        self.digits = max(0, -(-m // e))
         self.thresholds = tuple(p ** max(0, -((i - m) // e)) for i in range(e))
         rows = [row[:upto] for row in target.rows]
         self.rows = _residue_rows(target.den, rows, p, p**self.digits)
@@ -566,20 +571,32 @@ def raw_congruence_check(num, den, target, m, upto, residues=None) -> bool:
 
 
 def reconstruct_rational(
-    sources, deg_bound: int, verify, what: str, raw_verify=None
-) -> RationalFunction:
-    """Search for a verified rational certificate of degrees <= deg_bound.
+    target: TruncSeries, m: int, deg_bound: int, what: str, mult=None, require_norm_one=False
+):
+    """The certificate search: R with R * mult = target mod pi^m on the
+    target's window (R = target when mult is None), deg num and deg den
+    <= deg_bound, no pole in the open unit disc, and Gauss norm one when
+    require_norm_one. Returns R with residual_valuation(R, target, mult).
 
-    sources is a list of TruncSeries to run the window sweep on (typically
-    the exact series and the canonical lift of its residue). verify is a
-    callback returning one of the VERIFY_* outcomes; the first candidate to
-    verify is returned. Raises NotInK0 if candidates matched the congruence
-    but only ever failed the unit-disc test, else ReconstructionFailed.
-
-    raw_verify, when given, is a fast rejector taking the unreduced
-    (num, den) pair; returning False must imply verify would fail, and no
-    candidate is then built for that pair.
+    The Pade sweep runs on g = target / mult, then on canonical_lift(g, m)
+    when g is integral; the first candidate to verify is returned. A pair is
+    screened in the residue ring (raw_congruence_check) when the screen
+    decides the congruence exactly: g integral, 0 < m < 4096, and mult
+    either None or integral with a unit constant term, so that mult and its
+    inverse are integral and R * mult = target holds mod pi^m exactly when
+    R = g does. The candidates that pass are verified by congruence_outcome
+    or product_congruence_outcome. Raises NotInK0 if candidates matched the
+    congruence but only ever failed the unit-disc test, else
+    ReconstructionFailed.
     """
+    upto = target.order
+    g = target if mult is None else target * mult.invert_unit()
+    integral = g.min_valuation() >= 0
+    sources = [g, canonical_lift(g, m)] if integral else [g]
+    screened = integral and 0 < m < 4096
+    if mult is not None:
+        screened = screened and mult.min_valuation() == mult.min_valuation(1) == 0
+    residues = ResidueTarget(g, m, upto) if screened else None
     seen = set()
     saw_k0_reject = False
     for src in sources:
@@ -592,7 +609,7 @@ def reconstruct_rational(
                     continue
                 if t.vanishes_at_zero():
                     continue
-                if raw_verify is not None and not raw_verify(r, t):
+                if residues is not None and not raw_congruence_check(r, t, g, m, upto, residues):
                     continue
                 # t(0) != 0 makes the pair coprime: a common factor would
                 # divide z^window (extended Euclid), and z does not divide t
@@ -600,9 +617,14 @@ def reconstruct_rational(
                 if cand in seen:
                     continue
                 seen.add(cand)
-                outcome = verify(cand)
+                if mult is None:
+                    outcome = congruence_outcome(cand, target, m, upto, require_norm_one)
+                else:
+                    outcome = product_congruence_outcome(
+                        cand, mult, target, m, upto, require_norm_one
+                    )
                 if outcome == VERIFY_OK:
-                    return cand
+                    return cand, residual_valuation(cand, target, mult)
                 if outcome == VERIFY_NOT_K0:
                     saw_k0_reject = True
     if saw_k0_reject:
@@ -610,6 +632,16 @@ def reconstruct_rational(
     raise ReconstructionFailed(
         f"{what}: no certificate of degree <= {deg_bound}", deg_bound=deg_bound
     )
+
+
+def residual_valuation(cand, target, mult=None):
+    """The least valuation of cand * mult - target (cand - target when mult
+    is None) on the target's window; INF when cand is exact there."""
+    upto = target.order
+    s = cand.to_series(upto)
+    if mult is not None:
+        s = s * mult.truncate(upto)
+    return (s - target.truncate(upto)).min_valuation()
 
 
 def _congruent(num, den, target, m, upto, mult=None) -> bool:

@@ -60,17 +60,10 @@ class Ramification(enum.Enum):
 
 @dataclass(frozen=True)
 class PadicContext:
-    """Identity of the coefficient ring: the prime and the ramification.
-
-    trunc_order and level are bookkeeping defaults for series built from this
-    context; they do not participate in equality, so contexts that agree on
-    the ring itself compare equal.
-    """
+    """Identity of the coefficient ring: the prime and the ramification."""
 
     prime: int
     ramification: Ramification
-    trunc_order: int = field(default=32, compare=False)
-    level: int = field(default=1, compare=False)
     # ramification index, v(p) = e in pi-units; derived from the two fields
     # above once, because every Coefficient construction reads it
     e: int = field(init=False, compare=False, repr=False)
@@ -78,23 +71,21 @@ class PadicContext:
     def __post_init__(self):
         if not _is_prime(self.prime):
             raise BadParameters(f"{self.prime} is not prime")
-        if self.trunc_order < 1:
-            raise BadParameters("truncation order must be >= 1")
         unramified = self.ramification is Ramification.UNRAMIFIED
         object.__setattr__(self, "e", 1 if unramified else max(self.prime - 1, 1))
 
     @classmethod
-    def unramified(cls, p: int, trunc_order: int = 32, level: int = 1) -> "PadicContext":
-        return cls(p, Ramification.UNRAMIFIED, trunc_order, level)
+    def unramified(cls, p: int) -> "PadicContext":
+        return cls(p, Ramification.UNRAMIFIED)
 
     @classmethod
-    def dwork(cls, p: int, trunc_order: int = 32, level: int = 1) -> "PadicContext":
+    def dwork(cls, p: int) -> "PadicContext":
         """Context for Q_p(pi) with pi a root of X^(p-1) + p.
 
         For p = 2 the relation degenerates to pi = -2 and the field is Q_2
         again, with e = 1.
         """
-        return cls(p, Ramification.DWORK, trunc_order, level)
+        return cls(p, Ramification.DWORK)
 
     def coeff(self, x) -> "Coefficient":
         """Coerce an int, Fraction, component tuple, or text form."""

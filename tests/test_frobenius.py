@@ -5,6 +5,7 @@ import pytest
 
 from cartier import (
     BadParameters,
+    NotInK0,
     NotMOM,
     OrderExhausted,
     PadicContext,
@@ -31,8 +32,13 @@ from cartier.frobenius import (
 from cartier.rational import (
     Polynomial,
     RationalFunction,
+    VERIFY_NOT_K0,
     VERIFY_OK,
+    canonical_lift,
     congruence_outcome,
+    pade_pairs,
+    product_congruence_outcome,
+    reconstruct_rational,
 )
 from cartier.rings import INF
 from cartier.series import TruncSeries
@@ -41,6 +47,7 @@ U2 = PadicContext.unramified(2)
 U5 = PadicContext.unramified(5)
 U7 = PadicContext.unramified(7)
 D3 = PadicContext.dwork(3)
+D5 = PadicContext.dwork(5)
 
 
 # Series built straight from their closed forms, independent of any operator.
@@ -453,3 +460,122 @@ class TestLogderivCertificate:
             "verified_order": 19,
             "min_residual_valuation": None,
         }
+
+
+# -- the one certificate search against the unscreened callback sweep ---------
+#
+# callback_sweep is the certificate search without the residue screen: the
+# Pade windows of each source, every candidate handed to a verify callback.
+# Each certificate is rebuilt on it from its own target, mult and Gauss-norm
+# requirement, and reconstruct_rational must give the same rational, or fail
+# with the same NotInK0 or ReconstructionFailed.
+
+
+def callback_sweep(sources, deg_bound, verify):
+    seen, saw_k0_reject = set(), False
+    for src in sources:
+        for window in range(1, min(2 * deg_bound + 1, src.order) + 1):
+            for r, t in pade_pairs(src, window):
+                if t.degree > deg_bound:
+                    break
+                if r.degree > deg_bound or t.vanishes_at_zero():
+                    continue
+                cand = RationalFunction.from_coprime(r, t)
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                verdict = verify(cand)
+                if verdict == VERIFY_OK:
+                    return cand
+                saw_k0_reject |= verdict == VERIFY_NOT_K0
+    if saw_k0_reject:
+        raise NotInK0("reference")
+    raise ReconstructionFailed("reference", deg_bound=deg_bound)
+
+
+def reference_search(target, m, deg_bound, mult=None, require_norm_one=False):
+    upto = target.order
+    g = target if mult is None else target * mult.invert_unit()
+    sources = [g, canonical_lift(g, m)] if g.min_valuation() >= 0 else [g]
+
+    def verify(cand):
+        if mult is None:
+            return congruence_outcome(cand, target, m, upto, require_norm_one)
+        return product_congruence_outcome(cand, mult, target, m, upto, require_norm_one)
+
+    return callback_sweep(sources, deg_bound, verify)
+
+
+def outcome(search):
+    """The rational a search returns, or the type of its failure."""
+    try:
+        return search()
+    except (NotInK0, ReconstructionFailed) as exc:
+        return type(exc)
+
+
+def pole_series(ctx, order):
+    """(1 + z)/(1 - z/p): a denominator root inside the open unit disc."""
+    den = Polynomial.from_coeffs(ctx, [1, Fraction(-1, ctx.prime)])
+    return RationalFunction.make(Polynomial.from_coeffs(ctx, [1, 1]), den).to_series(order)
+
+
+def digit_series(ctx, order):
+    """1 followed by frozen pseudo-random digits: no structure to find."""
+    p, e = ctx.prime, ctx.e
+    return TruncSeries.from_coeffs(
+        ctx, [1] + [tuple((7 * n + 3 * i) % p for i in range(e)) for n in range(1, order)]
+    )
+
+
+def certificate_cases(ctx):
+    makers = [geometric, apery_series, half_series, pole_series, digit_series]
+    if ctx.e > 1:
+        makers += [exp_pi_series, bessel_series]
+    for make in makers:
+        for order in (12, 20):
+            f = make(ctx, order)
+            for m in (1, 2, 3):
+                for deg in (1, 3):
+                    yield f, m, deg
+
+
+class TestOneSearchAgainstCallbackSweep:
+    @pytest.mark.parametrize("ctx", [U2, U5, D3, D5], ids=["p2", "e1", "e2", "e4"])
+    def test_every_certificate_matches_the_unscreened_sweep(self, ctx):
+        seen = set()
+        for f, m, deg in certificate_cases(ctx):
+            u = f.cartier().subst_zpk(1)
+            upto = min(f.order, u.order)
+            target, u = f.truncate(upto), u.truncate(upto)
+            got = outcome(lambda: ratio_certificate(f, m, deg))
+            want = outcome(lambda: reference_search(target, m, deg, u, True))
+            if isinstance(got, type):
+                assert got is want, ("ratio", m, deg)
+            else:
+                assert got.rational == want, ("ratio", m, deg)
+                resid = (want.to_series(upto) * u - target).min_valuation()
+                assert got.min_residual_valuation == resid
+            seen.add(got if isinstance(got, type) else "ok")
+
+            lam = f
+            for _ in range(m):
+                lam = lam.cartier()
+            if lam.order >= 2:
+                g = lam * f.truncate(lam.order).invert_unit()
+                got = outcome(lambda: period_ratio_certificate(f, 1, m, deg).rational)
+                assert got == outcome(lambda: reference_search(g, m, deg, None, True))
+
+            u = f.subst_zpk(m).truncate(f.order)
+            got = outcome(lambda: frobenius_ratio_certificate(f, 1, m, deg).rational)
+            assert got == outcome(lambda: reference_search(f, m, deg, u, True))
+
+            g = f.log_derivative()
+            got = outcome(lambda: reconstruct_rational(g, m, deg, "logderiv")[0])
+            want = outcome(lambda: reference_search(g, m, deg))
+            assert got == want, ("logderiv", m, deg)
+            if want is ReconstructionFailed:
+                want = outcome(lambda: logderiv_from_frobenius(f, 1, m, deg).rational)
+            assert outcome(lambda: logderiv_certificate(f, 1, m, deg).rational) == want
+            seen.add(got if isinstance(got, type) else "ok")
+        assert seen == {"ok", NotInK0, ReconstructionFailed}

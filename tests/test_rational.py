@@ -198,11 +198,8 @@ class TestPade:
 
     def test_reconstructs_geometric(self):
         f = TruncSeries.from_coeffs(U5, [1] * 12)
-
-        def verify(cand):
-            return congruence_outcome(cand, f, m=10**6, upto=12, require_norm_one=True)
-
-        got = reconstruct_rational([f], deg_bound=3, verify=verify, what="test")
+        got, resid = reconstruct_rational(f, 10**6, deg_bound=3, what="test", require_norm_one=True)
+        assert resid == INF
         assert got.num == Polynomial.one(U5)
         assert got.den == poly(U5, 1, -1)
 
@@ -210,11 +207,7 @@ class TestPade:
         # (1 + z^2)/(1 - 2z) expanded
         target = RationalFunction.make(poly(U7, 1, 0, 1), poly(U7, 1, -2))
         f = target.to_series(14)
-
-        def verify(cand):
-            return congruence_outcome(cand, f, m=10**6, upto=14, require_norm_one=True)
-
-        got = reconstruct_rational([f], deg_bound=4, verify=verify, what="test")
+        got, _ = reconstruct_rational(f, 10**6, deg_bound=4, what="test", require_norm_one=True)
         assert got == target
 
     def test_failure_at_small_degree(self):
@@ -224,23 +217,43 @@ class TestPade:
         for n in range(1, 12):
             coeffs.append(coeffs[-1] * (half + n - 1) / n)
         f = TruncSeries.from_coeffs(U7, coeffs)
-
-        def verify(cand):
-            return congruence_outcome(cand, f, m=1, upto=12, require_norm_one=False)
-
         with pytest.raises(ReconstructionFailed):
-            reconstruct_rational([f, canonical_lift(f, 1)], 2, verify, what="test")
+            reconstruct_rational(f, 1, 2, what="test")
 
     def test_not_in_k0_surfaced(self):
         # 1/(1 - z/5) is rational but its pole is inside the unit disc
         target = RationalFunction.make(Polynomial.one(U5), poly(U5, 1, Fraction(-1, 5)))
         f = target.to_series(12)
-
-        def verify(cand):
-            return congruence_outcome(cand, f, m=10**6, upto=12, require_norm_one=False)
-
         with pytest.raises(NotInK0):
-            reconstruct_rational([f], deg_bound=2, verify=verify, what="test")
+            reconstruct_rational(f, 10**6, deg_bound=2, what="test")
+
+
+    def test_integral_unit_mult_is_screened(self, monkeypatch):
+        calls = []
+        screen = rational.raw_congruence_check
+        monkeypatch.setattr(rational, "raw_congruence_check", lambda *a: calls.append(a) or screen(*a))
+        target = TruncSeries.from_coeffs(U5, [1] * 12)
+        mult = TruncSeries.from_coeffs(U5, [1, 1] + [0] * 10)
+        got, resid = reconstruct_rational(target, 3, 2, "test", mult=mult)
+        assert got == RationalFunction.make(Polynomial.one(U5), poly(U5, 1, 0, -1))
+        assert resid == INF
+        assert calls
+
+    def test_mult_without_integral_inverse_is_not_screened(self, monkeypatch):
+        # u = 1 + z/5 has a unit constant term but u^-1 is not integral, so
+        # R * u = target and R = target / u are different congruences
+        # mod 5^3: R = 1 meets the first with residual -125, while
+        # target / u = 126 - 25z + 5z^2 - z^3 is not 1 mod 125. A screen
+        # against target / u would reject the certificate.
+        calls = []
+        screen = rational.raw_congruence_check
+        monkeypatch.setattr(rational, "raw_congruence_check", lambda *a: calls.append(a) or screen(*a))
+        u = TruncSeries.from_coeffs(U5, [1, Fraction(1, 5), 0, 0])
+        target = u + TruncSeries.from_coeffs(U5, [125, 0, 0, 0])
+        got, resid = reconstruct_rational(target, 3, 2, "test", mult=u)
+        assert got == RationalFunction.constant(U5, 1)
+        assert resid == 3
+        assert not calls
 
 
 class TestLiftAndSearch:
@@ -685,16 +698,8 @@ def filter_targets(rng, ctx, m, deg, order):
 
 def sweep_certifies(g, m, deg):
     """The certificate search of the scan, run without the filter."""
-    upto = g.order
-    res = ResidueTarget(g, m, upto)
     try:
-        reconstruct_rational(
-            [g, canonical_lift(g, m)],
-            deg,
-            lambda cand: congruence_outcome(cand, g, m, upto, require_norm_one=False),
-            "filter oracle",
-            lambda r, t: raw_congruence_check(r, t, g, m, upto, res),
-        )
+        reconstruct_rational(g, m, deg, "filter oracle")
     except (ReconstructionFailed, NotInK0):
         return False
     return True
@@ -854,8 +859,8 @@ class TestMakeAgainstFieldEuclid:
 # -- planted certificates in ramified contexts at unramified sizes --------------
 #
 # reconstruct_rational on r/t plus pi^m noise, in the scan's setting: the
-# target and its canonical lift as sources, the exact check as verify, the
-# residue screen as raw_verify. The reductions of r and t mod pi have the
+# target and its canonical lift as sources, each pair screened in the residue
+# ring, the survivors checked exactly. The reductions of r and t mod pi have the
 # degrees of r and t and no common factor, so a certificate r'/t' congruent to
 # the target has deg r' >= deg r and deg t' >= deg t; no window before
 # deg r + deg t + 1 yields one, and at that window the pair is r/t itself.
@@ -912,12 +917,5 @@ class TestPlantedRamifiedReconstruction:
         ) for _ in range(e)]
         g = RationalFunction(r, t).to_series(order)
         g = g + TruncSeries.from_rows(ctx, 1, noise) * ctx.pi() ** m
-        res = ResidueTarget(g, m, order)
-        cand = reconstruct_rational(
-            [g, canonical_lift(g, m)],
-            deg,
-            lambda c: congruence_outcome(c, g, m, order, require_norm_one=False),
-            "planted",
-            lambda num, den: raw_congruence_check(num, den, g, m, order, res),
-        )
+        cand, _ = reconstruct_rational(g, m, deg, "planted")
         assert cand == RationalFunction.make(r, t)
