@@ -51,10 +51,11 @@ def _certificate(g: TruncSeries, level: int, deg_bound: int, kind: str):
     mod pi^level that every acceptable certificate satisfies solvable; in a
     scan most searches end there, without a Pade pair.
     """
-    if not admits_certificate(ResidueTarget(g, level, g.order), deg_bound):
+    residues = ResidueTarget(g, level, g.order)
+    if not admits_certificate(residues, deg_bound):
         return None
     try:
-        cand, resid = reconstruct_rational(g, level, deg_bound, kind)
+        cand, resid = reconstruct_rational(g, level, deg_bound, kind, residues=residues)
     except (ReconstructionFailed, NotInK0):
         return None
     return Certificate(kind, level, cand, g.order, resid)
@@ -155,6 +156,8 @@ def kolchin_scan(
     m = len(fs)
     if m == 0:
         raise ValueError("at least one series is required")
+    if level < 1:
+        raise BadParameters("level must be >= 1")
     if names is None:
         names = tuple(f"f{i + 1}" for i in range(m))
     else:

@@ -33,7 +33,7 @@ from .series import (
     _fold,
     _ints,
     _invert,
-    _lincomb,
+    _matmul_consts,
     _matmul_ints,
     _recurrence,
     _unfolded,
@@ -417,41 +417,73 @@ def uniform_part(A: SeriesMatrix, order: int) -> SeriesMatrix:
     """
     n = A.size
     ctx = A.ctx
+    e = ctx.e
     order = min(order, A.order)
-    _require_nilpotent(A.constant_matrix(), ctx, n)
     da, a = A._ints()
-    # A0 over da as constant entries; (-ad)(E) = A0 E - E A0
+    # A0 over da as constant entries
     a0 = [[[r[:1] for r in entry] for entry in row] for row in a]
+    _require_nilpotent(a0, ctx, n)
+    neg_ad = _neg_ad(a0, ctx)
 
     def solve(j, r, dr):
-        # term k = (-ad)^k R_j lies over dr * da^k; Y_j = sum_k term_k / j^(k+1)
-        terms = []
-        while any(v for row in r for entry in row for (v,) in entry):
-            terms.append(r)
-            r = _lincomb(_matmul_ints(a0, r, ctx, 1), _matmul_ints(r, a0, ctx, 1), -1)
-        # bring every term over the last one's denominator dr * (j * da)^top * j
-        step, top = j * da, len(terms) - 1
-        num = [[[[0] for _ in range(ctx.e)] for _ in range(n)] for _ in range(n)]
-        for k, term in enumerate(terms):
-            num = _lincomb(num, term, step ** (top - k))
-        return num, dr * step ** max(top, 0) * j
+        # term k = (-ad)^k R_j lies over dr * da^k, and Y_j is
+        # sum_k term_k / j^(k+1); Horner over step = j * da brings the terms
+        # to the last one's denominator dr * step^top * j
+        term = [v for row in r for entry in row for (v,) in entry]
+        num = [0] * len(term)
+        step, top = j * da, -1
+        while any(term):
+            num = [x * step + y for x, y in zip(num, term)]
+            top += 1
+            nxt = [0] * len(term)
+            for dst, src, c in neg_ad:
+                v = term[src]
+                if v:
+                    nxt[dst] += c * v
+            term = nxt
+        cells = [[[v] for v in num[i : i + e]] for i in range(0, len(num), e)]
+        return [cells[i * n : (i + 1) * n] for i in range(n)], dr * step ** max(top, 0) * j
 
-    ident = [[[[int(i == c)]] + [[0]] * (ctx.e - 1) for c in range(n)] for i in range(n)]
+    ident = [[[[int(i == c)]] + [[0]] * (e - 1) for c in range(n)] for i in range(n)]
     dy, y = _recurrence(da, a, ident, 1, order, solve, ctx)
     return SeriesMatrix._from_ints(dy, y, ctx)
 
 
-def _require_nilpotent(const_rows, ctx, n):
-    power = const_rows
+def _neg_ad(a0, ctx):
+    """(-ad)(E) = A0 E - E A0 on constant entries, as (dst, src, coeff)
+    triples on the flat vector of E's pi-components (entry (i, c),
+    component t at index (i n + c) e + t), with pi^e = -p folded in: term
+    k + 1 of the Neumann sum has term_(k+1)[dst] = sum coeff * term_k[src].
+    Coefficients of one (dst, src) pair are merged and zero ones dropped."""
+    n, e, p = len(a0), ctx.e, ctx.prime
+    coeffs = {}
+
+    def put(i, c, s, t, src, x):
+        # x pi^s times component t of E goes to component s + t of (i, c)
+        if s + t >= e:
+            s, x = s - e, -p * x
+        key = ((i * n + c) * e + s + t, src)
+        coeffs[key] = coeffs.get(key, 0) + x
+
+    for i in range(n):
+        for k in range(n):
+            for s, (x,) in enumerate(a0[i][k]):
+                if x:
+                    for c in range(n):
+                        for t in range(e):
+                            # A0[i][k] E[k][c] and -E[c][i] A0[i][k]
+                            put(i, c, s, t, (k * n + c) * e + t, x)
+                            put(c, k, s, t, (c * n + i) * e + t, -x)
+    return [(dst, src, x) for (dst, src), x in coeffs.items() if x]
+
+
+def _require_nilpotent(a0, ctx, n):
+    """NotNilpotent unless the constant entries a0 (A0 over a denominator)
+    satisfy A0^n = 0."""
+    power = a0
     for _ in range(n):
-        if all(c.is_zero() for row in power for c in row):
+        if not any(v for row in power for entry in row for (v,) in entry):
             return
-        power = [
-            [
-                sum((power[i][k] * const_rows[k][j] for k in range(n)), ctx.zero())
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    if not all(c.is_zero() for row in power for c in row):
+        power = _matmul_consts(power, a0, ctx)
+    if any(v for row in power for entry in row for (v,) in entry):
         raise NotNilpotent("constant term of the system matrix is not nilpotent")

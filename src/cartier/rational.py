@@ -571,7 +571,13 @@ def raw_congruence_check(num, den, target, m, upto, residues=None) -> bool:
 
 
 def reconstruct_rational(
-    target: TruncSeries, m: int, deg_bound: int, what: str, mult=None, require_norm_one=False
+    target: TruncSeries,
+    m: int,
+    deg_bound: int,
+    what: str,
+    mult=None,
+    require_norm_one=False,
+    residues=None,
 ):
     """The certificate search: R with R * mult = target mod pi^m on the
     target's window (R = target when mult is None), deg num and deg den
@@ -587,7 +593,9 @@ def reconstruct_rational(
     R = g does. The candidates that pass are verified by congruence_outcome
     or product_congruence_outcome. Raises NotInK0 if candidates matched the
     congruence but only ever failed the unit-disc test, else
-    ReconstructionFailed.
+    ReconstructionFailed. residues is ResidueTarget(target, m, target.order)
+    with mult None, passed by a caller that has reduced the target already;
+    it is read only when the screen runs.
     """
     upto = target.order
     g = target if mult is None else target * mult.invert_unit()
@@ -596,7 +604,10 @@ def reconstruct_rational(
     screened = integral and 0 < m < 4096
     if mult is not None:
         screened = screened and mult.min_valuation() == mult.min_valuation(1) == 0
-    residues = ResidueTarget(g, m, upto) if screened else None
+    if not screened:
+        residues = None
+    elif residues is None:
+        residues = ResidueTarget(g, m, upto)
     seen = set()
     saw_k0_reject = False
     for src in sources:

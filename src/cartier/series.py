@@ -429,9 +429,16 @@ def _fold(rows, ctx):
 
 
 def _conv_add(out, a, b):
-    """out[k] += sum_(i+j=k) a[i] * b[j] for every k < len(out)."""
+    """out[k] += sum_(i+j=k) a[i] * b[j] for every k < len(out).
+
+    The walk runs over the operand with fewer nonzero terms, so that a
+    substituted series f(z^(p^k)), nonzero only at multiples of p^k, costs
+    its nonzero terms times the other operand's length."""
     n = len(out)
-    for i, x in enumerate(a[:n]):
+    a, b = a[:n], b[:n]
+    if len(b) - b.count(0) < len(a) - a.count(0):
+        a, b = b, a
+    for i, x in enumerate(a):
         if x:
             seg = b[: n - i]
             end = i + len(seg)
@@ -485,17 +492,6 @@ def _matmul_consts(a, b, ctx):
                             for t in range(e)])
         out.append(out_row)
     return out
-
-
-def _lincomb(a, b, c):
-    """a + c * b, entrywise, for two matrices of entries of one shape."""
-    return [
-        [
-            [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(ea, eb)]
-            for ea, eb in zip(rowa, rowb)
-        ]
-        for rowa, rowb in zip(a, b)
-    ]
 
 
 def _recurrence(dm, m, x0, d0, order, solve, ctx):

@@ -181,12 +181,15 @@ class TestChecks:
 
     @pytest.mark.parametrize("level", ["0", "-1"])
     def test_scan_level_below_one_is_a_reported_error(self, runner, level):
-        args = ["scan", "--series", "hyp:1/2", "--prime", "7", "--order", "20"]
-        result, payload = run_json(
-            runner, args + ["--exp-bound", "2", "--level", level, "--deg-bound", "3"]
-        )
-        assert result.exit_code == 1
-        assert payload["error"]["type"] == "BadParameters"
+        # hyp:1/7 at p = 7 gives no integral target, so no search reaches
+        # the level: it is checked on entry
+        for series in ("hyp:1/2", "hyp:1/7"):
+            args = ["scan", "--series", series, "--prime", "7", "--order", "20"]
+            result, payload = run_json(
+                runner, args + ["--exp-bound", "2", "--level", level, "--deg-bound", "3"]
+            )
+            assert result.exit_code == 1
+            assert payload["error"] == {"message": "level must be >= 1", "type": "BadParameters"}
 
     def test_integrality_pass(self, runner):
         result, payload = run_json(

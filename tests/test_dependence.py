@@ -208,6 +208,18 @@ class TestKolchinScan:
         with pytest.raises(BadParameters):
             kolchin_scan([half_series(U7, 12)], 1, 1, 2, derivative_orders=(-1,))
 
+    @pytest.mark.parametrize("level", [0, -1])
+    def test_level_below_one(self, monkeypatch, level):
+        # no tuple of a series with 1/7 in it gives an integral target, so
+        # no search would reach the level: it is checked before any search
+        def no_search(*args):
+            raise AssertionError("a certificate search ran")
+
+        monkeypatch.setattr(dependence, "_certificate", no_search)
+        f = TruncSeries.from_coeffs(U7, [1, Fraction(1, 7), 0, 0])
+        with pytest.raises(BadParameters, match="level must be >= 1"):
+            kolchin_scan([f], 1, level, 2)
+
     def test_vanishing_derivative(self):
         ones = TruncSeries.from_coeffs(U7, [1, 0, 0, 0])
         with pytest.raises(OrderExhausted):
@@ -314,3 +326,24 @@ class TestCertificateFilterGuard:
         assert len(pruned) == 12 and len(swept) == 12
         assert pruned == [0] * 12
         assert all(swept)
+
+    def test_each_search_reduces_its_target_once(self, monkeypatch):
+        reductions = [0]
+        searches = [0]
+        real_init = rational.ResidueTarget.__init__
+        real_certificate = dependence._certificate
+
+        def init(self, *args):
+            reductions[0] += 1
+            real_init(self, *args)
+
+        def certificate(*args):
+            searches[0] += 1
+            return real_certificate(*args)
+
+        monkeypatch.setattr(rational.ResidueTarget, "__init__", init)
+        monkeypatch.setattr(dependence, "_certificate", certificate)
+        result = CliRunner().invoke(main, self.ARGS)
+        assert hashlib.sha256(result.output.encode()).hexdigest() == self.SHA256
+        assert searches[0] == 24
+        assert reductions[0] == searches[0]

@@ -272,8 +272,16 @@ class TestUniformPart:
         from cartier.diffops import uniform_part
 
         A = SeriesMatrix.from_rows([[TruncSeries.one(U5, 4)]])
-        with pytest.raises(NotNilpotent):
+        with pytest.raises(NotNilpotent, match="constant term of the system matrix is not nilpotent"):
             uniform_part(A, 4)
+        # A0 = [[0, pi], [pi, 0]] squares to pi^2 I, so no power vanishes
+        pi = D3.pi()
+        A = SeriesMatrix.from_rows(
+            [[TruncSeries((D3.zero(), pi), D3), TruncSeries((pi, D3.one()), D3)],
+             [TruncSeries((pi, D3.zero()), D3), TruncSeries((D3.zero(), pi), D3)]]
+        )
+        with pytest.raises(NotNilpotent, match="constant term of the system matrix is not nilpotent"):
+            uniform_part(A, 2)
 
 
 # Plain Coefficient-loop references for the matrix operations on the
@@ -400,6 +408,22 @@ def nonzero_coeff(rng, ctx):
     return c
 
 
+def dense_nilpotent_jordan(rng, ctx, n):
+    """P J P^-1 for the n x n Jordan block J with eigenvalue 0 and a random
+    P = L U, L and U unitriangular: a nilpotent matrix of index n whose
+    entries are in general all nonzero."""
+    lower = [[ctx.one() if i == j else random_coeff(rng, ctx) if i > j else ctx.zero()
+              for j in range(n)] for i in range(n)]
+    upper = [[ctx.one() if i == j else random_coeff(rng, ctx) if i < j else ctx.zero()
+              for j in range(n)] for i in range(n)]
+    p = const_product(lower, upper, ctx)
+    unit = lambda j: [ctx.coeff(int(i == j)) for i in range(n)]
+    cols = [ref_solve(p, unit(j)) for j in range(n)]
+    p_inv = [[cols[j][i] for j in range(n)] for i in range(n)]
+    jordan = [[ctx.coeff(int(j == i + 1)) for j in range(n)] for i in range(n)]
+    return const_product(const_product(p, jordan, ctx), p_inv, ctx)
+
+
 @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
 class TestMatrixKernelAgainstCoefficientLoops:
     CASES = ((1, 1), (1, 6), (2, 1), (2, 7), (3, 5))  # (size, order)
@@ -412,6 +436,12 @@ class TestMatrixKernelAgainstCoefficientLoops:
             assert a.matmul(b) == ref_matmul(a, b)
             c = [[random_coeff(rng, ctx) for _ in range(n)] for _ in range(n)]
             assert a.matmul_const(c) == ref_matmul_const(a, c)
+            # a substituted matrix B(z^p) on either side, as in the
+            # antecedent step's products
+            strided = shaped_matrix(rng, ctx, n, order).subst_zpk(1)
+            b = shaped_matrix(rng, ctx, n, strided.order)
+            assert strided.matmul(b) == ref_matmul(strided, b)
+            assert b.matmul(strided) == ref_matmul(b, strided)
 
     def test_invert_series(self, ctx):
         rng = random.Random(f"invert/{ctx.e}")
@@ -422,16 +452,27 @@ class TestMatrixKernelAgainstCoefficientLoops:
             m = shaped_matrix(rng, ctx, n, order, const)
             assert m.invert_series() == ref_invert_series(m)
 
-    @pytest.mark.parametrize("a0", ["zero", "shift", "strict-upper"])
+    @pytest.mark.parametrize(
+        "a0", ["zero", "shift", "strict-upper", "strict-lower", "dense-jordan"]
+    )
     def test_uniform_part(self, ctx, a0):
         rng = random.Random(f"uniform/{ctx.e}/{a0}")
         consts = {
             "zero": lambda i, j: ctx.zero(),
             "shift": lambda i, j: ctx.one() if j == i + 1 else ctx.zero(),
             "strict-upper": lambda i, j: nonzero_coeff(rng, ctx) if i < j else ctx.zero(),
+            "strict-lower": lambda i, j: nonzero_coeff(rng, ctx) if i > j else ctx.zero(),
         }
-        for n, order in self.CASES:
-            A = shaped_matrix(rng, ctx, n, order, consts[a0])
+        # a single Jordan block (shift, dense-jordan) makes ad nilpotent of
+        # index 2n - 1, so the Neumann sum runs to its longest: 2n - 2
+        # powers of -ad, 6 of them at n = 4
+        for n, order in self.CASES + ((4, 6),):
+            if a0 == "dense-jordan":
+                m = dense_nilpotent_jordan(rng, ctx, n)
+                const = lambda i, j: m[i][j]
+            else:
+                const = consts[a0]
+            A = shaped_matrix(rng, ctx, n, order, const)
             assert uniform_part(A, order) == ref_uniform_part(A, order)
 
 

@@ -226,6 +226,12 @@ class TestKernelAgainstCoefficientLoops:
             g = shaped_series(rng, ctx, order + rng.randrange(3), rng.choice(SHAPES))
             assert f * g == ref_mul(f, g)
             assert g * f == ref_mul(g, f)
+            # f(z^p), nonzero only at multiples of p, on either side of a
+            # product: the kernel walks the operand with fewer nonzero terms
+            strided = f.subst_zpk(1)
+            g = shaped_series(rng, ctx, strided.order, rng.choice(SHAPES))
+            assert strided * g == ref_mul(strided, g)
+            assert g * strided == ref_mul(g, strided)
 
     def test_invert_unit(self, ctx, shape):
         rng = random.Random(f"inv/{ctx.e}/{shape}")
