@@ -64,7 +64,10 @@ def _build(spec: SeriesSpec, warnings: list):
 
 def _load_operator(path: str, prime: int, dwork: bool, order: int):
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise BadParameters(f"operator file is not JSON: {exc}") from None
     ctx = PadicContext.dwork(prime) if dwork else PadicContext.unramified(prime)
     return monicize(list(raw_terms_from_json(data, ctx)), ctx, order)
 

@@ -217,10 +217,11 @@ def _normalize_raw_terms(terms, ctx):
 
 
 def raw_terms_from_json(data: dict, ctx: PadicContext):
-    """Read the operator exchange format: {"terms": [{zdeg, deltapoly}]}."""
-    terms = []
-    for item in data["terms"]:
-        terms.append((int(item["zdeg"]), [ctx.coeff(c) for c in item["deltapoly"]]))
+    """Read the operator exchange format {"terms": [{zdeg, deltapoly}]}, else BadParameters."""
+    try:
+        terms = [(int(t["zdeg"]), [ctx.coeff(c) for c in t["deltapoly"]]) for t in data["terms"]]
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        raise BadParameters(f"malformed operator terms ({type(exc).__name__}: {exc})") from None
     return _normalize_raw_terms(terms, ctx)
 
 

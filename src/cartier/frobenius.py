@@ -39,7 +39,6 @@ from .rational import (
     congruence_outcome,
     product_congruence_outcome,
     reconstruct_rational,
-    residual_valuation,
 )
 from .rings import INF, PadicContext
 from .series import TruncSeries
@@ -349,11 +348,8 @@ def successive_frobenius_quotient(f: TruncSeries, h: int, k: int, deg_bound: int
     u = f.subst_zpk(h).truncate(f.order)
     upto = f.order
     outcome = product_congruence_outcome(quot, u, f, kh, upto, require_norm_one=True)
-    if outcome == VERIFY_NOT_K0:
-        raise NotInK0("successive quotient denominator has a root in the open unit disc")
-    if outcome != VERIFY_OK:
-        raise VerificationFailed("successive quotient fails its congruence")
-    return Certificate("frobenius-quotient", kh, quot, upto, residual_valuation(quot, f, u))
+    return _derived("frobenius-quotient", kh, quot, upto, outcome, "successive quotient",
+                    "successive quotient fails its congruence")
 
 
 def logderiv_certificate(f: TruncSeries, h: int, level: int, deg_bound: int) -> Certificate:
@@ -383,8 +379,16 @@ def logderiv_from_frobenius(f: TruncSeries, h: int, level: int, deg_bound: int) 
     g = f.log_derivative()
     upto = g.order
     outcome = congruence_outcome(cand, g, level, upto, require_norm_one=False)
-    if outcome == VERIFY_NOT_K0:
-        raise NotInK0("log-derivative denominator has a root in the open unit disc")
-    if outcome != VERIFY_OK:
-        raise VerificationFailed("differentiated certificate misses the congruence")
-    return Certificate("logderiv", level, cand, upto, residual_valuation(cand, g))
+    return _derived("logderiv", level, cand, upto, outcome, "log-derivative",
+                    "differentiated certificate misses the congruence")
+
+
+def _derived(kind, level, cand, upto, outcome, what, miss_message) -> Certificate:
+    """The Certificate of a candidate derived from other certificates, from
+    the (outcome, residual) of its verification."""
+    verdict, resid = outcome
+    if verdict == VERIFY_NOT_K0:
+        raise NotInK0(f"{what} denominator has a root in the open unit disc")
+    if verdict != VERIFY_OK:
+        raise VerificationFailed(miss_message)
+    return Certificate(kind, level, cand, upto, resid)

@@ -17,9 +17,9 @@ rows of Z[pi]/(pi^e + p). It yields the Pade pairs (pade_pairs), reduces
 fractions from its terminal cofactors (RationalFunction.make), and inverts
 ring elements (rings._adjugate). Every search screens a pair in the residue
 ring O_K/p^K = (Z/p^K)[pi]/(pi^e + p) (raw_congruence_check) wherever that
-screen decides the congruence exactly; the survivors pass one exact check
-(_congruent): the candidate expanded as a series, times mult where one is
-given, compared by first_discrepancy.
+screen decides the congruence exactly. The survivors pass one exact check
+(_residual): the candidate, expanded once as a series and times mult where
+one is given, leaves a residual whose least valuation decides (>= m).
 """
 
 from __future__ import annotations
@@ -557,7 +557,7 @@ def raw_congruence_check(num, den, target, m, upto, residues=None) -> bool:
     its reduced form expand to the same series), but skips the reduction,
     so it is the cheap first look at a Pade pair. It runs in a residue ring
     O_K/p^K (_residue_screen) when num, den and the target are integral,
-    and as the exact check (_congruent) otherwise. residues is
+    and as the exact check (_residual) otherwise. residues is
     ResidueTarget(target, m, upto), passed by callers that screen many
     pairs against one target so that the target is reduced only once.
     """
@@ -567,7 +567,7 @@ def raw_congruence_check(num, den, target, m, upto, residues=None) -> bool:
         fast = _residue_screen(num, den, residues, upto)
         if fast is not None:
             return fast
-    return _congruent(num, den, target, m, upto)
+    return _residual(RationalFunction(num, den), target, upto) >= m
 
 
 def reconstruct_rational(
@@ -582,29 +582,33 @@ def reconstruct_rational(
     """The certificate search: R with R * mult = target mod pi^m on the
     target's window (R = target when mult is None), deg num and deg den
     <= deg_bound, no pole in the open unit disc, and Gauss norm one when
-    require_norm_one. Returns R with residual_valuation(R, target, mult).
+    require_norm_one, for m >= 1. Returns R and the least valuation of
+    R * mult - target on the window.
 
     The Pade sweep runs on g = target / mult, then on canonical_lift(g, m)
     when g is integral; the first candidate to verify is returned. A pair is
     screened in the residue ring (raw_congruence_check) when the screen
-    decides the congruence exactly: g integral, 0 < m < 4096, and mult
-    either None or integral with a unit constant term, so that mult and its
+    decides the congruence exactly: g integral, m < 4096, and mult either
+    None or integral with a unit constant term, so that mult and its
     inverse are integral and R * mult = target holds mod pi^m exactly when
-    R = g does. The candidates that pass are verified by congruence_outcome
-    or product_congruence_outcome. Raises NotInK0 if candidates matched the
-    congruence but only ever failed the unit-disc test, else
-    ReconstructionFailed. residues is ResidueTarget(target, m, target.order)
-    with mult None, passed by a caller that has reduced the target already;
-    it is read only when the screen runs.
+    R = g does. Elsewhere a candidate, which matches by construction only
+    its Pade window, is first checked on twice that prefix, which rejects
+    most at a fraction of the cost. Candidates left are verified by
+    congruence_outcome or product_congruence_outcome. Raises NotInK0 if
+    candidates matched the congruence but only ever failed the unit-disc
+    test, else ReconstructionFailed. residues is
+    ResidueTarget(target, m, target.order) with mult None, passed by a
+    caller that has reduced the target already; it is read only when the
+    screen runs.
     """
+    if m < 1:
+        raise BadParameters("level must be >= 1")
     upto = target.order
     g = target if mult is None else target * mult.invert_unit()
     integral = g.min_valuation() >= 0
     sources = [g, canonical_lift(g, m)] if integral else [g]
-    screened = integral and 0 < m < 4096
-    if mult is not None:
-        screened = screened and mult.min_valuation() == mult.min_valuation(1) == 0
-    if not screened:
+    unit = mult is None or mult.min_valuation() == mult.min_valuation(1) == 0
+    if not (integral and m < 4096 and unit):
         residues = None
     elif residues is None:
         residues = ResidueTarget(g, m, upto)
@@ -628,16 +632,18 @@ def reconstruct_rational(
                 if cand in seen:
                     continue
                 seen.add(cand)
+                n = 2 * (r.degree + t.degree + 2)
+                if residues is None and n < upto and _residual(cand, target, n, mult) < m:
+                    continue
                 if mult is None:
-                    outcome = congruence_outcome(cand, target, m, upto, require_norm_one)
+                    verdict, resid = congruence_outcome(cand, target, m, upto, require_norm_one)
                 else:
-                    outcome = product_congruence_outcome(
+                    verdict, resid = product_congruence_outcome(
                         cand, mult, target, m, upto, require_norm_one
                     )
-                if outcome == VERIFY_OK:
-                    return cand, residual_valuation(cand, target, mult)
-                if outcome == VERIFY_NOT_K0:
-                    saw_k0_reject = True
+                if verdict == VERIFY_OK:
+                    return cand, resid
+                saw_k0_reject |= verdict == VERIFY_NOT_K0
     if saw_k0_reject:
         raise NotInK0(f"{what}: congruence held but a denominator root lies in the open unit disc")
     raise ReconstructionFailed(
@@ -645,47 +651,32 @@ def reconstruct_rational(
     )
 
 
-def residual_valuation(cand, target, mult=None):
+def _residual(cand, target, upto, mult=None):
     """The least valuation of cand * mult - target (cand - target when mult
-    is None) on the target's window; INF when cand is exact there."""
-    upto = target.order
+    is None) on the first upto coefficients, INF when it vanishes there;
+    cand has no pole at 0. The congruence mod pi^m holds exactly when this
+    is >= m, for every m."""
     s = cand.to_series(upto)
     if mult is not None:
         s = s * mult.truncate(upto)
     return (s - target.truncate(upto)).min_valuation()
 
 
-def _congruent(num, den, target, m, upto, mult=None) -> bool:
-    """The exact check: num/den, times the series mult when one is given,
-    agrees with target mod pi^m on the first upto coefficients. The
-    quotient is expanded on the series rows; den(0) must be nonzero.
-
-    A Pade candidate matches by construction only the window it came
-    from, about deg num + deg den + 1 coefficients, so twice that prefix is
-    checked first and rejects most candidates at a fraction of the cost.
-    """
-    for n in sorted({min(upto, 2 * (num.degree + den.degree + 2)), upto}):
-        s = num.to_series(n) * den.to_series(n).invert_unit()
-        if mult is not None:
-            s = s * mult
-        if s.first_discrepancy(target, m, n) is not None:
-            return False
-    return True
-
-
 def _outcome(cand, mult, target, m, upto, require_norm_one):
-    if cand.den.vanishes_at_zero() or not _congruent(cand.num, cand.den, target, m, upto, mult):
-        return VERIFY_FAIL
-    if require_norm_one and not cand.has_gauss_norm_one():
-        return VERIFY_FAIL
+    if cand.den.vanishes_at_zero():
+        return VERIFY_FAIL, None
+    resid = _residual(cand, target, upto, mult)
+    if resid < m or (require_norm_one and not cand.has_gauss_norm_one()):
+        return VERIFY_FAIL, resid
     if not cand.denominator_unit_disc_free():
-        return VERIFY_NOT_K0
-    return VERIFY_OK
+        return VERIFY_NOT_K0, resid
+    return VERIFY_OK, resid
 
 
 def congruence_outcome(cand, target, m, upto, require_norm_one):
     """Shared verification: the exact congruence on the window, then the
-    Gauss norm (when required) and the poles."""
+    Gauss norm (when required) and the poles. Returns the outcome and
+    cand's _residual on the window, None when cand has a pole at 0."""
     return _outcome(cand, None, target, m, upto, require_norm_one)
 
 

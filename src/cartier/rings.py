@@ -302,7 +302,7 @@ class Coefficient:
 
 
 _TERM_RE = re.compile(
-    r"^(?P<coef>[+-]?\d+(?:/\d+)?)?(?P<star>\*)?(?P<pi>pi(?:\^(?P<pow>\d+))?)?$"
+    r"^(?P<coef>[+-]?\d+(?:/0*[1-9]\d*)?)?(?P<star>\*)?(?P<pi>pi(?:\^(?P<pow>\d+))?)?$"
 )
 
 

@@ -191,6 +191,23 @@ class TestChecks:
             assert result.exit_code == 1
             assert payload["error"] == {"message": "level must be >= 1", "type": "BadParameters"}
 
+    @pytest.mark.parametrize(
+        "command, series, prime, level",
+        [
+            ("certify-ratio", "hyp:1/3", "3", "-2"),
+            ("certify-logderiv", "hyp:1/3", "3", "-2"),
+            ("certify-logderiv", "ffrak", "2", "0"),
+            ("certify-logderiv", "ffrak", "2", "-1"),
+        ],
+    )
+    def test_certify_level_below_one_is_a_reported_error(self, runner, command, series, prime, level):
+        # non-integral series, where no canonical lift checks the level: the
+        # certificate search checks it on entry, before any fallback route
+        args = [command, "--series", series, "--prime", prime, "--order", "40", "--level", level]
+        result, payload = run_json(runner, args + ["--deg-bound", "8"])
+        assert result.exit_code == 1
+        assert payload["error"] == {"message": "level must be >= 1", "type": "BadParameters"}
+
     def test_integrality_pass(self, runner):
         result, payload = run_json(
             runner,
@@ -302,6 +319,25 @@ class TestAntecedent:
         )
         assert result.exit_code == 0
         assert [lv["level"] for lv in payload["levels"]] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{bad",
+            '{"x": 1}',
+            '{"terms": [{"zdeg": 0, "deltapoly": ["1/0"]}]}',
+            '{"terms": [{"zdeg": "a", "deltapoly": ["1"]}]}',
+            "[1, 2]",
+        ],
+        ids=["not-json", "no-terms", "zero-denominator", "bad-zdeg", "top-level-list"],
+    )
+    def test_malformed_operator_file_is_a_reported_error(self, runner, tmp_path, text):
+        path = tmp_path / "op.json"
+        path.write_text(text)
+        args = ["antecedent", "--operator-file", str(path), "--prime", "5", "--order", "20"]
+        result, payload = run_json(runner, args)
+        assert result.exit_code == 1
+        assert payload["error"]["type"] == "BadParameters"
 
     def test_series_and_file_together(self, runner, tmp_path):
         path = tmp_path / "op.json"

@@ -250,10 +250,10 @@ class TestKolchinScan:
         rep = kolchin_scan([half_series(U7, 48)], 2, 2, 10)
         cert = rep.findings[0].product
         shorter = product_power([half_series(U7, 30)], rep.findings[0].exponents)
-        outcome = congruence_outcome(
+        verdict, resid = congruence_outcome(
             cert.rational, shorter, 2, 30, require_norm_one=False
         )
-        assert outcome == VERIFY_OK
+        assert verdict == VERIFY_OK and resid >= 2
 
 
 class TestNormalizedDerivative:
@@ -347,3 +347,54 @@ class TestCertificateFilterGuard:
         assert hashlib.sha256(result.output.encode()).hexdigest() == self.SHA256
         assert searches[0] == 24
         assert reductions[0] == searches[0]
+
+
+class TestOneExpansionPerCertificate:
+    """In a screened scan the residue screen decides every candidate
+    exactly, so each certificate search verifies one candidate, and the
+    verification expands it as a series once: the exact check and the
+    residual valuation reported with the certificate are one computation.
+    The scans are the planted positives (1 - z)^(-a) of the scan-ramified
+    benchmark at e = 2 and e = 4."""
+
+    @pytest.mark.parametrize(
+        "alpha, prime, order, level, deg",
+        [("1/2", "3", "20", "3", "7"), ("1/3", "5", "12", "4", "5")],
+        ids=["e2", "e4"],
+    )
+    def test_accepted_candidate_is_expanded_once(self, monkeypatch, alpha, prime, order, level, deg):
+        live = [None]  # [verifications, series inversions] of the running search
+        accepted = []
+        real_search = dependence.reconstruct_rational
+        real_outcome = rational.congruence_outcome
+        real_invert = TruncSeries.invert_unit
+
+        def invert_unit(self):
+            if live[0] is not None:
+                live[0][1] += 1
+            return real_invert(self)
+
+        def congruence_outcome(*args):
+            live[0][0] += 1
+            return real_outcome(*args)
+
+        def search(*args, **kwargs):
+            live[0] = [0, 0]
+            try:
+                out = real_search(*args, **kwargs)
+                accepted.append(live[0])
+                return out
+            finally:
+                live[0] = None
+
+        monkeypatch.setattr(TruncSeries, "invert_unit", invert_unit)
+        monkeypatch.setattr(rational, "congruence_outcome", congruence_outcome)
+        monkeypatch.setattr(dependence, "reconstruct_rational", search)
+        args = [
+            "scan", "--series", f"hyp:{alpha}", "--prime", prime, "--dwork", "--order", order,
+            "--exp-bound", "4", "--level", level, "--deg-bound", deg,
+        ]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0
+        assert json.loads(result.output)["report"]["stats"]["findings"] == 1
+        assert accepted and all(counts == [1, 1] for counts in accepted)

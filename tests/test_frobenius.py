@@ -429,7 +429,8 @@ class TestLogderivCertificate:
         F4 = Polynomial.from_coeffs(U5, [1, 5, 73, 1445, 33001])
         cand = RationalFunction.make(F4.derivative(), F4)
         g = f.log_derivative()
-        assert congruence_outcome(cand, g, 1, g.order, require_norm_one=False) == VERIFY_OK
+        verdict, resid = congruence_outcome(cand, g, 1, g.order, require_norm_one=False)
+        assert verdict == VERIFY_OK and resid >= 1
 
     def test_fallback_route(self):
         f = geometric(U5, 60)
@@ -440,7 +441,9 @@ class TestLogderivCertificate:
             Polynomial.from_coeffs(U5, [1, 1, 1, 1, 1]),
         )
         g = f.log_derivative()
-        assert congruence_outcome(cert.rational, g, 1, g.order, require_norm_one=False) == VERIFY_OK
+        verdict, resid = congruence_outcome(cert.rational, g, 1, g.order, require_norm_one=False)
+        assert verdict == VERIFY_OK
+        assert resid == cert.min_residual_valuation >= 1
 
     @pytest.mark.parametrize("h", [0, -1])
     def test_period_must_be_positive(self, h):
@@ -460,6 +463,21 @@ class TestLogderivCertificate:
             "verified_order": 19,
             "min_residual_valuation": None,
         }
+
+
+class TestDerivedCertificatesAreVerified:
+    """successive_frobenius_quotient and logderiv_from_frobenius derive
+    their candidate from Frobenius ratio certificates and verify it before
+    returning it: fed a wrong ratio certificate, they raise."""
+
+    def test_wrong_ratio_certificate_is_caught(self, monkeypatch):
+        f = geometric(U5, 24)
+        wrong = frobenius.Certificate("frobenius-ratio", 1, RationalFunction.constant(U5, 2), 24, INF)
+        monkeypatch.setattr(frobenius, "frobenius_ratio_certificate", lambda *args: wrong)
+        with pytest.raises(VerificationFailed, match="^successive quotient fails its congruence$"):
+            successive_frobenius_quotient(f, 1, 1, 4)
+        with pytest.raises(VerificationFailed, match="^differentiated certificate misses the congruence$"):
+            logderiv_from_frobenius(f, 1, 1, 4)
 
 
 # -- the one certificate search against the unscreened callback sweep ---------
@@ -500,8 +518,8 @@ def reference_search(target, m, deg_bound, mult=None, require_norm_one=False):
 
     def verify(cand):
         if mult is None:
-            return congruence_outcome(cand, target, m, upto, require_norm_one)
-        return product_congruence_outcome(cand, mult, target, m, upto, require_norm_one)
+            return congruence_outcome(cand, target, m, upto, require_norm_one)[0]
+        return product_congruence_outcome(cand, mult, target, m, upto, require_norm_one)[0]
 
     return callback_sweep(sources, deg_bound, verify)
 

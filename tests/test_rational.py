@@ -245,14 +245,18 @@ class TestPade:
         # mod 5^3: R = 1 meets the first with residual -125, while
         # target / u = 126 - 25z + 5z^2 - z^3 is not 1 mod 125. A screen
         # against target / u would reject the certificate.
+        # The same holds for the prefix pre-filter of an unscreened search:
+        # at order 8, R = 1 is checked on 4 coefficients first, where
+        # R * u = target - 125z holds mod 5^3 but target / u - 1 has -25z^2.
         calls = []
         screen = rational.raw_congruence_check
         monkeypatch.setattr(rational, "raw_congruence_check", lambda *a: calls.append(a) or screen(*a))
-        u = TruncSeries.from_coeffs(U5, [1, Fraction(1, 5), 0, 0])
-        target = u + TruncSeries.from_coeffs(U5, [125, 0, 0, 0])
-        got, resid = reconstruct_rational(target, 3, 2, "test", mult=u)
-        assert got == RationalFunction.constant(U5, 1)
-        assert resid == 3
+        for order, noise in ((4, [125]), (8, [0, 125])):
+            u = TruncSeries.from_coeffs(U5, [1, Fraction(1, 5)] + [0] * (order - 2))
+            target = u + TruncSeries.from_coeffs(U5, noise + [0] * (order - len(noise)))
+            got, resid = reconstruct_rational(target, 3, 2, "test", mult=u)
+            assert got == RationalFunction.constant(U5, 1)
+            assert resid == 3
         assert not calls
 
 
@@ -485,22 +489,26 @@ def ref_stream(num, den, upto):
 
 def ref_outcome(cand, mult, target, m, upto, require_norm_one):
     """congruence_outcome (mult None) and product_congruence_outcome as
-    Coefficient streams."""
+    Coefficient streams: the outcome, and the least valuation of the
+    residual coefficients (None for a pole at 0)."""
     ctx = cand.den.ctx
     if cand.den[0].is_zero():
-        return VERIFY_FAIL
+        return VERIFY_FAIL, None
     head = ref_stream(cand.num, cand.den, upto)
+    vals = []
     for j in range(upto):
         s = head[j]
         if mult is not None:
             s = sum((head[i] * mult[j - i] for i in range(j + 1)), ctx.zero())
-        if (s - target[j]).valuation() < m:
-            return VERIFY_FAIL
+        vals.append((s - target[j]).valuation())
+    resid = min(vals, default=INF)
+    if any(v < m for v in vals):
+        return VERIFY_FAIL, resid
     if require_norm_one and ref_gauss_valuation(cand.num) - ref_gauss_valuation(cand.den) != 0:
-        return VERIFY_FAIL
+        return VERIFY_FAIL, resid
     if not ref_no_roots(cand.den):
-        return VERIFY_NOT_K0
-    return VERIFY_OK
+        return VERIFY_NOT_K0, resid
+    return VERIFY_OK, resid
 
 
 @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
@@ -601,10 +609,12 @@ class TestRationalRowsAgainstCoefficientLoops:
     def test_outcomes_match_the_coefficient_stream(self, ctx):
         # candidates are the normalized Pade pairs of the differential
         # sources: a few true certificates among many that only agree on
-        # their window; the product check multiplies by a unit series
+        # their window; the product check multiplies by a unit series.
+        # Both the outcome and the residual valuation returned with it
+        # must match the stream's.
         sources = diff_sources(ctx)
         mult = sources[0]
-        seen = set()
+        seen, resids = set(), set()
         for f in sources[:3]:
             target = f * mult
             for w in (2, 5, 8):
@@ -616,16 +626,19 @@ class TestRationalRowsAgainstCoefficientLoops:
                         for norm in (False, True):
                             want = ref_outcome(cand, None, f, m, f.order, norm)
                             assert congruence_outcome(cand, f, m, f.order, norm) == want
-                            seen.add(want)
+                            seen.add(want[0])
+                            resids.add(want[1])
                             if not norm:
                                 # the screen on a candidate over den(0)
                                 raw = raw_congruence_check(cand.num, cand.den, f, m, f.order)
-                                assert raw is (want != VERIFY_FAIL)
+                                assert raw is (want[0] != VERIFY_FAIL)
                             want = ref_outcome(cand, mult, target, m, f.order, norm)
                             got = product_congruence_outcome(cand, mult, target, m, f.order, norm)
                             assert got == want
-                            seen.add(want)
+                            seen.add(want[0])
+                            resids.add(want[1])
         assert {VERIFY_OK, VERIFY_FAIL} <= seen
+        assert len(resids) > 2
 
     def test_non_integral_pairs_use_the_exact_check(self, ctx):
         rng = random.Random(f"exact/{ctx.e}")
@@ -641,7 +654,7 @@ class TestRationalRowsAgainstCoefficientLoops:
         passed = set()
         for num, den in pairs:
             for m in (-2, 0, 1, 3, 2 * ctx.e + 1):
-                want = ref_outcome(RationalFunction(num, den), None, f, m, f.order, False)
+                want, _ = ref_outcome(RationalFunction(num, den), None, f, m, f.order, False)
                 assert raw_congruence_check(num, den, f, m, f.order) is (want != VERIFY_FAIL)
                 passed.add(want != VERIFY_FAIL)
         assert passed == {True, False}

@@ -188,6 +188,7 @@ class TestTextForm:
 
     def test_parse_examples(self):
         assert parse_coefficient("-3/7", U5) == U5.coeff(Fraction(-3, 7))
+        assert parse_coefficient("1/070", U5) == U5.coeff(Fraction(1, 70))
         assert parse_coefficient("2 + 1/3*pi", D3) == D3.coeff((2, Fraction(1, 3)))
         assert parse_coefficient("pi^3", D5) == D5.pi() ** 3
         # high powers fold through the Eisenstein relation
@@ -195,7 +196,7 @@ class TestTextForm:
         assert parse_coefficient("pi", U5) == U5.coeff(5)
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "1 +", "pi*pi", "2**pi", "a/b"):
+        for bad in ("", "1 +", "pi*pi", "2**pi", "a/b", "1/0", "2 + 3/00*pi"):
             with pytest.raises(BadParameters):
                 parse_coefficient(bad, D3)
 
