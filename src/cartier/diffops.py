@@ -3,8 +3,8 @@
 Operators enter in raw form, a list of (zdeg, deltapoly) terms meaning
 sum_t z^(zdeg_t) * Q_t(delta) with the z-power on the left, which is how the
 classical operators are written down. monicize divides by the leading series
-to get L = delta^n + a_1 delta^(n-1) + .. + a_n, keeping exact rational forms
-of the a_i alongside their series expansions whenever the input was raw.
+to get L = delta^n + a_1 delta^(n-1) + .. + a_n as series, keeping the raw
+terms for the banded unit-solution recursion.
 
 The MOM property (all a_i vanish at 0) is what makes the unit power-series
 solution recursion solvable: the z^j coefficient equation reads
@@ -20,22 +20,25 @@ from operator import mul
 from .errors import (
     BadParameters,
     LeadingNotUnit,
-    NotAUnit,
     NotMOM,
     NotNilpotent,
     OrderExhausted,
 )
-from .rational import Polynomial, RationalFunction
-from .rings import PadicContext, _int_parts, _ring_inverse, _ring_mul, _solve_exact
+from .rational import Polynomial
+from .rings import PadicContext, _int_parts, _ring_inverse, _ring_mul
 from .series import (
     TruncSeries,
     _align,
+    _apply,
+    _const_map,
+    _diag,
+    _flat,
     _fold,
     _ints,
     _invert,
-    _matmul_consts,
     _matmul_ints,
     _recurrence,
+    _square,
     _unfolded,
 )
 
@@ -129,11 +132,13 @@ class SeriesMatrix:
         (da, a), (db, b) = self._ints(), other._ints()
         return SeriesMatrix._from_ints(da * db, _matmul_ints(a, b, self.ctx, order), self.ctx)
 
-    def matmul_const(self, const_rows) -> "SeriesMatrix":
-        """Right-multiply by a constant matrix (list of Coefficient rows)."""
-        (da, a), (dc, c) = self._ints(), _const_ints(const_rows, self.ctx)
+    def matmul_const(self, den, vec) -> "SeriesMatrix":
+        """Right-multiply by the constant matrix vec / den, vec a flat vector
+        of integers as constant_ints gives it."""
+        da, a = self._ints()
+        c = _square([[v] for v in vec], self.size, self.ctx.e)
         return SeriesMatrix._from_ints(
-            da * dc, _matmul_ints(a, c, self.ctx, self.order), self.ctx
+            da * den, _matmul_ints(a, c, self.ctx, self.order), self.ctx
         )
 
     def delta(self) -> "SeriesMatrix":
@@ -151,16 +156,20 @@ class SeriesMatrix:
     def constant_matrix(self):
         return self.coefficient_matrix(0)
 
+    def constant_ints(self):
+        """(den, vec): the value at 0 as a constant matrix (series._flat) in
+        canonical form, so that equal values give equal pairs."""
+        den, entries = _ints(self.truncate(1).rows)
+        return den, _flat(entries)
+
     def coefficient_matrix(self, l: int):
         return [[entry.coefficient(l) for entry in row] for row in self.rows]
 
     def invert_series(self) -> "SeriesMatrix":
         """Inverse as a series matrix; constant term must be invertible."""
-        ctx = self.ctx
-        d0, inv0 = _const_ints(_invert_const(self.constant_matrix(), ctx), ctx)
         dm, m = self._ints()
-        dx, x = _invert(dm, m, self.order, inv0, d0, ctx)
-        return SeriesMatrix._from_ints(dx, x, ctx)
+        dx, x = _invert(dm, m, self.order, self.ctx)
+        return SeriesMatrix._from_ints(dx, x, self.ctx)
 
     def min_valuation(self):
         return min(entry.min_valuation() for row in self.rows for entry in row)
@@ -172,22 +181,6 @@ class SeriesMatrix:
         if not isinstance(other, SeriesMatrix):
             return NotImplemented
         return self.rows == other.rows
-
-
-def _const_ints(const_rows, ctx):
-    """(den, entries) of a constant Coefficient matrix, as series of order 1."""
-    return _ints([[TruncSeries((c,), ctx) for c in row] for row in const_rows])
-
-
-def _invert_const(const_rows, ctx):
-    """Inverse of a constant Coefficient matrix via Gauss-Jordan; NotAUnit
-    when it is singular."""
-    n = len(const_rows)
-    identity = [[ctx.one() if i == j else ctx.zero() for j in range(n)] for i in range(n)]
-    try:
-        return _solve_exact(const_rows, identity)
-    except ZeroDivisionError:
-        raise NotAUnit("constant term matrix is singular") from None
 
 
 # -- operators ---------------------------------------------------------------
@@ -216,10 +209,17 @@ def _normalize_raw_terms(terms, ctx):
     return tuple(sorted((z, tuple(p)) for z, p in merged.items()))
 
 
+def _json_int(x):
+    """x if it is a JSON integer; a float, a bool or a string is a TypeError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer z-degree, got {x!r}")
+    return x
+
+
 def raw_terms_from_json(data: dict, ctx: PadicContext):
     """Read the operator exchange format {"terms": [{zdeg, deltapoly}]}, else BadParameters."""
     try:
-        terms = [(int(t["zdeg"]), [ctx.coeff(c) for c in t["deltapoly"]]) for t in data["terms"]]
+        terms = [(_json_int(t["zdeg"]), [ctx.coeff(c) for c in t["deltapoly"]]) for t in data["terms"]]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise BadParameters(f"malformed operator terms ({type(exc).__name__}: {exc})") from None
     return _normalize_raw_terms(terms, ctx)
@@ -229,14 +229,13 @@ def raw_terms_from_json(data: dict, ctx: PadicContext):
 class DiffOp:
     """Monic operator delta^n + a_1 delta^(n-1) + .. + a_n.
 
-    coeffs holds a_1..a_n as truncated series. rational_coeffs (same order)
-    and raw_terms are carried along when the operator came from a raw term
-    list; they enable exact Gauss-norm checks and the fast banded recursion.
+    coeffs holds a_1..a_n as truncated series. raw_terms is carried along
+    when the operator came from a raw term list; it enables the fast banded
+    recursion.
     """
 
     coeffs: tuple
     ctx: PadicContext
-    rational_coeffs: tuple = None
     raw_terms: tuple = None
 
     @property
@@ -251,16 +250,6 @@ class DiffOp:
     def is_mom(self) -> bool:
         """All coefficients vanish at z = 0."""
         return not any(row[0] for a in self.coeffs for row in a.rows)
-
-    @property
-    def gauss_norm_bounded(self):
-        """Whether every |a_i| is <= 1 under the Gauss norm.
-
-        Decidable only when exact rational forms are present; None otherwise.
-        """
-        if self.rational_coeffs is None:
-            return None
-        return all(r.gauss_valuation() >= 0 for r in self.rational_coeffs)
 
     def companion(self) -> SeriesMatrix:
         """Shift structure with last row (-a_n, .., -a_1)."""
@@ -375,8 +364,7 @@ def _unit_solution_ints(cs, lead, n, order):
 def monicize(terms, ctx: PadicContext, order: int) -> DiffOp:
     """Divide a raw term list by its leading series to get a monic operator.
 
-    The leading delta^n series must be a unit at 0; its exact polynomial form
-    becomes the common denominator of the rational coefficient forms.
+    The leading delta^n series must be a unit at 0.
     """
     raw = _normalize_raw_terms(terms, ctx)
     if not raw:
@@ -396,15 +384,10 @@ def monicize(terms, ctx: PadicContext, order: int) -> DiffOp:
     if lead.vanishes_at_zero():
         raise LeadingNotUnit("leading delta coefficient vanishes at z = 0")
     lead_series_inv = lead.to_series(order).invert_unit()
-    series_coeffs = []
-    rational_coeffs = []
-    for i in range(1, n + 1):
-        num = numerators[n - i]
-        series_coeffs.append(num.to_series(order) * lead_series_inv)
-        rational_coeffs.append(RationalFunction.make(num, lead))
-    return DiffOp(
-        tuple(series_coeffs), ctx, tuple(rational_coeffs), raw
+    series_coeffs = tuple(
+        numerators[n - i].to_series(order) * lead_series_inv for i in range(1, n + 1)
     )
+    return DiffOp(series_coeffs, ctx, raw)
 
 
 def uniform_part(A: SeriesMatrix, order: int) -> SeriesMatrix:
@@ -418,73 +401,35 @@ def uniform_part(A: SeriesMatrix, order: int) -> SeriesMatrix:
     """
     n = A.size
     ctx = A.ctx
-    e = ctx.e
     order = min(order, A.order)
     da, a = A._ints()
-    # A0 over da as constant entries
-    a0 = [[[r[:1] for r in entry] for entry in row] for row in a]
-    _require_nilpotent(a0, ctx, n)
-    neg_ad = _neg_ad(a0, ctx)
+    # A0 over da; (-ad)(E) = A0 E - E A0
+    a0 = _flat(a)
+    _require_nilpotent(a0, n, ctx)
+    neg_ad = _const_map(ctx, a0, a0)
 
-    def solve(j, r, dr):
+    def solve(j, term, dr):
         # term k = (-ad)^k R_j lies over dr * da^k, and Y_j is
         # sum_k term_k / j^(k+1); Horner over step = j * da brings the terms
         # to the last one's denominator dr * step^top * j
-        term = [v for row in r for entry in row for (v,) in entry]
         num = [0] * len(term)
         step, top = j * da, -1
         while any(term):
             num = [x * step + y for x, y in zip(num, term)]
             top += 1
-            nxt = [0] * len(term)
-            for dst, src, c in neg_ad:
-                v = term[src]
-                if v:
-                    nxt[dst] += c * v
-            term = nxt
-        cells = [[[v] for v in num[i : i + e]] for i in range(0, len(num), e)]
-        return [cells[i * n : (i + 1) * n] for i in range(n)], dr * step ** max(top, 0) * j
+            term = _apply(neg_ad, term)
+        return num, dr * step ** max(top, 0) * j
 
-    ident = [[[[int(i == c)]] + [[0]] * (e - 1) for c in range(n)] for i in range(n)]
-    dy, y = _recurrence(da, a, ident, 1, order, solve, ctx)
+    dy, y = _recurrence(da, a, _diag([1] * n, ctx.e), 1, order, solve, ctx)
     return SeriesMatrix._from_ints(dy, y, ctx)
 
 
-def _neg_ad(a0, ctx):
-    """(-ad)(E) = A0 E - E A0 on constant entries, as (dst, src, coeff)
-    triples on the flat vector of E's pi-components (entry (i, c),
-    component t at index (i n + c) e + t), with pi^e = -p folded in: term
-    k + 1 of the Neumann sum has term_(k+1)[dst] = sum coeff * term_k[src].
-    Coefficients of one (dst, src) pair are merged and zero ones dropped."""
-    n, e, p = len(a0), ctx.e, ctx.prime
-    coeffs = {}
-
-    def put(i, c, s, t, src, x):
-        # x pi^s times component t of E goes to component s + t of (i, c)
-        if s + t >= e:
-            s, x = s - e, -p * x
-        key = ((i * n + c) * e + s + t, src)
-        coeffs[key] = coeffs.get(key, 0) + x
-
-    for i in range(n):
-        for k in range(n):
-            for s, (x,) in enumerate(a0[i][k]):
-                if x:
-                    for c in range(n):
-                        for t in range(e):
-                            # A0[i][k] E[k][c] and -E[c][i] A0[i][k]
-                            put(i, c, s, t, (k * n + c) * e + t, x)
-                            put(c, k, s, t, (c * n + i) * e + t, -x)
-    return [(dst, src, x) for (dst, src), x in coeffs.items() if x]
-
-
-def _require_nilpotent(a0, ctx, n):
-    """NotNilpotent unless the constant entries a0 (A0 over a denominator)
-    satisfy A0^n = 0."""
-    power = a0
+def _require_nilpotent(a0, n, ctx):
+    """NotNilpotent unless the n x n constant matrix a0 (A0 over a
+    denominator) satisfies A0^n = 0: E -> A0 E applied n times to I."""
+    times_a0 = _const_map(ctx, a0)
+    power = _diag([1] * n, ctx.e)
     for _ in range(n):
-        if not any(v for row in power for entry in row for (v,) in entry):
-            return
-        power = _matmul_consts(power, a0, ctx)
-    if any(v for row in power for entry in row for (v,) in entry):
+        power = _apply(times_a0, power)
+    if any(power):
         raise NotNilpotent("constant term of the system matrix is not nilpotent")

@@ -40,20 +40,12 @@ from .rational import (
     product_congruence_outcome,
     reconstruct_rational,
 )
-from .rings import INF, PadicContext
-from .series import TruncSeries
+from .rings import INF
+from .series import TruncSeries, _diag
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-def _power_diag(ctx: PadicContext, n: int, exponent: int):
-    p = ctx.prime
-    return [
-        [ctx.coeff(p ** (exponent * i)) if i == j else ctx.zero() for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def _first_nonzero_order(m: SeriesMatrix):
@@ -121,9 +113,9 @@ def antecedent_step(L: DiffOp, order: int, A=None, transformed=None) -> Antecede
         transformed = L.unit_solution(order).cartier()
     Y = uniform_part(A, order)
     C = Y.cartier()
-    a0_over_p = [[c * Fraction(1, p) for c in row] for row in A.constant_matrix()]
+    d0, a0 = A.constant_ints()
     C_inv = C.invert_series()
-    F = (C.delta() + C.matmul_const(a0_over_p)).matmul(C_inv)
+    F = (C.delta() + C.matmul_const(p * d0, a0)).matmul(C_inv)
     # monic coefficient of delta^(n-k) is -(1/p^(k-1)) * F[n, n-k+1]
     coeffs = tuple(
         F.entry(n - 1, n - k) * Fraction(-1, p ** (k - 1)) for k in range(1, n + 1)
@@ -132,7 +124,7 @@ def antecedent_step(L: DiffOp, order: int, A=None, transformed=None) -> Antecede
     A1 = L1.companion()
     passage = (
         Y.matmul(C_inv.subst_zpk(1))
-        .matmul_const(_power_diag(ctx, n, 1))
+        .matmul_const(1, _diag([p**i for i in range(n)], ctx.e))
         .truncate(order)
     )
     return _verified_level(1, L, L1, A1, passage, A, transformed)
@@ -153,7 +145,7 @@ def _verified_level(level, L, Lk, Ak, passage, A, transformed) -> AntecedentLeve
         raise VerificationFailed(
             f"passage identity fails at level {level}", order=bad
         )
-    if passage.constant_matrix() != _power_diag(ctx, n, level):
+    if passage.constant_ints() != (1, _diag([p ** (level * i) for i in range(n)], ctx.e)):
         raise VerificationFailed(
             f"passage matrix at level {level} has the wrong value at 0", order=0
         )

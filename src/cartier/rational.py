@@ -96,10 +96,6 @@ class Polynomial:
         rows[0][degree] = 1
         return cls._canonical(ctx, 1, rows)
 
-    @classmethod
-    def from_series_prefix(cls, f: TruncSeries, upto: int) -> "Polynomial":
-        return cls.from_rows(f.ctx, f.den, [row[:upto] for row in f.rows])
-
     @property
     def coeffs(self) -> tuple:
         """The coefficients as a tuple of Coefficients, built once."""

@@ -339,27 +339,6 @@ def parse_coefficient(text: str, ctx: PadicContext) -> Coefficient:
     return total
 
 
-def _solve_exact(matrix, rhs):
-    """X with matrix X = rhs, both given as lists of rows, by Gauss-Jordan
-    elimination over a field: the entries are Fractions or Coefficients,
-    read only through != 0, 1 / x and ring operations. ZeroDivisionError
-    when the matrix is singular."""
-    n = len(matrix)
-    a = [row[:] + rhs[i] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n:] for i in range(n)]
-
-
 # -- integer rows ---------------------------------------------------------------
 #
 # An element of Z[pi]/(pi^e + p) is a list of its e integer pi-components; a

@@ -25,7 +25,7 @@ from itertools import chain
 from operator import add, mul
 
 from .errors import BadParameters, NotAUnit
-from .rings import INF, Coefficient, PadicContext, _ring_inverse, _scale
+from .rings import INF, Coefficient, PadicContext, _primitive, _ring_inverse, _rowop, _scale
 
 
 class TruncSeries:
@@ -209,12 +209,6 @@ class TruncSeries:
         rows = tuple(map(tuple, self.rows))
         return hash((self.den, rows, self.ctx.prime, self.ctx.ramification))
 
-    def agrees_with(self, other, upto: int) -> bool:
-        o = self._common(other)
-        if upto > min(self.order, o.order):
-            raise ValueError("comparison window beyond reliable order")
-        return self.truncate(upto) == o.truncate(upto)
-
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
 
@@ -273,24 +267,12 @@ class TruncSeries:
             return self
         if not any(row[0] for row in self.rows):
             raise NotAUnit("constant term vanishes")
-        ctx = self.ctx
-        d0, inv0 = self._inverse_of(0)
-        dg, g = _invert(self.den, [[self.rows]], self.order, [[[[x] for x in inv0]]], d0, ctx)
-        return TruncSeries._of(ctx, dg, g[0][0])
+        dg, g = _invert(self.den, [[self.rows]], self.order, self.ctx)
+        return TruncSeries._of(self.ctx, dg, g[0][0])
 
     def log_derivative(self) -> "TruncSeries":
         """f'/f, reliable to order - 1."""
         return self.d_dz() * self.invert_unit()
-
-    def hadamard(self, other) -> "TruncSeries":
-        o = self._common(other)
-        n = min(self.order, o.order)
-        ctx = self.ctx
-        acc = _unfolded(ctx, n)
-        for s, ra in enumerate(self.rows):
-            for t, rb in enumerate(o.rows):
-                acc[s + t] = list(map(add, acc[s + t], map(mul, ra, rb)))
-        return TruncSeries._of(ctx, self.den * o.den, _fold(acc, ctx))
 
     # -- valuations and congruences ------------------------------------------
 
@@ -339,16 +321,6 @@ class TruncSeries:
             "N": self.order,
             "coeffs": [c.render() for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TruncSeries":
-        from .rings import Ramification
-
-        ctx = PadicContext(int(data["p"]), Ramification(data["ramification"]))
-        coeffs = [ctx.coeff(text) for text in data["coeffs"]]
-        if len(coeffs) != int(data["N"]):
-            raise BadParameters("coefficient count does not match N")
-        return cls.from_coeffs(ctx, coeffs)
 
     def __repr__(self):
         return f"TruncSeries(coeffs={self.coeffs!r}, ctx={self.ctx!r})"
@@ -458,8 +430,6 @@ def _mul_add(acc, a, b):
 def _matmul_ints(a, b, ctx, n):
     """Product of two square matrices of entries, each result entry summed
     over k in the unfolded domain and folded once, with rows of length n."""
-    if n == 1:
-        return _matmul_consts(a, b, ctx)
     size = len(a)
     out = []
     for row in a:
@@ -473,40 +443,20 @@ def _matmul_ints(a, b, ctx, n):
     return out
 
 
-def _matmul_consts(a, b, ctx):
-    """_matmul_ints with n = 1: only the constant terms, on bare ints."""
-    e, p = ctx.e, ctx.prime
-    b_cols = [[[(t, r[0]) for t, r in enumerate(b[k][j]) if r[0]] for k in range(len(b))]
-              for j in range(len(b))]
-    out = []
-    for row in a:
-        terms = [[(s, r[0]) for s, r in enumerate(entry) if r[0]] for entry in row]
-        out_row = []
-        for col in b_cols:
-            acc = [0] * (2 * e - 1)
-            for xs, ys in zip(terms, col):
-                for s, x in xs:
-                    for t, y in ys:
-                        acc[s + t] += x * y
-            out_row.append([[acc[t] - p * acc[t + e]] if t + e < len(acc) else [acc[t]]
-                            for t in range(e)])
-        out.append(out_row)
-    return out
-
-
 def _recurrence(dm, m, x0, d0, order, solve, ctx):
     """Integer form of the series matrix X with X_0 = x0 / d0 and, for j >= 1,
     X_j = solve(j, R_j) where R_j = sum_(l=1..j) M_l X_(j-l).
 
-    m holds M's entries over dm and x0 constant entries. solve(j, r, dr) gets
-    R_j as constant entries r over dr and returns X_j the same way, as
-    (entries, denominator). solve must be linear: a step whose R_j is zero
+    m holds M's entries over dm, and x0 is a constant matrix. solve(j, r, dr)
+    gets R_j as the constant matrix r over dr and returns X_j the same way,
+    as (vector, denominator). solve must be linear: a step whose R_j is zero
     gets X_j = 0 without a call. Returns (den, x): X's entries over one
     common denominator, which grows only to the least common denominator of
     the coefficients solved so far.
     """
-    size = len(m)
-    x = [[[r[:] for r in entry] for entry in row] for row in x0]
+    size, e, p = len(m), ctx.e, ctx.prime
+    # x[(k size + c) e + t] is component t of X[k][c] along z
+    x = [[v] for v in x0]
     den = d0
     # the nonzero rows of M_1, M_2, ..: (i, k, s, row) with row[l - 1] = M_l,
     # without trailing zeros, so that a polynomial M costs its degree per step
@@ -518,38 +468,35 @@ def _recurrence(dm, m, x0, d0, order, solve, ctx):
         if any(row[1:])
     ]
     for j in range(1, order):
-        r = None
+        r = [0] * len(x)
         for i, k, s, tail in terms:
             head = tail[:j]
             for c in range(size):
-                for t, xs in enumerate(x[k][c]):
+                src, dst = (k * size + c) * e, (i * size + c) * e
+                for t, xs in enumerate(x[src : src + e]):
                     v = sum(map(mul, head, reversed(xs)))
                     if v:
-                        if r is None:
-                            r = [[_unfolded(ctx, 1) for _ in range(size)] for _ in range(size)]
-                        r[i][c][s + t][0] += v
-        if r is None:
-            # R_j = 0, so X_j = 0 (solve is linear): no fold, solve or gcd
-            for row in x:
-                for entry in row:
-                    for xs in entry:
-                        xs.append(0)
+                        if s + t < e:
+                            r[dst + s + t] += v
+                        else:
+                            r[dst + s + t - e] -= p * v
+        if not any(r):
+            # R_j = 0, so X_j = 0 (solve is linear): no solve or gcd
+            for xs in x:
+                xs.append(0)
             continue
-        r = [[_fold(acc, ctx) for acc in row] for row in r]
         num, dj = solve(j, r, dm * den)
-        g = math.gcd(dj, *(v for row in num for entry in row for (v,) in entry))
+        g = math.gcd(dj, *num)
         dj //= g
         grown = math.lcm(den, dj)
         if grown != den:
             scale = grown // den
-            x = [[[[v * scale for v in xs] for xs in entry] for entry in row] for row in x]
+            x = [[v * scale for v in xs] for xs in x]
             den = grown
         scale = den // dj
-        for row, nrow in zip(x, num):
-            for entry, nentry in zip(row, nrow):
-                for xs, (v,) in zip(entry, nentry):
-                    xs.append(v // g * scale)
-    return den, x
+        for xs, v in zip(x, num):
+            xs.append(v // g * scale)
+    return den, _square(x, size, e)
 
 
 def _trimmed(row):
@@ -560,12 +507,107 @@ def _trimmed(row):
     return row[:end]
 
 
-def _invert(dm, m, order, inv0, d0, ctx):
-    """Integer form of M^-1 to the given order, from M's entries over dm and
-    the inverse inv0 / d0 of M_0: X_j = -M_0^-1 sum_(l=1..j) M_l X_(j-l)."""
-    minus_inv0 = [[[[-v for v in r] for r in entry] for entry in row] for row in inv0]
+def _invert(dm, m, order, ctx):
+    """Integer form of M^-1 to the given order, from M's entries over dm:
+    X_0 = M_0^-1 and X_j = -M_0^-1 sum_(l=1..j) M_l X_(j-l), with the map
+    E -> -M_0^-1 E compiled once."""
+    d0, inv0 = _const_inverse(dm, _flat(m), ctx)
+    minus_inv0 = _const_map(ctx, [-v for v in inv0])
 
     def solve(j, r, dr):
-        return _matmul_ints(minus_inv0, r, ctx, 1), d0 * dr
+        return _apply(minus_inv0, r), d0 * dr
 
     return _recurrence(dm, m, inv0, d0, order, solve, ctx)
+
+
+# -- constant matrices ---------------------------------------------------------
+#
+# A constant matrix is a flat vector of integers over a denominator held
+# beside it, component t of entry (i, c) of an n x n matrix at (i n + c) e + t.
+
+
+def _flat(entries):
+    """The constant terms of a square matrix of entries, as a flat vector."""
+    return [r[0] for row in entries for entry in row for r in entry]
+
+
+def _square(items, n, e):
+    """The n x n matrix of entries whose flat list of components is items."""
+    cells = [items[i : i + e] for i in range(0, len(items), e)]
+    return [cells[i * n : (i + 1) * n] for i in range(n)]
+
+
+def _diag(values, e):
+    """The diagonal matrix of the given integers."""
+    n = len(values)
+    return [v if i == c and t == 0 else 0
+            for i, v in enumerate(values) for c in range(n) for t in range(e)]
+
+
+def _const_map(ctx, left, right=None):
+    """The map E -> L E - E R (R = None: zero) as (dst, src, coeff) triples
+    with pi^e = -p folded in and equal pairs merged, so that the image is
+    image[dst] = sum coeff * E[src]. L and R share a denominator, which the
+    caller keeps."""
+    e, p = ctx.e, ctx.prime
+    n = math.isqrt(len(left) // e)
+    coeffs = {}
+    for i in range(n):
+        for k in range(n):
+            for c in range(n):
+                # L[i][k] E[k][c] and -E[i][k] R[k][c] land in entry (i, c)
+                at = (i * n + k) * e
+                terms = [(s, x, k * n + c) for s, x in enumerate(left[at : at + e]) if x]
+                if right is not None:
+                    at = (k * n + c) * e
+                    terms += [(s, -x, i * n + k) for s, x in enumerate(right[at : at + e]) if x]
+                for s, x, src in terms:
+                    for t in range(e):
+                        # x pi^s times component t of E is component s + t
+                        u, y = (s + t, x) if s + t < e else (s + t - e, -p * x)
+                        key = ((i * n + c) * e + u, src * e + t)
+                        coeffs[key] = coeffs.get(key, 0) + y
+    return [(dst, src, x) for (dst, src), x in coeffs.items() if x]
+
+
+def _apply(triples, vec):
+    """The image of the flat vector vec under a compiled constant map."""
+    out = [0] * len(vec)
+    for dst, src, c in triples:
+        v = vec[src]
+        if v:
+            out[dst] += c * v
+    return out
+
+
+def _const_inverse(den, a, ctx):
+    """(d, x): x / d is the inverse of the constant matrix a / den, in
+    canonical form; NotAUnit when it is singular. Fraction-free Gauss-Jordan
+    on [A | I], row i held as e integer rows along its 2n columns: row i
+    ends as a_i in column i and B_i on the right, and A^-1 has row B_i / a_i."""
+    e, p = ctx.e, ctx.prime
+    n = math.isqrt(len(a) // e)
+    rows = [
+        [[a[(i * n + k) * e + t] for k in range(n)] + [int(t == 0 and k == i) for k in range(n)]
+         for t in range(e)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if any(row[col] for row in rows[r])), None)
+        if pivot is None:
+            raise NotAUnit("constant term matrix is singular")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = [row[col] for row in rows[col]]
+        for r in range(n):
+            c = [row[col] for row in rows[r]]
+            if r != col and any(c):
+                (rows[r],) = _primitive(_rowop(lead, rows[r], c, 0, rows[col], p))
+    # 1 / a_i = inv / d_i
+    invs = [_ring_inverse(1, [r[i] for r in row], p) for i, row in enumerate(rows)]
+    d = math.lcm(*(di for di, _ in invs))
+    x = [v * den * (d // di)
+         for (di, inv), row in zip(invs, rows)
+         for col in zip(*_scale(inv, [r[n:] for r in row], p))
+         for v in col]
+    g = math.gcd(d, *x)
+    return d // g, [v // g for v in x]

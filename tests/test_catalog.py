@@ -65,7 +65,9 @@ class TestBuildSeries:
     def test_hadamard_factorization(self):
         half = build(hyper_spec(U7, 12, Fraction(1, 2))).series
         pair = build(hyper_spec(U7, 12, Fraction(1, 2), Fraction(1, 2))).series
-        assert half.hadamard(half) == pair
+        # the coefficientwise square of 2F1(1/2; z) is 2F1(1/2, 1/2; z)
+        square = TruncSeries(tuple(a * a for a in half.coeffs), half.ctx)
+        assert square == pair
 
     def test_bessel_series(self):
         entry = build(SeriesSpec(SeriesKind.BESSEL, D3, 10))

@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -12,6 +15,13 @@ from hypothesis import strategies as st
 
 from cartier import LeadingNotUnit, catalog
 from cartier.cli import main
+
+
+# delta^2 - z (delta + 1/2)^2 with its z-degree 1 written as given
+GAUSS_TERMS_AT = (
+    '{"terms": [{"zdeg": 0, "deltapoly": ["0", "0", "1"]},'
+    ' {"zdeg": %s, "deltapoly": ["-1/4", "-1", "-1"]}]}'
+)
 
 
 @pytest.fixture
@@ -328,8 +338,13 @@ class TestAntecedent:
             '{"terms": [{"zdeg": 0, "deltapoly": ["1/0"]}]}',
             '{"terms": [{"zdeg": "a", "deltapoly": ["1"]}]}',
             "[1, 2]",
+            # a valid Gauss operator but for a z-degree that is not an int
+            GAUSS_TERMS_AT % "1.5",
+            GAUSS_TERMS_AT % "true",
+            GAUSS_TERMS_AT % '"1"',
         ],
-        ids=["not-json", "no-terms", "zero-denominator", "bad-zdeg", "top-level-list"],
+        ids=["not-json", "no-terms", "zero-denominator", "bad-zdeg", "top-level-list",
+             "float-zdeg", "bool-zdeg", "string-zdeg"],
     )
     def test_malformed_operator_file_is_a_reported_error(self, runner, tmp_path, text):
         path = tmp_path / "op.json"
@@ -770,3 +785,22 @@ class TestFuzz:
             payload = json.loads(result.stdout)
             assert payload["request"]["command"] == command
             assert ("error" in payload) <= (result.exit_code == 1)
+
+
+class TestRuntimeDependencies:
+    def test_cli_imports_only_the_standard_library_and_click(self):
+        # a fresh interpreter, so that no module another test imported counts
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import cartier.cli\n"
+            "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        loaded = set(json.loads(out))
+        assert "cartier" in loaded
+        assert loaded - set(sys.stdlib_module_names) - {"click", "cartier"} == set()

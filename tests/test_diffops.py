@@ -17,13 +17,12 @@ from cartier import (
 from cartier.diffops import (
     DiffOp,
     SeriesMatrix,
-    _invert_const,
     monicize,
     raw_terms_from_json,
     uniform_part,
 )
-from cartier.rational import Polynomial
-from cartier.series import TruncSeries
+from cartier.rational import Polynomial, RationalFunction
+from cartier.series import TruncSeries, _apply, _const_inverse, _const_map
 from test_series import KERNEL_CONTEXTS, SHAPES, random_coeff, ref_mul, shaped_series
 
 U5 = PadicContext.unramified(5)
@@ -88,32 +87,25 @@ class TestMonicize:
         assert L.is_mom
         # hand-expanded inner product is 34 d^3 + 51 d^2 + 27 d + 5
         assert apery_raw_terms(U5)[1][1] == [-5, -27, -51, -34]
-        a3 = L.rational_coeffs[2]
-        assert a3.num == Polynomial.from_coeffs(U5, [0, -5, 1])
-        assert a3.den == Polynomial.from_coeffs(U5, [1, -34, 1])
+        # a_3 = (z^2 - 5z) / (z^2 - 34z + 1), the z^2 - 34z + 1 from the
+        # delta^3 terms and the numerator from the delta^0 terms
+        a3 = RationalFunction(
+            Polynomial.from_coeffs(U5, [0, -5, 1]), Polynomial.from_coeffs(U5, [1, -34, 1])
+        )
+        assert L.coeffs[2] == a3.to_series(12)
 
     def test_gauss_rational_forms(self):
         L = monicize(gauss_half_half_terms(), U5, 10)
-        a1, a2 = L.rational_coeffs
-        assert a1.num == Polynomial.from_coeffs(U5, [0, -1])
-        assert a1.den == Polynomial.from_coeffs(U5, [1, -1])
-        assert a2.num == Polynomial.from_coeffs(U5, [0, Fraction(-1, 4)])
-        assert a2.den == Polynomial.from_coeffs(U5, [1, -1])
-        # series forms match the rational forms
-        for a, r in zip(L.coeffs, L.rational_coeffs):
-            assert a == r.to_series(10)
+        den = Polynomial.from_coeffs(U5, [1, -1])
+        a1 = RationalFunction(Polynomial.from_coeffs(U5, [0, -1]), den)
+        a2 = RationalFunction(Polynomial.from_coeffs(U5, [0, Fraction(-1, 4)]), den)
+        assert L.coeffs == (a1.to_series(10), a2.to_series(10))
 
     def test_exponential_already_monic(self):
         L = monicize([(0, [0, 1]), (1, [-D3.pi()])], D3, 8)
         assert L.order == 1
         assert L.is_mom
         assert L.coeffs[0] == TruncSeries.from_coeffs(D3, [0, -D3.pi()] + [0] * 6)
-
-    def test_gauss_norm_flag(self):
-        assert monicize(apery_raw_terms(U5), U5, 8).gauss_norm_bounded is True
-        # 1/5 coefficient breaks the norm bound
-        L = monicize([(0, [0, 1]), (1, [Fraction(-1, 5)])], U5, 8)
-        assert L.gauss_norm_bounded is False
 
     def test_leading_must_be_unit_at_zero(self):
         with pytest.raises(LeadingNotUnit):
@@ -263,8 +255,7 @@ class TestUniformPart:
         L = monicize(gauss_half_half_terms(), U7, 12)
         A = L.companion()
         Y = uniform_part(A, 12)
-        A0 = A.constant_matrix()
-        residual = Y.delta() - A.matmul(Y) + Y.matmul_const(A0)
+        residual = Y.delta() - A.matmul(Y) + Y.matmul_const(*A.constant_ints())
         assert residual.is_zero()
         assert Y.constant_matrix() == SeriesMatrix.identity(U7, 2, 1).constant_matrix()
 
@@ -308,6 +299,11 @@ def ref_matmul_const(a, c):
         [[sum((a.entry(i, k) * c[k][j] for k in range(1, n)), a.entry(i, 0) * c[0][j])
           for j in range(n)] for i in range(n)]
     )
+
+
+def const_ints(c, ctx):
+    """(den, vec) of a constant Coefficient matrix, as constant_ints gives it."""
+    return SeriesMatrix.from_rows([[TruncSeries((x,), ctx) for x in row] for row in c]).constant_ints()
 
 
 def const_product(a, b, ctx):
@@ -435,7 +431,7 @@ class TestMatrixKernelAgainstCoefficientLoops:
             b = shaped_matrix(rng, ctx, n, order + rng.randrange(2))
             assert a.matmul(b) == ref_matmul(a, b)
             c = [[random_coeff(rng, ctx) for _ in range(n)] for _ in range(n)]
-            assert a.matmul_const(c) == ref_matmul_const(a, c)
+            assert a.matmul_const(*const_ints(c, ctx)) == ref_matmul_const(a, c)
             # a substituted matrix B(z^p) on either side, as in the
             # antecedent step's products
             strided = shaped_matrix(rng, ctx, n, order).subst_zpk(1)
@@ -592,37 +588,59 @@ class TestJsonInput:
         assert L.coeffs[0][1] == -D3.pi()
 
 
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+def test_const_map_against_coefficient_products(ctx):
+    """The compiled map E -> L E - E R, and E -> L E, against Coefficient
+    matrix products; L and R go in over one common denominator."""
+    rng = random.Random(f"const-map/{ctx.e}")
+    for n in (1, 2, 3):
+        l, r, x = ([[random_coeff(rng, ctx) for _ in range(n)] for _ in range(n)] for _ in range(3))
+        (dl, lv), (dr, rv), (dx, xv) = (const_ints(m, ctx) for m in (l, r, x))
+        d = math.lcm(dl, dr)
+        lv, rv = [v * (d // dl) for v in lv], [v * (d // dr) for v in rv]
+        lx, xr = const_product(l, x, ctx), const_product(x, r, ctx)
+        diff = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(lx, xr)]
+        for triples, want in ((_const_map(ctx, lv, rv), diff), (_const_map(ctx, lv), lx)):
+            image = _apply(triples, xv)
+            g = math.gcd(d * dx, *image)
+            assert ((d * dx) // g, [v // g for v in image]) == const_ints(want, ctx)
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
 class TestInvertConst:
-    """The constant-matrix inverse runs Gauss-Jordan on Coefficients."""
+    """The constant-matrix inverse runs fraction-free Gauss-Jordan on integer
+    rows; the reference is Gauss-Jordan on Coefficients."""
 
-    D5 = PadicContext.dwork(5)
+    def invert(self, a, ctx):
+        n, e = len(a), ctx.e
+        d, x = _const_inverse(*const_ints(a, ctx), ctx)
+        parts = [[Fraction(v, d) for v in x[at : at + e]] for at in range(0, len(x), e)]
+        return [[ctx.coeff(parts[i * n + k]) for k in range(n)] for i in range(n)]
 
-    def product(self, a, b):
-        n = len(a)
-        return [[sum((a[i][k] * b[k][j] for k in range(n)), self.D5.zero()) for j in range(n)]
-                for i in range(n)]
-
-    def test_three_by_three_in_q5_pi(self):
-        ctx = self.D5
-        rng = random.Random("invert-const")
-        ident = [[ctx.one() if i == j else ctx.zero() for j in range(3)] for i in range(3)]
+    def test_against_coefficient_gauss_jordan(self, ctx):
+        rng = random.Random(f"invert-const/{ctx.e}")
         inverted = 0
-        for _ in range(5):
-            # a zero in the first pivot position forces a row swap
-            a = [[random_coeff(rng, ctx) for _ in range(3)] for _ in range(3)]
-            a[0][0] = ctx.zero()
+        for n in (1, 2, 3, 3, 3, 4):
+            a = [[random_coeff(rng, ctx) for _ in range(n)] for _ in range(n)]
+            if n > 1:
+                # a zero in the first pivot position forces a row swap
+                a[0][0] = ctx.zero()
+            unit = lambda j: [ctx.coeff(int(i == j)) for i in range(n)]
             try:
-                inv = _invert_const(a, ctx)
-            except NotAUnit:
+                cols = [ref_solve(a, unit(j)) for j in range(n)]
+            except StopIteration:  # no pivot: singular
+                with pytest.raises(NotAUnit):
+                    self.invert(a, ctx)
                 continue
-            assert self.product(a, inv) == ident
-            assert self.product(inv, a) == ident
+            assert self.invert(a, ctx) == [[cols[j][i] for j in range(n)] for i in range(n)]
             inverted += 1
         assert inverted
 
-    def test_singular_matrix_is_not_a_unit(self):
-        ctx = self.D5
+    def test_singular_matrix_is_not_a_unit(self, ctx):
         pi = ctx.pi()
+        # the second row is pi times the first
         a = [[ctx.one(), pi, ctx.coeff(3)], [pi, pi * pi, pi * 3], [ctx.zero(), ctx.one(), pi]]
+        with pytest.raises(NotAUnit, match="constant term matrix is singular"):
+            self.invert(a, ctx)
         with pytest.raises(NotAUnit):
-            _invert_const(a, ctx)
+            self.invert([[ctx.zero()]], ctx)

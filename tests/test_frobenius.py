@@ -5,6 +5,7 @@ import pytest
 
 from cartier import (
     BadParameters,
+    Coefficient,
     NotInK0,
     NotMOM,
     OrderExhausted,
@@ -17,7 +18,7 @@ from cartier import (
 )
 from cartier import frobenius
 from cartier.catalog import _apery_numbers
-from cartier.diffops import monicize, uniform_part
+from cartier.diffops import SeriesMatrix, monicize, uniform_part
 from cartier.frobenius import (
     antecedent_chain,
     antecedent_step,
@@ -42,6 +43,7 @@ from cartier.rational import (
 )
 from cartier.rings import INF
 from cartier.series import TruncSeries
+from test_diffops import const_ints
 
 U2 = PadicContext.unramified(2)
 U5 = PadicContext.unramified(5)
@@ -216,7 +218,7 @@ class TestAntecedentChain:
         Y = uniform_part(L.companion(), 60)
         direct = (
             Y.matmul(Y.cartier().cartier().subst_zpk(2).invert_series())
-            .matmul_const(diag_const(U5, [1, 25]))
+            .matmul_const(*const_ints(diag_const(U5, [1, 25]), U5))
         )
         assert direct == levels[1].passage
 
@@ -253,6 +255,47 @@ class TestAntecedentChain:
         assert report["passage_min_valuation"] == 0
         assert report["residual_min_valuation"] is None
         assert report["checked_order"] == lv.checked_order
+
+
+COEFFICIENT_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__pow__", "inverse",
+)
+
+
+@pytest.mark.parametrize("ctx", [U5, D3, D5], ids=lambda c: f"e{c.e}")
+class TestRowsOnly:
+    """The antecedent chain and the series-matrix inverse run on integer rows:
+    with every arithmetic operation of Coefficient made to raise, after the
+    operator is built, they still complete."""
+
+    ORDER = 30
+
+    def operator(self, ctx):
+        spec = SeriesSpec(SeriesKind.HYPERGEOMETRIC, ctx, self.ORDER, alphas=(Fraction(1, 2),) * 2)
+        return build(spec).operator
+
+    def forbid_coefficient_arithmetic(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Coefficient arithmetic in the integer kernel")
+
+        for name in COEFFICIENT_ARITHMETIC:
+            monkeypatch.setattr(Coefficient, name, refuse)
+
+    def test_antecedent_chain(self, ctx, monkeypatch):
+        L = self.operator(ctx)
+        self.forbid_coefficient_arithmetic(monkeypatch)
+        levels = antecedent_chain(L, 2, self.ORDER)
+        assert [lv.to_json_dict()["level"] for lv in levels] == [1, 2]
+
+    def test_invert_series(self, ctx, monkeypatch):
+        a1, a2 = self.operator(ctx).coeffs
+        one = TruncSeries.one(ctx, self.ORDER)
+        # constant term [[0, 1], [pi, 0]]: a row swap, and pi in the inverse
+        m = SeriesMatrix.from_rows([[a1, one + a2], [one * ctx.pi() + a2, a1]])
+        self.forbid_coefficient_arithmetic(monkeypatch)
+        inv = m.invert_series()
+        assert m.matmul(inv) == SeriesMatrix.identity(ctx, 2, self.ORDER)
 
 
 class TestIntegralityCheck:

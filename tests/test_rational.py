@@ -194,7 +194,7 @@ class TestPade:
         window = 7
         for r, t in pade_pairs(f, window):
             prod = t.to_series(window) * f.truncate(window)
-            assert prod.agrees_with(r.to_series(window), window - 0 if r.degree < window else window)
+            assert prod == r.to_series(window)
 
     def test_reconstructs_geometric(self):
         f = TruncSeries.from_coeffs(U5, [1] * 12)
@@ -290,11 +290,16 @@ DIFF_ORDER = 12
 DIFF_WINDOWS = range(1, 11)
 
 
+def prefix_poly(f, upto):
+    """The polynomial of f's first upto coefficients."""
+    return Polynomial.from_rows(f.ctx, f.den, [row[:upto] for row in f.rows])
+
+
 def euclid_pairs(f, window):
     """Extended Euclid on (z^window, f mod z^window) over the field."""
     ctx = f.ctx
     r_prev = Polynomial.monomial(ctx, window)
-    r_cur = Polynomial.from_series_prefix(f, window)
+    r_cur = prefix_poly(f, window)
     t_prev, t_cur = Polynomial.zero(ctx), Polynomial.one(ctx)
     if r_cur.is_zero():
         yield r_cur, t_cur
@@ -532,7 +537,7 @@ class TestPolynomialRowsAgainstCoefficientLoops:
             assert_poly(Polynomial.from_rows(ctx, -pa.den * scale, rows), [-c for c in a])
             f = TruncSeries(tuple(a), ctx)
             for upto in range(len(a) + 2):
-                assert_poly(Polynomial.from_series_prefix(f, upto), a[:upto])
+                assert_poly(prefix_poly(f, upto), a[:upto])
 
     def test_add_sub_neg(self, ctx, shape):
         zero = ctx.zero()
@@ -645,7 +650,7 @@ class TestRationalRowsAgainstCoefficientLoops:
         f = diff_sources(ctx)[-1]  # p in every denominator
         one = Polynomial.one(ctx)
         # f itself, f off by p^2 z^3, and random pairs
-        prefix = Polynomial.from_series_prefix(f, f.order)
+        prefix = prefix_poly(f, f.order)
         pairs = [(prefix, one), (prefix + Polynomial.monomial(ctx, 3).scale(ctx.prime**2), one)]
         for _ in range(6):
             num = Polynomial.from_coeffs(ctx, poly_values(rng, ctx, 3, "dense"))
@@ -692,7 +697,7 @@ def planted_rational(rng, ctx, order, m, deg):
     for i, row in enumerate(rows):
         row[0] = int(i == 0)
     den = Polynomial.from_rows(ctx, 1, rows)
-    num = Polynomial.from_series_prefix(integral_series(rng, ctx, rng.randint(1, deg + 1)), deg + 1)
+    num = prefix_poly(integral_series(rng, ctx, rng.randint(1, deg + 1)), deg + 1)
     noise = integral_series(rng, ctx, order) * ctx.pi() ** m
     return canonical_lift(RationalFunction(num, den).to_series(order), m) + noise
 

@@ -14,7 +14,6 @@ from cartier import (
     PadicContext,
     parse_coefficient,
 )
-from cartier.rings import _solve_exact
 from cartier.series import TruncSeries
 
 U5 = PadicContext.unramified(5)
@@ -39,6 +38,25 @@ def coefficients(ctx):
     )
 
 
+def solve_exact(matrix, rhs):
+    """X with matrix X = rhs, both lists of rows of Fractions, by Gauss-Jordan
+    elimination over Q; ZeroDivisionError when the matrix is singular."""
+    n = len(matrix)
+    a = [row[:] + rhs[i] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [a[i][n:] for i in range(n)]
+
+
 def solve_exact_inverse(c):
     """The field inverse by Gauss-Jordan on the multiplication matrix: column
     j holds the components of c * pi^j, and the inverse solves M x = 1."""
@@ -49,7 +67,7 @@ def solve_exact_inverse(c):
         power = power * c.ctx.pi()
     matrix = [[cols[j][i] for j in range(e)] for i in range(e)]
     unit = [[Fraction(int(i == 0))] for i in range(e)]
-    return Coefficient(tuple(x for (x,) in _solve_exact(matrix, unit)), c.ctx)
+    return Coefficient(tuple(x for (x,) in solve_exact(matrix, unit)), c.ctx)
 
 
 class TestInverseAgainstSolveExact:
