@@ -158,6 +158,10 @@ def kolchin_scan(
         raise ValueError("at least one series is required")
     if level < 1:
         raise BadParameters("level must be >= 1")
+    if exp_bound < 1:
+        raise BadParameters(f"exponent bound must be >= 1, got {exp_bound}")
+    if deg_bound < 0:
+        raise BadParameters(f"degree bound must be >= 0, got {deg_bound}")
     if names is None:
         names = tuple(f"f{i + 1}" for i in range(m))
     else:

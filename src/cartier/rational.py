@@ -15,24 +15,29 @@ canonical denominator. One Euclid serves every context: the primitive
 pseudo-remainder sequence of rings._pseudo_step on integer pi-component
 rows of Z[pi]/(pi^e + p). It yields the Pade pairs (pade_pairs), reduces
 fractions from its terminal cofactors (RationalFunction.make), and inverts
-ring elements (rings._adjugate). Every search screens a pair in the residue
-ring O_K/p^K = (Z/p^K)[pi]/(pi^e + p) (raw_congruence_check) wherever that
-screen decides the congruence exactly. The survivors pass one exact check
-(_residual): the candidate, expanded once as a series and times mult where
-one is given, leaves a residual whose least valuation decides (>= m).
+ring elements (rings._adjugate).
+
+One product decides every candidate r/t. A t without a root in the open
+unit disc is t(0) times a unit of O_K[[z]] mod z^upto, so r/t * mult =
+target mod pi^m exactly when v(r * mult - t * target) - v(t(0)) >= m, with
+no division and no series inverse. A search screens each pair by that
+product in the residue ring O_K/p^k = (Z/p^k)[pi]/(pi^e + p)
+(raw_congruence_check) wherever t(0) is a unit and the target is integral;
+the survivors pass one exact check (_residual) whose least valuation
+decides (>= m) and is reported. A pair whose t has a root in the disc can
+never be accepted, so it is set aside and tested only when nothing
+verifies, to tell NotInK0 from ReconstructionFailed.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParameters, NegativeValuation, NotInK0, ReconstructionFailed
-from .rings import Coefficient, PadicContext
-from .rings import _adjugate, _primitive, _pseudo_step, _ring_mul, _scale, _strip
-from .series import TruncSeries, _coefficient
+from .rings import INF, Coefficient, PadicContext
+from .rings import _adjugate, _primitive, _pseudo_step, _scale, _strip
+from .series import TruncSeries, _coefficient, _fold, _mul_add, _unfolded
 
 
 class Polynomial:
@@ -468,92 +473,44 @@ def _solvable(rows, rhs, p, mod):
     return not any(rhs)
 
 
-def _divide_by_pi(x, shift, q, p, mod):
-    """x * pi^shift / p^q: x divided by X = p^q / pi^shift, an element of
-    valuation v = e*q - shift, from residues mod p^K. The result holds mod
-    p^(K - q). None when v(x) < v."""
-    if shift:
-        x = _ring_mul(x, [0] * shift + [1] + [0] * (len(x) - shift - 1), p)
-    pq = p**q
-    x = [v % mod for v in x]
-    if any(v % pq for v in x):
-        return None
-    return [v // pq for v in x]
-
-
 def _residue_screen(num, den, res: ResidueTarget, upto):
-    """raw_congruence_check in the residue ring O_K/p^K.
+    """raw_congruence_check in the residue ring O_K/p^k, k = res.digits.
 
-    Let v0 = v(den(0)) and X = p^q / pi^shift with q = ceil(v0/e) and
-    shift = e*q - v0, so v(X) = v0. Once num and den are divided by the unit
-    den(0)/X, the quotient stream S = num/den obeys X S_n = R_n with
-    R_n = num'[n] - sum_k den'[k] S_(n-k). A stream coefficient of negative
-    valuation cannot match an integral target, so the check fails exactly
-    when v(R_n) < v0. Dividing by X costs q p-adic digits of precision per
-    coefficient, so K = k + (upto + 1) * q leaves the digits the comparison
-    needs at the last one; at v0 = 0 this is the plain screen mod p^k. All
-    reductions commute with the recurrence because num, den and the target
-    are integral. Returns None (the caller falls back to exact arithmetic)
-    when a coefficient is not integral.
+    For integral num and den with den(0) a unit, den is a unit of
+    O_K[[z]] mod z^upto, so num/den = g mod pi^m exactly when
+    num = den * g mod pi^m: one truncated product, compared with num
+    component by component under res.thresholds. All reductions mod p^k
+    commute with it because num, den and the target are integral. den(0) is
+    a unit exactly when its pi^0 component is prime to p. Returns None (the
+    caller falls back to the exact check) in every other case.
     """
-    p, thresholds, want = res.prime, res.thresholds, res.rows
-    v0 = den._series().min_valuation(1)
-    if want is None or not 0 <= v0 < math.inf:
+    p, want = res.prime, res.rows
+    if want is None:
         return None
-    e = len(thresholds)
-    q = -(-v0 // e)
-    shift = e * q - v0
-    mod = p ** (res.digits + (upto + 1) * q)
-    dres = _residue_rows(den.den, den.rows, p, mod)
+    mod = p**res.digits
     nres = _residue_rows(num.den, num.rows, p, mod)
-    if nres is None or dres is None:
+    dres = _residue_rows(den.den, den.rows, p, mod)
+    if nres is None or dres is None or dres[0][0] % p == 0:
         return None
-    lead = [row[0] for row in dres]
-    if q:
-        lead = _divide_by_pi(lead, shift, q, p, mod)
-    # divide through by the unit lead = den(0)/X, so that den'(0) = X; the
-    # adjugate's r is prime to p, because it has left the chain primitive
-    r, adj = _adjugate(lead, p)
-    inv = [x * pow(r, -1, mod) % mod for x in adj]
-    nres = _scale(inv, nres, p)
-    nn = len(nres[0])
-    dd = den.degree
-    den_rev = _scale(inv, [row[dd:0:-1] for row in dres], p)
-    out = [[] for _ in range(e)]
-    # den'[k] S_(n-k) by components: component i of den' and j of S land in
-    # component i + j, folded through pi^e = -p
-    terms = [
-        (drow, orow, i + j) if i + j < e else ([-p * x for x in drow], orow, i + j - e)
-        for i, drow in enumerate(den_rev)
-        for j, orow in enumerate(out)
-    ]
-    checks = list(zip(out, want, thresholds))
-    mul = operator.mul
-    for n in range(upto):
-        lo, cut = (n - dd, 0) if n > dd else (0, dd - n)
-        s = [row[n] for row in nres] if n < nn else [0] * e
-        for drow, orow, k in terms:
-            s[k] -= sum(map(mul, drow[cut:], orow[lo:n]))
-        if q:
-            s = _divide_by_pi(s, shift, q, p, mod)
-            if s is None:
-                return False
-        for (row, wrow, thr), v in zip(checks, s):
-            v %= mod
-            if (v - wrow[n]) % thr:
-                return False
-            row.append(v)
+    ctx = den.ctx
+    acc = _unfolded(ctx, upto)
+    _mul_add(acc, dres, want)
+    pad = [0] * max(0, upto - len(nres[0]))
+    for nrow, prow, thr in zip(nres, _fold(acc, ctx), res.thresholds):
+        if any((x - y) % thr for x, y in zip(nrow[:upto] + pad, prow)):
+            return False
     return True
 
 
 def raw_congruence_check(num, den, target, m, upto, residues=None) -> bool:
-    """Congruence screen on an unreduced (num, den) pair.
+    """Whether num/den = target mod pi^m on the first upto coefficients,
+    for an unreduced pair with den(0) != 0.
 
-    Equivalent to the congruence part of congruence_outcome (the pair and
-    its reduced form expand to the same series), but skips the reduction,
-    so it is the cheap first look at a Pade pair. It runs in a residue ring
-    O_K/p^K (_residue_screen) when num, den and the target are integral,
-    and as the exact check (_residual) otherwise. residues is
+    It is the congruence part of congruence_outcome (the pair and its
+    reduced form expand to the same series) without the reduction, so it is
+    the cheap first look at a Pade pair. It runs in the residue ring
+    (_residue_screen) when num, den and the target are integral and den(0)
+    is a unit, and as the exact check (_residual) otherwise. residues is
     ResidueTarget(target, m, upto), passed by callers that screen many
     pairs against one target so that the target is reduced only once.
     """
@@ -578,8 +535,8 @@ def reconstruct_rational(
     """The certificate search: R with R * mult = target mod pi^m on the
     target's window (R = target when mult is None), deg num and deg den
     <= deg_bound, no pole in the open unit disc, and Gauss norm one when
-    require_norm_one, for m >= 1. Returns R and the least valuation of
-    R * mult - target on the window.
+    require_norm_one, for m >= 1 and deg_bound >= 0. Returns R and the least
+    valuation of R * mult - target on the window.
 
     The Pade sweep runs on g = target / mult, then on canonical_lift(g, m)
     when g is integral; the first candidate to verify is returned. A pair is
@@ -587,18 +544,21 @@ def reconstruct_rational(
     decides the congruence exactly: g integral, m < 4096, and mult either
     None or integral with a unit constant term, so that mult and its
     inverse are integral and R * mult = target holds mod pi^m exactly when
-    R = g does. Elsewhere a candidate, which matches by construction only
-    its Pade window, is first checked on twice that prefix, which rejects
-    most at a fraction of the cost. Candidates left are verified by
-    congruence_outcome or product_congruence_outcome. Raises NotInK0 if
-    candidates matched the congruence but only ever failed the unit-disc
-    test, else ReconstructionFailed. residues is
+    R = g does. Candidates left are verified by congruence_outcome or
+    product_congruence_outcome, which expand no inverse for a denominator
+    without a pole. A pair whose t has a root in the open unit disc can only
+    fail or give NotInK0, so it is set aside: only when nothing verifies is
+    each one tested, first by the necessary v(r * mult - t * target) >= m
+    (t is integral), then by the outcome. Raises NotInK0 if one of them
+    matched the congruence, else ReconstructionFailed. residues is
     ResidueTarget(target, m, target.order) with mult None, passed by a
     caller that has reduced the target already; it is read only when the
     screen runs.
     """
     if m < 1:
         raise BadParameters("level must be >= 1")
+    if deg_bound < 0:
+        raise BadParameters(f"degree bound must be >= 0, got {deg_bound}")
     upto = target.order
     g = target if mult is None else target * mult.invert_unit()
     integral = g.min_valuation() >= 0
@@ -608,17 +568,24 @@ def reconstruct_rational(
         residues = None
     elif residues is None:
         residues = ResidueTarget(g, m, upto)
+
+    def outcome(cand):
+        if mult is None:
+            return congruence_outcome(cand, target, m, upto, require_norm_one)
+        return product_congruence_outcome(cand, mult, target, m, upto, require_norm_one)
+
     seen = set()
-    saw_k0_reject = False
+    poles = []
     for src in sources:
         max_window = min(2 * deg_bound + 1, src.order)
         for window in range(1, max_window + 1):
             for r, t in pade_pairs(src, window):
                 if t.degree > deg_bound:
                     break  # denominator degrees only grow along the pairs
-                if r.degree > deg_bound:
+                if r.degree > deg_bound or t.vanishes_at_zero():
                     continue
-                if t.vanishes_at_zero():
+                if not no_roots_in_open_unit_disc(t):
+                    poles.append((r, t))
                     continue
                 if residues is not None and not raw_congruence_check(r, t, g, m, upto, residues):
                     continue
@@ -628,34 +595,52 @@ def reconstruct_rational(
                 if cand in seen:
                     continue
                 seen.add(cand)
-                n = 2 * (r.degree + t.degree + 2)
-                if residues is None and n < upto and _residual(cand, target, n, mult) < m:
-                    continue
-                if mult is None:
-                    verdict, resid = congruence_outcome(cand, target, m, upto, require_norm_one)
-                else:
-                    verdict, resid = product_congruence_outcome(
-                        cand, mult, target, m, upto, require_norm_one
-                    )
+                verdict, resid = outcome(cand)
                 if verdict == VERIFY_OK:
                     return cand, resid
-                saw_k0_reject |= verdict == VERIFY_NOT_K0
-    if saw_k0_reject:
-        raise NotInK0(f"{what}: congruence held but a denominator root lies in the open unit disc")
+    for r, t in poles:
+        if _product_valuation(r, t, target, upto, mult) < m:
+            continue
+        cand = RationalFunction.from_coprime(r, t)
+        if cand in seen:
+            continue
+        seen.add(cand)
+        if outcome(cand)[0] == VERIFY_NOT_K0:
+            raise NotInK0(
+                f"{what}: congruence held but a denominator root lies in the open unit disc"
+            )
     raise ReconstructionFailed(
         f"{what}: no certificate of degree <= {deg_bound}", deg_bound=deg_bound
     )
+
+
+def _product_valuation(num, den, target, upto, mult=None):
+    """The least valuation of num * mult - den * target (num - den * target
+    when mult is None) on the first upto coefficients, INF when it vanishes
+    there."""
+    s = num.to_series(upto)
+    if mult is not None:
+        s = s * mult.truncate(upto)
+    return (s - den.to_series(upto) * target.truncate(upto)).min_valuation()
 
 
 def _residual(cand, target, upto, mult=None):
     """The least valuation of cand * mult - target (cand - target when mult
     is None) on the first upto coefficients, INF when it vanishes there;
     cand has no pole at 0. The congruence mod pi^m holds exactly when this
-    is >= m, for every m."""
-    s = cand.to_series(upto)
-    if mult is not None:
-        s = s * mult.truncate(upto)
-    return (s - target.truncate(upto)).min_valuation()
+    is >= m, for every m.
+
+    When no coefficient of den below z^upto has a smaller valuation v0 than
+    den(0), den / den(0) is a unit of O_K[[z]] mod z^upto, and multiplying
+    by it keeps the least valuation: the residual is then
+    v(num * mult - den * target) - v0, with no series inverse. Only a
+    denominator with a pole in the open unit disc is expanded."""
+    den = cand.den.to_series(upto)
+    v0 = den.min_valuation(1)
+    if den.min_valuation() == v0 < INF:
+        return _product_valuation(cand.num, cand.den, target, upto, mult) - v0
+    # a pole: cand itself expanded, over the denominator 1
+    return _product_valuation(cand, Polynomial.one(cand.ctx), target, upto, mult)
 
 
 def _outcome(cand, mult, target, m, upto, require_norm_one):

@@ -218,6 +218,33 @@ class TestChecks:
         assert result.exit_code == 1
         assert payload["error"] == {"message": "level must be >= 1", "type": "BadParameters"}
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (["--exp-bound", "0", "--deg-bound", "3"], "exponent bound must be >= 1, got 0"),
+            (["--exp-bound", "-1", "--deg-bound", "3"], "exponent bound must be >= 1, got -1"),
+            (["--exp-bound", "2", "--deg-bound", "-1"], "degree bound must be >= 0, got -1"),
+        ],
+        ids=["exp-0", "exp-negative", "deg-negative"],
+    )
+    def test_scan_box_and_degree_are_checked(self, runner, bounds, message):
+        # an empty box or a negative degree bound would otherwise report an
+        # empty scan with exit 0
+        args = ["scan", "--series", "hyp:1/2", "--prime", "7", "--order", "20", "--level", "2"]
+        result, payload = run_json(runner, args + bounds)
+        assert result.exit_code == 1
+        assert payload["error"] == {"message": message, "type": "BadParameters"}
+
+    @pytest.mark.parametrize("command", ["certify-ratio", "certify-logderiv"])
+    def test_certify_negative_degree_is_a_reported_error(self, runner, command):
+        args = [command, "--series", "apery", "--prime", "5", "--order", "20", "--level", "1"]
+        result, payload = run_json(runner, args + ["--deg-bound", "-1"])
+        assert result.exit_code == 1
+        assert payload["error"] == {
+            "message": "degree bound must be >= 0, got -1",
+            "type": "BadParameters",
+        }
+
     def test_integrality_pass(self, runner):
         result, payload = run_json(
             runner,
@@ -602,6 +629,40 @@ class TestRamifiedScanRegression:
         assert result.exit_code == 0
         assert hashlib.sha256(result.output.encode()).hexdigest() == self.SHA256
         assert elapsed < self.TIME_BOUND_S
+
+
+class TestSearchOutcomeDigests:
+    # certificate searches that end without a certificate: NotInK0 (a pole
+    # pair matched the congruence), ReconstructionFailed, and the unscreened
+    # failing search on the non-integral ffrak log-derivative; the digests
+    # are of the reports made when the screen still divided by t(0) and the
+    # exact check still expanded every candidate with a series inverse
+    @pytest.mark.parametrize(
+        "args, sha256",
+        [
+            (
+                "certify-logderiv --series apery --prime 5 --order 12 --level 2 --deg-bound 5",
+                "56dca1d8581e16d49ee077a15a3ca032ca37d480c4a0ff2a442451b5dfc93cce",
+            ),
+            (
+                "certify-ratio --series hyp:1/2,1/2 --prime 2 --order 12 --level 1 --deg-bound 8",
+                "2cac055ff8f1eada5652a7b793d45c04270fbc0afa16c5b70f3d4604e435f38b",
+            ),
+            (
+                "certify-ratio --series apery --prime 3 --order 12 --level 3 --deg-bound 2",
+                "7a06efd74f788f3e8ef5e5af5a642b1a79698f3877edcc5eb89e844aa677b6d0",
+            ),
+            (
+                "certify-logderiv --series ffrak --prime 2 --order 40 --level 2 --deg-bound 8",
+                "fd861fc6fa9d641837695d6bb39c5c5d1a14a67bb705b416f42ddb6a6a4cef70",
+            ),
+        ],
+        ids=["notink0-logderiv", "notink0-ratio", "failed-ratio", "failed-ffrak"],
+    )
+    def test_report_is_unchanged(self, runner, args, sha256):
+        result = runner.invoke(main, args.split())
+        assert result.exit_code == 1
+        assert hashlib.sha256(result.output.encode()).hexdigest() == sha256
 
 
 class TestAntecedentRegression:

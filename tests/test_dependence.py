@@ -220,6 +220,11 @@ class TestKolchinScan:
         with pytest.raises(BadParameters, match="level must be >= 1"):
             kolchin_scan([f], 1, level, 2)
 
+    @pytest.mark.parametrize("exp_bound, deg_bound", [(0, 2), (-1, 2), (1, -1)])
+    def test_empty_box_or_negative_degree(self, exp_bound, deg_bound):
+        with pytest.raises(BadParameters, match="bound must be"):
+            kolchin_scan([half_series(U7, 12)], exp_bound, 1, deg_bound)
+
     def test_vanishing_derivative(self):
         ones = TruncSeries.from_coeffs(U7, [1, 0, 0, 0])
         with pytest.raises(OrderExhausted):
@@ -349,20 +354,22 @@ class TestCertificateFilterGuard:
         assert reductions[0] == searches[0]
 
 
-class TestOneExpansionPerCertificate:
+class TestNoExpansionPerCertificate:
     """In a screened scan the residue screen decides every candidate
     exactly, so each certificate search verifies one candidate, and the
-    verification expands it as a series once: the exact check and the
-    residual valuation reported with the certificate are one computation.
-    The scans are the planted positives (1 - z)^(-a) of the scan-ramified
-    benchmark at e = 2 and e = 4."""
+    verification decides the congruence and the reported residual valuation
+    from one product num - den * target, with no series inverse. The scans
+    are the planted positives (1 - z)^(-a) of the scan-ramified benchmark at
+    e = 2 and e = 4."""
 
     @pytest.mark.parametrize(
         "alpha, prime, order, level, deg",
         [("1/2", "3", "20", "3", "7"), ("1/3", "5", "12", "4", "5")],
         ids=["e2", "e4"],
     )
-    def test_accepted_candidate_is_expanded_once(self, monkeypatch, alpha, prime, order, level, deg):
+    def test_accepted_candidate_is_verified_once_never_expanded(
+        self, monkeypatch, alpha, prime, order, level, deg
+    ):
         live = [None]  # [verifications, series inversions] of the running search
         accepted = []
         real_search = dependence.reconstruct_rational
@@ -397,4 +404,27 @@ class TestOneExpansionPerCertificate:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 0
         assert json.loads(result.output)["report"]["stats"]["findings"] == 1
-        assert accepted and all(counts == [1, 1] for counts in accepted)
+        assert accepted and all(counts == [1, 0] for counts in accepted)
+
+    def test_pole_pairs_never_reach_the_screen(self, monkeypatch):
+        # the negative-e2 scan of the scan-ramified benchmark: Pade pairs
+        # whose t has a root in the open unit disc can only fail or give
+        # NotInK0, so the search sets them aside instead of checking them
+        screened, poles = [0], []
+        real_check = rational.raw_congruence_check
+
+        def check(num, den, *rest):
+            screened[0] += 1
+            if not rational.no_roots_in_open_unit_disc(den):
+                poles.append(den)
+            return real_check(num, den, *rest)
+
+        monkeypatch.setattr(rational, "raw_congruence_check", check)
+        args = [
+            "scan", "--series", "apery", "--series", "bessel", "--prime", "3", "--dwork",
+            "--order", "20", "--exp-bound", "2", "--level", "3", "--deg-bound", "5",
+        ]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0
+        assert screened[0] > 0
+        assert poles == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cartier import NegativeValuation, NotInK0, PadicContext, ReconstructionFailed
+from cartier import BadParameters, NegativeValuation, NotInK0, PadicContext, ReconstructionFailed
 from cartier import rational
 from cartier.catalog import SeriesKind, SeriesSpec, build
 from cartier.rational import (
@@ -228,6 +228,11 @@ class TestPade:
             reconstruct_rational(f, 10**6, deg_bound=2, what="test")
 
 
+    def test_negative_degree_bound(self):
+        f = TruncSeries.from_coeffs(U5, [1] * 12)
+        with pytest.raises(BadParameters, match="degree bound must be >= 0, got -1"):
+            reconstruct_rational(f, 1, -1, "test")
+
     def test_integral_unit_mult_is_screened(self, monkeypatch):
         calls = []
         screen = rational.raw_congruence_check
@@ -245,9 +250,9 @@ class TestPade:
         # mod 5^3: R = 1 meets the first with residual -125, while
         # target / u = 126 - 25z + 5z^2 - z^3 is not 1 mod 125. A screen
         # against target / u would reject the certificate.
-        # The same holds for the prefix pre-filter of an unscreened search:
-        # at order 8, R = 1 is checked on 4 coefficients first, where
-        # R * u = target - 125z holds mod 5^3 but target / u - 1 has -25z^2.
+        # The exact check compares R * u with target: at order 8 with noise
+        # 125z, R * u = target - 125z holds mod 5^3 but target / u - 1 has
+        # -25z^2.
         calls = []
         screen = rational.raw_congruence_check
         monkeypatch.setattr(rational, "raw_congruence_check", lambda *a: calls.append(a) or screen(*a))
@@ -381,15 +386,18 @@ class TestFractionFreePade:
                 assert all(x.denominator == 1 for x in c.parts)
 
     def test_residue_screen_matches_exact_check(self, diff_case):
+        # the screen decides a pair exactly when t(0) is a unit and declines
+        # (None) otherwise; raw_congruence_check is exact on every pair
         pi_divides_t0 = 0
         for f, r, t in diff_case[1]:
             if t.constant_term().is_zero() or f.min_valuation() < 0:
                 continue
-            pi_divides_t0 += t.constant_term().valuation() > 0
+            unit = t.constant_term().valuation() == 0
+            pi_divides_t0 += not unit
             for m in (1, 3, 5):
                 want = exact_congruent(r, t, f, m, f.order)
                 screen = rational._residue_screen(r, t, ResidueTarget(f, m, f.order), f.order)
-                assert screen is want
+                assert screen is (want if unit else None)
                 assert raw_congruence_check(r, t, f, m, f.order) is want
         assert pi_divides_t0 > 0
 
@@ -616,9 +624,11 @@ class TestRationalRowsAgainstCoefficientLoops:
         # sources: a few true certificates among many that only agree on
         # their window; the product check multiplies by a unit series.
         # Both the outcome and the residual valuation returned with it
-        # must match the stream's.
+        # must match the stream's, also for the pair num * pi / den * pi,
+        # whose den(0) has valuation 1.
         sources = diff_sources(ctx)
         mult = sources[0]
+        pi = ctx.pi()
         seen, resids = set(), set()
         for f in sources[:3]:
             target = f * mult
@@ -627,6 +637,10 @@ class TestRationalRowsAgainstCoefficientLoops:
                     if t.vanishes_at_zero():
                         continue
                     cand = RationalFunction.from_coprime(r, t)
+                    scaled = RationalFunction(cand.num.scale(pi), cand.den.scale(pi))
+                    for args in ((None, f), (mult, target)):
+                        want = ref_outcome(cand, *args, 1, f.order, False)[1]
+                        assert rational._residual(scaled, args[1], f.order, args[0]) == want
                     for m in (1, 3):
                         for norm in (False, True):
                             want = ref_outcome(cand, None, f, m, f.order, norm)
