@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import BadParameters, NotAUnit, NotInK0, OrderExhausted, ReconstructionFailed
 from .frobenius import Certificate
-from .rational import ResidueTarget, admits_certificate, reconstruct_rational
+from .rational import ResidueTarget, least_window, reconstruct_rational
 from .series import TruncSeries
 
 
@@ -47,15 +47,22 @@ def product_power(fs, exps) -> TruncSeries:
 def _certificate(g: TruncSeries, level: int, deg_bound: int, kind: str):
     """Certified rational congruent to g mod pi^level, or None.
 
-    The search runs only when admits_certificate finds the linear system
-    mod pi^level that every acceptable certificate satisfies solvable; in a
-    scan most searches end there, without a Pade pair.
+    least_window gives the least Pade window s that can hold an acceptable
+    certificate, or None when the linear system mod pi^level that every
+    such certificate satisfies has no solution; in a scan most searches end
+    there, without a Pade pair. The others sweep both sources from window
+    s: a window below it yields no candidate that verifies, so the
+    certificate and its residual are the ones the sweep from window 1
+    returns.
     """
     residues = ResidueTarget(g, level, g.order)
-    if not admits_certificate(residues, deg_bound):
+    first = least_window(residues, deg_bound)
+    if first is None:
         return None
     try:
-        cand, resid = reconstruct_rational(g, level, deg_bound, kind, residues=residues)
+        cand, resid = reconstruct_rational(
+            g, level, deg_bound, kind, residues=residues, first_window=first
+        )
     except (ReconstructionFailed, NotInK0):
         return None
     return Certificate(kind, level, cand, g.order, resid)

@@ -27,6 +27,10 @@ the survivors pass one exact check (_residual) whose least valuation
 decides (>= m) and is reported. A pair whose t has a root in the disc can
 never be accepted, so it is set aside and tested only when nothing
 verifies, to tell NotInK0 from ReconstructionFailed.
+
+The scan starts each sweep at least_window, the least window that can
+hold a certificate (one Howell elimination mod p^k), and skips a search
+that no window can serve.
 """
 
 from __future__ import annotations
@@ -400,77 +404,125 @@ def _residue_rows(den, rows, p, mod):
     return [[x * inv % mod for x in row] for row in rows]
 
 
-def admits_certificate(res: ResidueTarget, deg_bound: int) -> bool:
-    """Whether some t = 1 + t_1 z + .. + t_D z^D over O_K, D = deg_bound,
-    makes coefficients D+1 .. upto-1 of t*g vanish mod pi^m, for the target
-    g and the level m of res (upto = len(res.rows[0])).
+def least_window(res: ResidueTarget, deg_bound: int):
+    """The least Pade window s = 1 + min(a + b) over the degree bounds
+    0 <= a, b <= D = deg_bound for which some t = 1 + t_1 z + .. + t_b z^b
+    over O_K makes coefficients a+1 .. upto-1 of t*g vanish mod pi^m, for
+    the target g and the level m of res (upto = len(res.rows[0])); None
+    when no such (a, b) exists, and 1 for a non-integral target.
 
-    Every certificate r/t that reconstruct_rational can accept against g has
-    t(0) = 1, deg r and deg t <= D, and no root of t in the open unit disc,
-    so t is integral and t*g = r mod (pi^m, z^upto). False therefore means
-    that no such search can succeed. True (also for a non-integral target)
-    promises nothing.
+    A certificate r/t that reconstruct_rational accepts against g has
+    t(0) = 1 and no root of t in the open unit disc, so t is integral and
+    (deg r, deg t) is such a pair. A Pade pair from window W has
+    deg r + deg t <= W - 1, so no window below s yields a certificate, and
+    None means that the search cannot succeed.
 
     The system is linear over Z/p^k, k = res.digits: the unknowns are the e
     pi-components of t_1..t_D, and the equation for component i of a
     coefficient, which holds mod thresholds[i], is scaled by
-    p^k / thresholds[i] to hold mod p^k.
+    p^k / thresholds[i] to hold mod p^k. The columns are t_1's components,
+    then t_2's, .., t_D's, then the target column y. Z/p^k is
+    self-injective, so the system restricted to t_1..t_b is solvable
+    exactly when no vector of the row span is zero on t_1..t_b with a
+    nonzero y entry. In a Howell form (_howell_insert) the row-span vectors
+    that are zero on the first c columns are spanned by the rows whose
+    pivot column is c or later, so the least feasible b is the largest
+    block of a pivot whose row has a nonzero y entry (D + 1 for a pivot on
+    y). The equations of coefficient n = upto-1 go in first, then n - 1 and
+    so on: with the rows n > a in, that block is the least b for a. It
+    never decreases as a does, so the walk stops once it exceeds D or no
+    smaller a can give a smaller window.
     """
     want = res.rows
     if want is None:
-        return True
+        return 1
     p, thresholds = res.prime, res.thresholds
     e = len(thresholds)
     mod = p**res.digits
-    rows, rhs = [], []
-    for n in range(deg_bound + 1, len(want[0])):
-        # the target coefficients that t_1..t_D meet at z^n
-        cols = [[w[n - j] for w in want] for j in range(1, deg_bound + 1)]
-        for i, thr in enumerate(thresholds):
-            scale = mod // thr
-            if scale == mod:
-                continue
-            # component i of pi^c g: g_(i-c), or -p g_(e+i-c) past pi^e
-            rows.append([
-                (g[i - c] if c <= i else -p * g[e + i - c]) * scale % mod
-                for g in cols
-                for c in range(e)
-            ])
-            rhs.append(-want[i][n] * scale % mod)
-    return _solvable(rows, rhs, p, mod)
+    upto = len(want[0])
+    # one list per component i that does not hold mod 1: at q, component i
+    # of pi^c g_q for c = 0..e-1 (g_q[i-c], or -p g_q[e+i-c] past pi^e),
+    # scaled; ys holds the scaled g_n[i]
+    blocks = [
+        [
+            [(want[i - c][q] if c <= i else -p * want[e + i - c][q]) * (mod // thr) % mod
+             for c in range(e)]
+            for q in range(upto)
+        ]
+        for i, thr in enumerate(thresholds)
+        if thr > 1
+    ]
+    ys = [[x * (mod // thr) % mod for x in row] for row, thr in zip(want, thresholds) if thr > 1]
+    width = deg_bound * e
+    pivots = [None] * (width + 1)
+    best = None
+    last = upto  # the equations of coefficients last .. upto-1 are in
+    for a in range(max(0, min(deg_bound, upto - 1)), -1, -1):
+        for n in range(last - 1, a, -1):
+            pad = [0] * (e * max(0, deg_bound - n))
+            for blk, y in zip(blocks, ys):
+                # the row of t_1 .. t_D against g_(n-1) .. g_(n-D), then y
+                row = [x for q in range(n - 1, max(-1, n - 1 - deg_bound), -1) for x in blk[q]]
+                row += pad
+                row.append(y[n])
+                _howell_insert(pivots, row, p, mod)
+            if pivots[width] is not None:
+                return best
+        last = a + 1
+        b = max((c // e + 1 for c, piv in enumerate(pivots) if piv and piv[1][-1]), default=0)
+        if best is None or a + b + 1 < best:
+            best = a + b + 1
+        if b + 1 >= best:
+            break
+    return best
 
 
-def _solvable(rows, rhs, p, mod):
-    """Whether rows x = rhs has a solution over Z/mod, mod a power of p.
+def _howell_insert(pivots, row, p, mod):
+    """Add row to the span of pivots, a Howell form over Z/mod, mod a power
+    of p (Storjohann-Mulders, "Fast algorithms for linear algebra modulo
+    N", ESA 1998).
 
-    Elimination that always pivots on an entry of least p-adic valuation,
-    the Smith form over the chain ring Z/p^k: such a pivot p^v u clears its
-    column from every other row with an integral multiplier, and its own
-    equation is solvable exactly when p^v divides its right-hand side. The
-    least valuation of the live entries never drops, so it is found by
-    raising unit = p^v until some entry is not divisible by p * unit; once
-    unit reaches mod every live entry is zero.
+    pivots[c] is None or (v, prow): prow holds the columns from c on (the
+    row is zero before c) and prow[0] = p^v. A row is reduced by the pivots
+    of its leading columns; where its leading entry has a smaller valuation
+    than the pivot there (or no pivot is there), it becomes the pivot,
+    normalized by the unit part of that entry, and the row it replaces is
+    reduced by it and inserted again. Each new pivot p^v, v > 0, also
+    inserts p^(k-v) times its row, which vanishes at column c: that
+    saturation is what makes the rows with pivot columns >= c span every
+    row-span vector that is zero before c.
     """
-    unit = 1
-    while rows and unit < mod:
-        step = unit * p
-        hit = next(
-            ((r, c) for r, row in enumerate(rows) for c, x in enumerate(row) if x % step), None
-        )
-        if hit is None:
-            unit = step
-            continue
-        r, c = hit
-        prow, pb = rows.pop(r), rhs.pop(r)
-        if pb % unit:
-            return False
-        inv = pow(prow[c] // unit, -1, mod)
-        for k, row in enumerate(rows):
-            if row[c]:
-                f = row[c] // unit * inv % mod
-                rows[k] = [(x - f * y) % mod for x, y in zip(row, prow)]
-                rhs[k] = (rhs[k] - f * pb) % mod
-    return not any(rhs)
+    stack = [(0, row)]
+    while stack:
+        c, row = stack.pop()
+        # row holds the columns from c on
+        k, n = 0, len(row)
+        while True:
+            while k < n and not row[k]:
+                k += 1
+            if k == n:
+                break
+            c += k
+            x, v = row[k], 0
+            while x % p == 0:
+                x //= p
+                v += 1
+            piv = pivots[c]
+            if piv is not None and v >= piv[0]:
+                f = row[k] // p ** piv[0]
+                row = [(y - f * z) % mod for y, z in zip(row[k + 1 :], piv[1][1:])]
+                c, k, n = c + 1, 0, n - k - 1
+                continue
+            inv = pow(x, -1, mod)
+            new = [y * inv % mod for y in row[k:]]
+            pivots[c] = (v, new)
+            if v:
+                lift = mod // p**v
+                stack.append((c + 1, [y * lift % mod for y in new[1:]]))
+            if piv is not None:
+                f = p ** (piv[0] - v)
+                stack.append((c + 1, [(y - f * z) % mod for y, z in zip(piv[1][1:], new[1:])]))
+            break
 
 
 def _residue_screen(num, den, res: ResidueTarget, upto):
@@ -531,6 +583,7 @@ def reconstruct_rational(
     mult=None,
     require_norm_one=False,
     residues=None,
+    first_window=1,
 ):
     """The certificate search: R with R * mult = target mod pi^m on the
     target's window (R = target when mult is None), deg num and deg den
@@ -554,6 +607,14 @@ def reconstruct_rational(
     ResidueTarget(target, m, target.order) with mult None, passed by a
     caller that has reduced the target already; it is read only when the
     screen runs.
+
+    Both sources are swept from window first_window. The scan passes
+    least_window(residues, deg_bound) there (mult None): no window below it
+    yields a certificate, so the search returns what the sweep from window
+    1 returns, except that it may fail with ReconstructionFailed where that
+    sweep raises NotInK0, because a pole pair below the window can meet the
+    congruence. The certify-* commands report the two apart and keep
+    window 1.
     """
     if m < 1:
         raise BadParameters("level must be >= 1")
@@ -578,7 +639,7 @@ def reconstruct_rational(
     poles = []
     for src in sources:
         max_window = min(2 * deg_bound + 1, src.order)
-        for window in range(1, max_window + 1):
+        for window in range(first_window, max_window + 1):
             for r, t in pade_pairs(src, window):
                 if t.degree > deg_bound:
                     break  # denominator degrees only grow along the pairs

@@ -665,6 +665,31 @@ class TestSearchOutcomeDigests:
         assert hashlib.sha256(result.output.encode()).hexdigest() == sha256
 
 
+class TestDegreeBoundAtOrAboveOrder:
+    # scans whose degree bound is at or above the order, so that the least
+    # window's walk over the numerator degree starts below the bound; the
+    # digests are of the reports made when every search swept from window 1
+    @pytest.mark.parametrize(
+        "args, sha256",
+        [
+            (
+                "scan --series hyp:1/2 --prime 5 --order 6 --exp-bound 2 --level 2 --deg-bound 9",
+                "723bf3eaf75c4a9f011bee7b45db172476f85056df7c2b1e242d90b114b915d0",
+            ),
+            (
+                "scan --series hyp:1/2 --prime 3 --dwork --order 6 --exp-bound 2 --level 3 "
+                "--deg-bound 9",
+                "85800fd08a72cfe3f481fe0430102cf1adf6d2a7e1afcc984d865a07ef84589a",
+            ),
+        ],
+        ids=["e1", "e2"],
+    )
+    def test_report_is_unchanged(self, runner, args, sha256):
+        result = runner.invoke(main, args.split())
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == sha256
+
+
 class TestAntecedentRegression:
     # the size of the operators benchmark's Apery antecedent job; the digest
     # is of the report the Coefficient-loop series and matrix arithmetic

@@ -288,9 +288,10 @@ class TestNormalizedDerivative:
 
 
 class TestCertificateFilterGuard:
-    """The feasibility filter in the scan: on a negative-control scan in
-    Q_3(pi), every search it rules out runs no Pade chain at all, and the
-    report is the one the full sweep produced."""
+    """The least window in the scan: on a negative-control scan in Q_3(pi),
+    every search it rules out runs no Pade chain at all, every other one
+    runs none below its least window, and the report is the one the full
+    sweep produced."""
 
     ARGS = [
         "scan", "--series", "apery", "--series", "bessel", "--prime", "3", "--dwork",
@@ -300,37 +301,34 @@ class TestCertificateFilterGuard:
     SHA256 = "1599355bf6fc5a13acfcfe10961f20696400d1ec099ef8cc17661a8e416c7feb"
 
     def test_pruned_searches_call_no_pade(self, monkeypatch):
-        chains = [0]
-        searches = []  # [filter verdict, Pade chains run] per search
+        searches = []  # [least window, windows of the Pade chains run] per search
         real_pairs = rational.pade_pairs
-        real_admits = dependence.admits_certificate
+        real_least = dependence.least_window
         real_certificate = dependence._certificate
 
         def pade_pairs(f, window):
-            chains[0] += 1
+            searches[-1][1].append(window)
             return real_pairs(f, window)
 
-        def admits_certificate(res, deg_bound):
-            searches[-1][0] = real_admits(res, deg_bound)
+        def least_window(res, deg_bound):
+            searches[-1][0] = real_least(res, deg_bound)
             return searches[-1][0]
 
         def certificate(*args):
-            searches.append([None, -chains[0]])
-            out = real_certificate(*args)
-            searches[-1][1] += chains[0]
-            return out
+            searches.append([None, []])
+            return real_certificate(*args)
 
         monkeypatch.setattr(rational, "pade_pairs", pade_pairs)
-        monkeypatch.setattr(dependence, "admits_certificate", admits_certificate)
+        monkeypatch.setattr(dependence, "least_window", least_window)
         monkeypatch.setattr(dependence, "_certificate", certificate)
         result = CliRunner().invoke(main, self.ARGS)
         assert result.exit_code == 0
         assert hashlib.sha256(result.output.encode()).hexdigest() == self.SHA256
-        pruned = [chains for verdict, chains in searches if verdict is False]
-        swept = [chains for verdict, chains in searches if verdict is True]
+        pruned = [windows for first, windows in searches if first is None]
+        swept = [(first, windows) for first, windows in searches if first is not None]
         assert len(pruned) == 12 and len(swept) == 12
-        assert pruned == [0] * 12
-        assert all(swept)
+        assert pruned == [[]] * 12
+        assert all(windows and min(windows) >= first for first, windows in swept)
 
     def test_each_search_reduces_its_target_once(self, monkeypatch):
         reductions = [0]
@@ -352,6 +350,59 @@ class TestCertificateFilterGuard:
         assert hashlib.sha256(result.output.encode()).hexdigest() == self.SHA256
         assert searches[0] == 24
         assert reductions[0] == searches[0]
+
+
+def scan_series(ctx, data, order, level):
+    """A series with constant term 1 for the scan: a planted rational r/t
+    (t(0) = 1, integral) plus pi^level times integral noise, (1 - z)^(-1/2),
+    or 1 plus integral noise."""
+    e, p = ctx.e, ctx.prime
+    ints = st.integers(-(p**2), p**2)
+
+    def unit_rows(length):
+        """Integral rows of this length whose constant term is 1."""
+        rows = [data.draw(st.lists(ints, min_size=length, max_size=length)) for _ in range(e)]
+        for i, row in enumerate(rows):
+            row[0] = int(i == 0)
+        return rows
+
+    kind = data.draw(st.sampled_from(["planted", "root", "noise"]))
+    if kind == "root":
+        return half_series(ctx, order)
+    noisy = TruncSeries.from_rows(ctx, 1, unit_rows(order))
+    if kind == "noise":
+        return noisy
+    r = Polynomial.from_rows(ctx, 1, unit_rows(data.draw(st.integers(1, 4))))
+    t = Polynomial.from_rows(ctx, 1, unit_rows(data.draw(st.integers(1, 4))))
+    noise = noisy - TruncSeries.one(ctx, order)
+    return RationalFunction(r, t).to_series(order) + noise * ctx.pi() ** level
+
+
+class TestScanFromTheLeastWindow:
+    """kolchin_scan, whose searches sweep from their least window, reports
+    exactly what it reports when every admitted search sweeps from window 1."""
+
+    @pytest.mark.parametrize(
+        "ctx", [U5, PadicContext.dwork(3), PadicContext.dwork(5)], ids=lambda c: f"e{c.e}"
+    )
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_report_equals_the_sweep_from_window_one(self, ctx, data):
+        order = data.draw(st.integers(2, 40))
+        level = data.draw(st.integers(1, 4))
+        deg = data.draw(st.integers(0, 6))
+        exp_bound = data.draw(st.integers(1, 2))
+        fs = [scan_series(ctx, data, order, level) for _ in range(data.draw(st.integers(1, 2)))]
+        report = kolchin_scan(fs, exp_bound, level, deg)
+        real_least = dependence.least_window
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                dependence,
+                "least_window",
+                lambda res, deg_bound: None if real_least(res, deg_bound) is None else 1,
+            )
+            reference = kolchin_scan(fs, exp_bound, level, deg)
+        assert report == reference
 
 
 class TestNoExpansionPerCertificate:

@@ -18,9 +18,9 @@ from cartier.rational import (
     VERIFY_FAIL,
     VERIFY_NOT_K0,
     VERIFY_OK,
-    admits_certificate,
     canonical_lift,
     congruence_outcome,
+    least_window,
     no_roots_in_open_unit_disc,
     pade_pairs,
     product_congruence_outcome,
@@ -679,12 +679,15 @@ class TestRationalRowsAgainstCoefficientLoops:
         assert passed == {True, False}
 
 
-# -- the feasibility filter mod pi^m ------------------------------------------
+# -- the least Pade window mod pi^m -------------------------------------------
 #
-# admits_certificate(ResidueTarget(g, m, upto), D) decides whether some
-# integral t = 1 + t_1 z + .. + t_D z^D makes coefficients D+1 .. upto-1 of
-# t*g vanish mod pi^m. The oracles are the full certificate sweep (which the
-# filter must never contradict) and, for tiny rings, enumeration of t.
+# least_window(ResidueTarget(g, m, upto), D) is s = 1 + min(a + b) over the
+# degree bounds a, b <= D for which some integral t = 1 + t_1 z + .. + t_b z^b
+# makes coefficients a+1 .. upto-1 of t*g vanish mod pi^m, or None when no
+# (a, b) is feasible. The oracles are the full certificate sweep (whose
+# certificate must fit in window s, and which must return it again when it
+# starts there), one elimination per (a, b), and, in tiny rings, enumeration
+# of t.
 
 U2 = PadicContext.unramified(2)
 U3 = PadicContext.unramified(3)
@@ -728,27 +731,89 @@ def filter_targets(rng, ctx, m, deg, order):
     ]
 
 
-def sweep_certifies(g, m, deg):
-    """The certificate search of the scan, run without the filter."""
+def sweep_certificate(g, m, deg, first_window=1):
+    """The certificate search of the scan, with its residual, or None."""
     try:
-        reconstruct_rational(g, m, deg, "filter oracle")
+        return reconstruct_rational(g, m, deg, "window oracle", first_window=first_window)
     except (ReconstructionFailed, NotInK0):
-        return False
-    return True
+        return None
 
 
-def brute_force_feasible(g, m, deg):
-    """Enumerate t_1..t_deg over O_K/pi^m (component i mod p^ceil((m-i)/e))."""
+def least_by(feasible, deg):
+    """1 + min(a + b) over a, b <= deg with feasible(a, b), or None."""
+    sums = [a + b for a in range(deg + 1) for b in range(deg + 1) if feasible(a, b)]
+    return 1 + min(sums) if sums else None
+
+
+def brute_force_feasible(g, m, a, b):
+    """Enumerate t_1..t_b over O_K/pi^m (component i mod p^ceil((m-i)/e)) and
+    test coefficients a+1 .. upto-1 of t*g."""
     ctx, upto = g.ctx, g.order
     e, p = ctx.e, ctx.prime
     digits = [range(p ** max(0, -((i - m) // e))) for i in range(e)]
     elements = list(itertools.product(*digits))
-    for ts in itertools.product(elements, repeat=deg):
-        rows = [[int(i == 0)] + [t[i] for t in ts] + [0] * (upto - deg - 1) for i in range(e)]
+    for ts in itertools.product(elements, repeat=b):
+        rows = [[int(i == 0)] + [t[i] for t in ts] + [0] * (upto - b - 1) for i in range(e)]
         s = TruncSeries.from_rows(ctx, 1, rows) * g
-        if all(s.coefficient(n).valuation() >= m for n in range(deg + 1, upto)):
+        if all(s.coefficient(n).valuation() >= m for n in range(a + 1, upto)):
             return True
     return False
+
+
+def solvable(rows, rhs, p, mod):
+    """Whether rows x = rhs has a solution over Z/mod, mod a power of p.
+
+    Elimination that always pivots on an entry of least p-adic valuation,
+    the Smith form over the chain ring Z/p^k: such a pivot p^v u clears its
+    column from every other row with an integral multiplier, and its own
+    equation is solvable exactly when p^v divides its right-hand side. The
+    least valuation of the live entries never drops, so it is found by
+    raising unit = p^v until some entry is not divisible by p * unit; once
+    unit reaches mod every live entry is zero.
+    """
+    unit = 1
+    while rows and unit < mod:
+        step = unit * p
+        hit = next(
+            ((r, c) for r, row in enumerate(rows) for c, x in enumerate(row) if x % step), None
+        )
+        if hit is None:
+            unit = step
+            continue
+        r, c = hit
+        prow, pb = rows.pop(r), rhs.pop(r)
+        if pb % unit:
+            return False
+        inv = pow(prow[c] // unit, -1, mod)
+        for k, row in enumerate(rows):
+            if row[c]:
+                f = row[c] // unit * inv % mod
+                rows[k] = [(x - f * y) % mod for x, y in zip(row, prow)]
+                rhs[k] = (rhs[k] - f * pb) % mod
+    return not any(rhs)
+
+
+def eliminated_feasible(res, a, b):
+    """Feasibility of (a, b) by one elimination of its own system over Z/p^k:
+    the unknowns are the e pi-components of t_1..t_b, and the equation for
+    component i of coefficient n > a is scaled by p^k / thresholds[i]."""
+    want, p, thresholds = res.rows, res.prime, res.thresholds
+    e, mod = len(thresholds), res.prime**res.digits
+    rows, rhs = [], []
+    for n in range(a + 1, len(want[0])):
+        cols = [[w[n - j] if j <= n else 0 for w in want] for j in range(1, b + 1)]
+        for i, thr in enumerate(thresholds):
+            scale = mod // thr
+            if scale == mod:
+                continue
+            # component i of pi^c g: g_(i-c), or -p g_(e+i-c) past pi^e
+            rows.append([
+                (g[i - c] if c <= i else -p * g[e + i - c]) * scale % mod
+                for g in cols
+                for c in range(e)
+            ])
+            rhs.append(-want[i][n] * scale % mod)
+    return solvable(rows, rhs, p, mod)
 
 
 class TestCertificateFilter:
@@ -760,34 +825,68 @@ class TestCertificateFilter:
             m, deg = rng.randint(1, 5), rng.randint(1, 9)
             order = rng.randint(deg + 2, deg + 8)
             for g, planted in filter_targets(rng, ctx, m, deg, order):
-                feasible = admits_certificate(ResidueTarget(g, m, order), deg)
+                s = least_window(ResidueTarget(g, m, order), deg)
                 if planted:
-                    assert feasible, (m, deg, order)
-                if sweep_certifies(g, m, deg):
-                    assert feasible, (m, deg, order)
+                    assert s is not None, (m, deg, order)
+                found = sweep_certificate(g, m, deg)
+                if found is not None:
+                    cand = found[0]
+                    # the certificate's own degrees are a feasible pair
+                    assert s is not None
+                    assert s <= max(cand.num.degree, 0) + cand.den.degree + 1, (m, deg, order)
+                    assert sweep_certificate(g, m, deg, first_window=s) == found
                     verdicts.add("certified")
-                verdicts.add(feasible)
+                verdicts.add(s is None)
         # the cases reach both answers and the sweep certifies some of them
         assert verdicts == {True, False, "certified"}
 
     @pytest.mark.parametrize("ctx", [U2, U3, D3], ids=["p2", "p3", "p3-e2"])
     def test_equals_enumeration_in_tiny_rings(self, ctx):
         rng = random.Random(f"filter-brute/{ctx.prime}/{ctx.e}")
-        verdicts = set()
+        windows = set()
         for m in (1, 2):
             for deg in (1, 2):
                 for order in range(deg + 1, 2 * deg + 5):
                     for g, _ in filter_targets(rng, ctx, m, deg, order):
-                        want = brute_force_feasible(g, m, deg)
-                        assert admits_certificate(ResidueTarget(g, m, order), deg) is want, (
-                            m, deg, order, g,
-                        )
-                        verdicts.add(want)
-        assert verdicts == {True, False}
+                        want = least_by(lambda a, b: brute_force_feasible(g, m, a, b), deg)
+                        got = least_window(ResidueTarget(g, m, order), deg)
+                        assert got == want, (m, deg, order, g)
+                        windows.add(want)
+        assert None in windows and len(windows) >= 4
 
-    def test_non_integral_target_is_not_decided(self):
+    def test_non_integral_target_starts_at_window_one(self):
         g = TruncSeries.from_coeffs(U5, [1, Fraction(1, 5), 3, 4, 1, 2])
-        assert admits_certificate(ResidueTarget(g, 2, g.order), 1)
+        assert least_window(ResidueTarget(g, 2, g.order), 1) == 1
+
+
+class TestLeastWindow:
+    @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_equals_per_bound_elimination(self, ctx, m):
+        # m > e gives k >= 2, where pivots of positive valuation need their
+        # saturation rows
+        rng = random.Random(f"window/{ctx.e}/{m}")
+        windows = set()
+        for _ in range(6):
+            deg = rng.randint(0, 5)
+            order = rng.randint(1, 2 * deg + 6)
+            for g, _ in filter_targets(rng, ctx, m, max(deg, 1), order):
+                res = ResidueTarget(g, m, order)
+                want = least_by(lambda a, b: eliminated_feasible(res, a, b), deg)
+                assert least_window(res, deg) == want, (m, deg, order)
+                windows.add(want)
+        assert None in windows and len(windows) >= 3
+
+    @pytest.mark.parametrize("ctx", [U5, D3], ids=lambda c: f"e{c.e}")
+    def test_degree_bound_at_or_above_the_order(self, ctx):
+        # a = upto - 1 leaves no equation, so some window <= upto is feasible
+        rng = random.Random(f"window-high/{ctx.e}")
+        for order in (1, 4, 6):
+            for deg in (order - 1, order, order + 3):
+                for g, _ in filter_targets(rng, ctx, 2, max(deg, 1), order):
+                    res = ResidueTarget(g, 2, order)
+                    want = least_by(lambda a, b: eliminated_feasible(res, a, b), deg)
+                    assert least_window(res, deg) == want <= order, (order, deg)
 
 
 # -- RationalFunction.make against the field Euclid ----------------------------
