@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .errors import BadParameters, NotAUnit, NotInK0, OrderExhausted, ReconstructionFailed
 from .frobenius import Certificate
@@ -33,15 +35,36 @@ def product_power(fs, exps) -> TruncSeries:
     fs = list(fs)
     if len(fs) != len(exps):
         raise ValueError("one exponent per series")
-    if not fs:
-        raise ValueError("empty product has no context to live in")
-    order = min(f.order for f in fs)
-    acc = TruncSeries.one(fs[0].ctx, order)
-    for f, a in zip(fs, exps):
-        if a == 0:
-            continue
-        acc = acc * f.truncate(order).pow_int(a)
-    return acc
+    return _Powers(fs).product(exps)
+
+
+class _Powers:
+    """The powers f_i^k of the series at their common order, each built once,
+    on first use, from f_i^(k-1) (f_i^(k+1) for k < 0); one inverse each."""
+
+    def __init__(self, fs):
+        if not fs:
+            raise ValueError("empty product has no context to live in")
+        order = min(f.order for f in fs)
+        self.one = TruncSeries.one(fs[0].ctx, order)
+        self.tables = [{1: f.truncate(order)} for f in fs]
+
+    def power(self, i: int, k: int) -> TruncSeries:
+        table = self.tables[i]
+        if k < 0 and -1 not in table:
+            table[-1] = table[1].invert_unit()
+        step = 1 if k > 0 else -1
+        known = k
+        while known not in table:
+            known -= step
+        for j in range(known, k, step):
+            table[j + step] = table[j] * table[step]
+        return table[k]
+
+    def product(self, exps) -> TruncSeries:
+        """prod f_i^(a_i), a product of the nonzero factors only."""
+        factors = [self.power(i, a) for i, a in enumerate(exps) if a]
+        return reduce(mul, factors) if factors else self.one
 
 
 def _certificate(g: TruncSeries, level: int, deg_bound: int, kind: str):
@@ -187,8 +210,10 @@ def kolchin_scan(
             if f.order == 0 or f.coefficient(0) != 1:
                 raise NotAUnit("scan needs constant term 1 (or derivative orders)")
         gs = fs
-    logs = [g.log_derivative() for g in gs]
-    screen_order = min(l.order for l in logs)
+    powers = _Powers(gs)
+    # g'/g at the common order - 1, from the table's g and 1/g
+    logs = [powers.power(i, 1).d_dz() * powers.power(i, -1) for i in range(m)]
+    screen_order = logs[0].order
     rays = _primitive_rays(m, exp_bound)
 
     def eval_ray(u):
@@ -201,7 +226,7 @@ def kolchin_scan(
             combo = TruncSeries.zero(gs[0].ctx, screen_order)
             for coeff, l in zip(a, logs):
                 if coeff:
-                    combo = combo + l.truncate(screen_order) * coeff
+                    combo = combo + l * coeff
             screen = None
             if combo.min_valuation() >= 0:
                 screen = _certificate(combo, level, deg_bound, "logderiv-screen")
@@ -209,7 +234,7 @@ def kolchin_scan(
                 screened_out += 1
                 d += 1
                 continue
-            prod = product_power(gs, a)
+            prod = powers.product(a)
             product = None
             if prod.min_valuation() >= 0:
                 product = _certificate(prod, level, deg_bound, "product")

@@ -440,18 +440,19 @@ def least_window(res: ResidueTarget, deg_bound: int):
     e = len(thresholds)
     mod = p**res.digits
     upto = len(want[0])
-    # one list per component i that does not hold mod 1: at q, component i
-    # of pi^c g_q for c = 0..e-1 (g_q[i-c], or -p g_q[e+i-c] past pi^e),
-    # scaled; ys holds the scaled g_n[i]
-    blocks = [
-        [
-            [(want[i - c][q] if c <= i else -p * want[e + i - c][q]) * (mod // thr) % mod
-             for c in range(e)]
-            for q in range(upto)
-        ]
-        for i, thr in enumerate(thresholds)
-        if thr > 1
-    ]
+    # one sequence per component i that does not hold mod 1: for q = upto-1
+    # down to 0, component i of pi^c g_q for c = 0..e-1, scaled (g_q[i-c],
+    # or -p g_q[e+i-c] past pi^e, where want[i - c] counts from the end).
+    # The t_1 .. t_D part of the row of coefficient n, against g_(n-1) ..
+    # g_(n-D), is its slice from (upto - n) e; ys holds the scaled g_n[i]
+    flats = []
+    for i, thr in enumerate(thresholds):
+        if thr > 1:
+            flat = [0] * (upto * e)
+            for c in range(e):
+                f = mod // thr if c <= i else -p * (mod // thr)
+                flat[c::e] = [x * f % mod for x in reversed(want[i - c])]
+            flats.append(flat)
     ys = [[x * (mod // thr) % mod for x in row] for row, thr in zip(want, thresholds) if thr > 1]
     width = deg_bound * e
     pivots = [None] * (width + 1)
@@ -459,17 +460,18 @@ def least_window(res: ResidueTarget, deg_bound: int):
     last = upto  # the equations of coefficients last .. upto-1 are in
     for a in range(max(0, min(deg_bound, upto - 1)), -1, -1):
         for n in range(last - 1, a, -1):
-            pad = [0] * (e * max(0, deg_bound - n))
-            for blk, y in zip(blocks, ys):
-                # the row of t_1 .. t_D against g_(n-1) .. g_(n-D), then y
-                row = [x for q in range(n - 1, max(-1, n - 1 - deg_bound), -1) for x in blk[q]]
+            at = (upto - n) * e
+            pad = [0] * (e * (deg_bound - n))  # empty once n >= D
+            for flat, y in zip(flats, ys):
+                row = flat[at : at + width]
                 row += pad
                 row.append(y[n])
                 _howell_insert(pivots, row, p, mod)
             if pivots[width] is not None:
                 return best
         last = a + 1
-        b = max((c // e + 1 for c, piv in enumerate(pivots) if piv and piv[1][-1]), default=0)
+        b = max((c // e + 1 for c, piv in enumerate(pivots[:width]) if piv and piv[1][-1]),
+                default=0)
         if best is None or a + b + 1 < best:
             best = a + b + 1
         if b + 1 >= best:
@@ -482,20 +484,20 @@ def _howell_insert(pivots, row, p, mod):
     of p (Storjohann-Mulders, "Fast algorithms for linear algebra modulo
     N", ESA 1998).
 
-    pivots[c] is None or (v, prow): prow holds the columns from c on (the
-    row is zero before c) and prow[0] = p^v. A row is reduced by the pivots
-    of its leading columns; where its leading entry has a smaller valuation
-    than the pivot there (or no pivot is there), it becomes the pivot,
-    normalized by the unit part of that entry, and the row it replaces is
-    reduced by it and inserted again. Each new pivot p^v, v > 0, also
-    inserts p^(k-v) times its row, which vanishes at column c: that
-    saturation is what makes the rows with pivot columns >= c span every
-    row-span vector that is zero before c.
+    pivots[c] is None or (p^v, tail): the row is zero before c, p^v at c,
+    and tail holds its columns after c. A row is reduced by the pivots of
+    its leading columns; where its leading entry has a smaller valuation
+    than the pivot there (it is not a multiple of p^v) or no pivot is there,
+    it becomes the pivot, normalized by the unit part of that entry, and the
+    row it replaces is reduced by it and inserted again. Each new pivot p^v,
+    v > 0, also inserts p^(k-v) times its row, which vanishes at column c:
+    that saturation is what makes the rows with pivot columns >= c span
+    every row-span vector that is zero before c.
     """
     stack = [(0, row)]
     while stack:
         c, row = stack.pop()
-        # row holds the columns from c on
+        # row holds the columns from c on, reduced mod mod
         k, n = 0, len(row)
         while True:
             while k < n and not row[k]:
@@ -503,25 +505,26 @@ def _howell_insert(pivots, row, p, mod):
             if k == n:
                 break
             c += k
-            x, v = row[k], 0
-            while x % p == 0:
-                x //= p
-                v += 1
+            x = row[k]
             piv = pivots[c]
-            if piv is not None and v >= piv[0]:
-                f = row[k] // p ** piv[0]
-                row = [(y - f * z) % mod for y, z in zip(row[k + 1 :], piv[1][1:])]
+            if piv is not None and x % piv[0] == 0:
+                f = x // piv[0]
+                row = [(y - f * z) % mod for y, z in zip(row[k + 1 :], piv[1])]
                 c, k, n = c + 1, 0, n - k - 1
                 continue
+            pv = 1
+            while x % p == 0:
+                x //= p
+                pv *= p
             inv = pow(x, -1, mod)
-            new = [y * inv % mod for y in row[k:]]
-            pivots[c] = (v, new)
-            if v:
-                lift = mod // p**v
-                stack.append((c + 1, [y * lift % mod for y in new[1:]]))
+            tail = [y * inv % mod for y in row[k + 1 :]]
+            pivots[c] = (pv, tail)
+            if pv > 1:
+                lift = mod // pv
+                stack.append((c + 1, [y * lift % mod for y in tail]))
             if piv is not None:
-                f = p ** (piv[0] - v)
-                stack.append((c + 1, [(y - f * z) % mod for y, z in zip(piv[1][1:], new[1:])]))
+                f = piv[0] // pv
+                stack.append((c + 1, [(y - f * z) % mod for y, z in zip(piv[1], tail)]))
             break
 
 
@@ -591,8 +594,9 @@ def reconstruct_rational(
     require_norm_one, for m >= 1 and deg_bound >= 0. Returns R and the least
     valuation of R * mult - target on the window.
 
-    The Pade sweep runs on g = target / mult, then on canonical_lift(g, m)
-    when g is integral; the first candidate to verify is returned. A pair is
+    The Pade sweep runs on g = target / mult, then on canonical_lift(g, m),
+    built only when g is integral and its sweep returns nothing; the first
+    candidate to verify is returned. A pair is
     screened in the residue ring (raw_congruence_check) when the screen
     decides the congruence exactly: g integral, m < 4096, and mult either
     None or integral with a unit constant term, so that mult and its
@@ -623,7 +627,6 @@ def reconstruct_rational(
     upto = target.order
     g = target if mult is None else target * mult.invert_unit()
     integral = g.min_valuation() >= 0
-    sources = [g, canonical_lift(g, m)] if integral else [g]
     unit = mult is None or mult.min_valuation() == mult.min_valuation(1) == 0
     if not (integral and m < 4096 and unit):
         residues = None
@@ -635,9 +638,14 @@ def reconstruct_rational(
             return congruence_outcome(cand, target, m, upto, require_norm_one)
         return product_congruence_outcome(cand, mult, target, m, upto, require_norm_one)
 
+    def sources():
+        yield g
+        if integral:
+            yield canonical_lift(g, m)
+
     seen = set()
     poles = []
-    for src in sources:
+    for src in sources():
         max_window = min(2 * deg_bound + 1, src.order)
         for window in range(first_window, max_window + 1):
             for r, t in pade_pairs(src, window):

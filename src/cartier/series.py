@@ -188,16 +188,24 @@ class TruncSeries:
         return _ring_inverse(self.den, [row[j] for row in self.rows], self.ctx.prime)
 
     def pow_int(self, n: int) -> "TruncSeries":
-        """Integer power; negative exponents go through invert_unit."""
+        """Integer power; negative exponents go through invert_unit.
+
+        Square-and-multiply from the lowest set bit of n, squaring up to its
+        top bit only: n = 1 costs no product and n = 2 one."""
         if n < 0:
             return self.invert_unit().pow_int(-n)
-        out = TruncSeries.one(self.ctx, self.order)
+        if n == 0:
+            return TruncSeries.one(self.ctx, self.order)
         base = self
-        while n:
-            if n & 1:
-                out = out * base
+        while not n & 1:
             base = base * base
             n >>= 1
+        out = base
+        while n > 1:
+            base = base * base
+            n >>= 1
+            if n & 1:
+                out = out * base
         return out
 
     def __eq__(self, other):

@@ -89,6 +89,12 @@ class TestProductPower:
         with pytest.raises(NotAUnit):
             product_power([f], (-1,))
 
+    def test_non_unit_with_exponent_zero(self):
+        f = TruncSeries.from_coeffs(U7, [0, 1, 1, 1])
+        assert product_power([f, geometric(U7, 4)], (0, -1)) == TruncSeries.from_coeffs(
+            U7, [1, -1, 0, 0]
+        )
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(
@@ -102,6 +108,48 @@ class TestProductPower:
         forward = product_power(fs, exps)
         backward = product_power(fs, tuple(-a for a in exps))
         assert forward * backward == TruncSeries.one(U5, 7)
+
+
+def ref_product(fs, exps):
+    """prod f_i^(a_i) by repeated products with f_i or its inverse."""
+    order = min(f.order for f in fs)
+    acc = TruncSeries.one(fs[0].ctx, order)
+    for f, a in zip(fs, exps):
+        if a == 0:
+            continue
+        f = f.truncate(order)
+        factor = f if a > 0 else f.invert_unit()
+        for _ in range(abs(a)):
+            acc = acc * factor
+    return acc
+
+
+class TestProductPowerAgainstReference:
+    @pytest.mark.parametrize(
+        "ctx", [U5, PadicContext.dwork(3), PadicContext.dwork(5)], ids=lambda c: f"e{c.e}"
+    )
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_equals_repeated_products(self, ctx, data):
+        p = ctx.prime
+        fs, exps = [], []
+        for _ in range(data.draw(st.integers(1, 3))):
+            order = data.draw(st.integers(1, 9))
+            rows = [
+                data.draw(st.lists(st.integers(-(p**2), p**2), min_size=order, max_size=order))
+                for _ in range(ctx.e)
+            ]
+            if data.draw(st.booleans()):  # a non-unit: the constant term vanishes
+                for row in rows:
+                    row[0] = 0
+            fs.append(TruncSeries.from_rows(ctx, data.draw(st.sampled_from([1, 2, p])), rows))
+            exps.append(data.draw(st.integers(-4, 4)))
+        exps = tuple(exps)
+        if any(a < 0 and not any(row[0] for row in f.rows) for f, a in zip(fs, exps)):
+            with pytest.raises(NotAUnit):
+                product_power(fs, exps)
+        else:
+            assert product_power(fs, exps) == ref_product(fs, exps)
 
 
 class TestAnalyticElementCertificate:
@@ -350,6 +398,44 @@ class TestCertificateFilterGuard:
         assert hashlib.sha256(result.output.encode()).hexdigest() == self.SHA256
         assert searches[0] == 24
         assert reductions[0] == searches[0]
+
+
+class TestScanPowerTable:
+    """Outside its certificate searches, the negative-e2 scan of the
+    scan-ramified benchmark takes every product from the scan's power
+    table: no pow_int, and no series inverted twice."""
+
+    def test_products_come_from_one_table(self, monkeypatch):
+        outside = [True]
+        pows, inverted = [0], []
+        real_pow = TruncSeries.pow_int
+        real_invert = TruncSeries.invert_unit
+        real_certificate = dependence._certificate
+
+        def pow_int(self, n):
+            pows[0] += outside[0]
+            return real_pow(self, n)
+
+        def invert_unit(self):
+            if outside[0]:
+                inverted.append(self)
+            return real_invert(self)
+
+        def certificate(*args):
+            outside[0] = False
+            try:
+                return real_certificate(*args)
+            finally:
+                outside[0] = True
+
+        monkeypatch.setattr(TruncSeries, "pow_int", pow_int)
+        monkeypatch.setattr(TruncSeries, "invert_unit", invert_unit)
+        monkeypatch.setattr(dependence, "_certificate", certificate)
+        scan = TestCertificateFilterGuard
+        result = CliRunner().invoke(main, scan.ARGS)
+        assert hashlib.sha256(result.output.encode()).hexdigest() == scan.SHA256
+        assert pows[0] == 0
+        assert inverted and len(set(inverted)) == len(inverted)
 
 
 def scan_series(ctx, data, order, level):

@@ -2,9 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartier import (
     BadParameters,
+    CartierError,
     Coefficient,
     NotInK0,
     NotMOM,
@@ -255,6 +258,70 @@ class TestAntecedentChain:
         assert report["passage_min_valuation"] == 0
         assert report["residual_min_valuation"] is None
         assert report["checked_order"] == lv.checked_order
+
+
+def recheck_level(L, lv, order):
+    """Recompute level k's invariants from its fields: the passage identity
+    delta(H) = A H - p^k H A_k(z^(p^k)), H(0) = diag(1, p^k, .., p^(k(n-1))),
+    integral entries, and A_k's operator annihilating the k-th Cartier
+    transform of L's unit solution."""
+    ctx, k, n = L.ctx, lv.level, L.order
+    A = L.companion().truncate(order)
+    H = lv.passage
+    lhs = H.delta()
+    rhs = A.matmul(H) - H.matmul(lv.companion.subst_zpk(k)).scale(ctx.coeff(ctx.prime**k))
+    assert (lhs - rhs).is_zero()
+    assert H.constant_matrix() == diag_const(ctx, [ctx.prime ** (k * i) for i in range(n)])
+    assert H.min_valuation() >= 0
+    f = L.unit_solution(order)
+    for _ in range(k):
+        f = f.cartier()
+    assert lv.operator.apply(f.truncate(lv.operator.series_order)).is_zero()
+
+
+HYP_ALPHAS = st.sampled_from(
+    [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4),
+     Fraction(1, 5), Fraction(1, 6), Fraction(5, 6), Fraction(1, 1)]
+)
+
+
+class TestAntecedentChainProperty:
+    """antecedent_chain on catalog 2F1 entries, unramified and in Dwork's
+    Q_p(pi) at p = 3 and 5 (e = 1, 2, 4): it returns levels whose
+    invariants re-check, or raises a CartierError, and nothing else."""
+
+    @given(
+        ctx=st.sampled_from([U5, PadicContext.unramified(3), D3, D5]),
+        alphas=st.tuples(HYP_ALPHAS, HYP_ALPHAS),
+        order=st.integers(2, 40),
+        levels=st.integers(1, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_levels_recheck_or_a_named_error(self, ctx, alphas, order, levels):
+        L = build(SeriesSpec(SeriesKind.HYPERGEOMETRIC, ctx, order, alphas=alphas)).operator
+        try:
+            out = antecedent_chain(L, levels, order)
+        except CartierError:
+            return
+        assert [lv.level for lv in out] == list(range(1, levels + 1))
+        for lv in out:
+            recheck_level(L, lv, order)
+
+    @pytest.mark.parametrize(
+        "ctx, alphas, order",
+        [
+            (U5, (Fraction(1, 3), Fraction(2, 3)), 40),
+            (D3, (Fraction(1, 2),) * 2, 40),
+            (D5, (Fraction(1, 2),) * 2, 30),
+        ],
+        ids=lambda v: f"e{v.e}" if isinstance(v, PadicContext) else None,
+    )
+    def test_two_levels_descend(self, ctx, alphas, order):
+        L = build(SeriesSpec(SeriesKind.HYPERGEOMETRIC, ctx, order, alphas=alphas)).operator
+        out = antecedent_chain(L, 2, order)
+        assert [lv.level for lv in out] == [1, 2]
+        for lv in out:
+            recheck_level(L, lv, order)
 
 
 COEFFICIENT_ARITHMETIC = (

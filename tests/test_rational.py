@@ -285,6 +285,38 @@ class TestLiftAndSearch:
             canonical_lift(f, 2)
 
 
+class TestLiftOnDemand:
+    """reconstruct_rational sweeps the canonical lift of its target only
+    when the sweep over the target itself returns no certificate."""
+
+    def count_lifts(self, monkeypatch):
+        built = []
+        real_lift = rational.canonical_lift
+
+        def lift(f, m):
+            built.append(f)
+            return real_lift(f, m)
+
+        monkeypatch.setattr(rational, "canonical_lift", lift)
+        return built
+
+    def test_not_built_when_the_target_certifies(self, monkeypatch):
+        built = self.count_lifts(monkeypatch)
+        g = TruncSeries.from_coeffs(U5, [1] * 12)
+        cand, _ = reconstruct_rational(g, 2, 3, "geometric")
+        assert cand == RationalFunction.make(poly(U5, 1), poly(U5, 1, -1))
+        assert built == []
+
+    def test_built_once_when_it_does_not(self, monkeypatch):
+        built = self.count_lifts(monkeypatch)
+        g = TruncSeries.from_coeffs(
+            U5, [Fraction(math.comb(2 * n, n), 4**n) for n in range(12)]
+        )
+        with pytest.raises(ReconstructionFailed):
+            reconstruct_rational(g, 2, 3, "half power")
+        assert built == [g]
+
+
 # -- differential tests of the fraction-free Pade path ------------------------
 #
 # The references below are the plain field algorithms: extended Euclid with

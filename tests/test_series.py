@@ -240,6 +240,37 @@ class TestKernelAgainstCoefficientLoops:
         assert cases[1].invert_unit() == TruncSeries.from_coeffs(ctx, [1] * 48)
 
 
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+class TestPowInt:
+    def test_equals_repeated_products(self, ctx):
+        rng = random.Random(f"pow/{ctx.e}")
+        f = with_unit_constant(rng, shaped_series(rng, ctx, 9, "dense"))
+        inv = ref_invert_unit(f)
+        for n in range(-5, 9):
+            want = TruncSeries.one(ctx, f.order)
+            for _ in range(abs(n)):
+                want = ref_mul(want, f if n > 0 else inv)
+            assert f.pow_int(n) == want
+
+    def test_squares_only_up_to_the_top_bit(self, ctx, monkeypatch):
+        # n = 1 costs no product; otherwise one square per bit below the top
+        # one and one product per set bit after the lowest
+        products = [0]
+        real_mul = TruncSeries.__mul__
+
+        def mul(self, other):
+            products[0] += 1
+            return real_mul(self, other)
+
+        f = with_unit_constant(random.Random(f"pow-count/{ctx.e}"), geometric(ctx, 6))
+        monkeypatch.setattr(TruncSeries, "__mul__", mul)
+        assert f.pow_int(1) is f
+        for n in range(9):
+            products[0] = 0
+            f.pow_int(n)
+            assert products[0] == max(0, n.bit_length() + bin(n).count("1") - 2)
+
+
 class TestCongruence:
     def test_reflexive(self):
         f = geometric(U5, 6)
