@@ -2,9 +2,10 @@
 
 Every subcommand emits a single report, JSON by default (sorted keys, so a
 fixed request produces byte-identical output) or an indented table with
---table. The full request parameters are embedded in the report. Exit codes:
-0 on success, 1 when a verification fails or a library error is reported,
-2 for usage problems.
+--table. The report opens with its request: the command and the value of
+every declared option but --table, defaults included. Exit codes: 0 on
+success, 1 when a verification fails or a library error is reported, 2 for
+usage problems.
 """
 
 import json
@@ -120,9 +121,19 @@ def _emit(payload: dict, table: bool):
 _ERROR_FIELDS = ("order", "deg_bound", "index")
 
 
-def _finish(request: dict, table: bool, body, ok=True):
-    """Emit the report and translate outcomes into exit codes. body collects
-    the warnings of the catalog entries it builds (_build) for the report."""
+def _finish(body, ok=True):
+    """Emit the report of the current command and translate outcomes into
+    exit codes. body collects the warnings of the catalog entries it builds
+    (_build) for the report."""
+    ctx = click.get_current_context()
+    # the command, then every declared parameter but --table in declaration
+    # order, which --table output keeps; a repeated option is a list, or
+    # null when it is not given
+    request = {"command": ctx.info_name}
+    for param in ctx.command.params:
+        if param.name != "table":
+            value = ctx.params[param.name]
+            request[param.name] = (list(value) or None) if isinstance(value, tuple) else value
     warnings = []
     try:
         payload = body(warnings)
@@ -136,13 +147,13 @@ def _finish(request: dict, table: bool, body, ok=True):
         ok = False
     if warnings:
         payload = {**payload, "warnings": warnings}
-    _emit({"request": request, **payload}, table)
+    _emit({"request": request, **payload}, ctx.params["table"])
     passed = ok(payload) if callable(ok) else ok
     if not passed:
         raise SystemExit(1)
 
 
-series_option = click.option("--series", "series_text", required=True)
+series_option = click.option("--series", required=True)
 prime_option = click.option("--prime", type=int, required=True)
 dwork_option = click.option(
     "--dwork", is_flag=True, help="Use the Eisenstein uniformizer pi with pi^(p-1) = -p."
@@ -162,18 +173,10 @@ def main():
 @dwork_option
 @order_option
 @table_option
-def gen(series_text, prime, dwork, order, table):
+def gen(series, prime, dwork, order, table):
     """Build a catalog series and report it with its annotations."""
-    request = {
-        "command": "gen",
-        "series": series_text,
-        "prime": prime,
-        "dwork": dwork,
-        "order": order,
-    }
-
     def body(warnings):
-        entry = _build(_parse_spec(series_text, prime, dwork, order), warnings)
+        entry = _build(_parse_spec(series, prime, dwork, order), warnings)
         operator = None
         if entry.operator is not None:
             operator = {"order": entry.operator.order, "mom": entry.operator.is_mom}
@@ -184,7 +187,7 @@ def gen(series_text, prime, dwork, order, table):
             "warnings": list(entry.warnings),
         }
 
-    _finish(request, table, body)
+    _finish(body)
 
 
 @main.command("check-integrality")
@@ -194,22 +197,13 @@ def gen(series_text, prime, dwork, order, table):
 @order_option
 @click.option("--level", type=int, default=1, show_default=True)
 @table_option
-def check_integrality(series_text, prime, dwork, order, level, table):
+def check_integrality(series, prime, dwork, order, level, table):
     """Check coefficient valuations on the window up to p^level - 1."""
-    request = {
-        "command": "check-integrality",
-        "series": series_text,
-        "prime": prime,
-        "dwork": dwork,
-        "order": order,
-        "level": level,
-    }
-
     def body(warnings):
-        entry = _build(_parse_spec(series_text, prime, dwork, order), warnings)
+        entry = _build(_parse_spec(series, prime, dwork, order), warnings)
         return {"report": integrality_check(entry.series, level).to_json_dict()}
 
-    _finish(request, table, body, ok=lambda p: p["report"]["passed"])
+    _finish(body, ok=lambda p: p["report"]["passed"])
 
 
 @main.command("check-lucas")
@@ -218,48 +212,32 @@ def check_integrality(series_text, prime, dwork, order, level, table):
 @dwork_option
 @order_option
 @table_option
-def check_lucas(series_text, prime, dwork, order, table):
+def check_lucas(series, prime, dwork, order, table):
     """Check f = F_(p-1) * f(z^p) mod pi^e to the reliable order."""
-    request = {
-        "command": "check-lucas",
-        "series": series_text,
-        "prime": prime,
-        "dwork": dwork,
-        "order": order,
-    }
-
     def body(warnings):
-        entry = _build(_parse_spec(series_text, prime, dwork, order), warnings)
+        entry = _build(_parse_spec(series, prime, dwork, order), warnings)
         return {"report": p_lucas_check(entry.series).to_json_dict()}
 
-    _finish(request, table, body, ok=lambda p: p["report"]["passed"])
+    _finish(body, ok=lambda p: p["report"]["passed"])
 
 
 @main.command("check-dwork")
 @series_option
 @prime_option
 @order_option
-@click.option("--s", "s", type=int, required=True, help="Congruence level.")
+@click.option("--s", type=int, required=True, help="Congruence level.")
 @table_option
-def check_dwork(series_text, prime, order, s, table):
+def check_dwork(series, prime, order, s, table):
     """Check f * F_(s-1)(z^p) = F_s * f(z^p) mod p^s."""
-    request = {
-        "command": "check-dwork",
-        "series": series_text,
-        "prime": prime,
-        "order": order,
-        "s": s,
-    }
-
     def body(warnings):
-        entry = _build(_parse_spec(series_text, prime, False, order), warnings)
+        entry = _build(_parse_spec(series, prime, False, order), warnings)
         return {"report": dwork_congruence_check(entry.series, s).to_json_dict()}
 
-    _finish(request, table, body, ok=lambda p: p["report"]["passed"])
+    _finish(body, ok=lambda p: p["report"]["passed"])
 
 
 @main.command()
-@click.option("--series", "series_text", default=None)
+@click.option("--series", default=None)
 @click.option(
     "--operator-file",
     type=click.Path(exists=True, dir_okay=False),
@@ -271,32 +249,23 @@ def check_dwork(series_text, prime, order, s, table):
 @order_option
 @click.option("--levels", type=int, default=1, show_default=True)
 @table_option
-def antecedent(series_text, operator_file, prime, dwork, order, levels, table):
+def antecedent(series, operator_file, prime, dwork, order, levels, table):
     """Run the Frobenius antecedent chain and report per-level residuals."""
-    if (series_text is None) == (operator_file is None):
+    if (series is None) == (operator_file is None):
         raise click.UsageError("give exactly one of --series or --operator-file")
-    request = {
-        "command": "antecedent",
-        "series": series_text,
-        "operator_file": operator_file,
-        "prime": prime,
-        "dwork": dwork,
-        "order": order,
-        "levels": levels,
-    }
 
     def body(warnings):
         if operator_file is not None:
             op = _load_operator(operator_file, prime, dwork, order)
         else:
-            entry = _build(_parse_spec(series_text, prime, dwork, order), warnings)
+            entry = _build(_parse_spec(series, prime, dwork, order), warnings)
             if entry.operator is None:
-                raise BadParameters(f"series {series_text!r} ships without an operator")
+                raise BadParameters(f"series {series!r} ships without an operator")
             op = entry.operator
         chain = antecedent_chain(op, levels, order)
         return {"levels": [level.to_json_dict() for level in chain]}
 
-    _finish(request, table, body)
+    _finish(body)
 
 
 @main.command("certify-ratio")
@@ -307,24 +276,14 @@ def antecedent(series_text, operator_file, prime, dwork, order, levels, table):
 @click.option("--level", type=int, default=1, show_default=True)
 @click.option("--deg-bound", type=int, default=8, show_default=True)
 @table_option
-def certify_ratio(series_text, prime, dwork, order, level, deg_bound, table):
+def certify_ratio(series, prime, dwork, order, level, deg_bound, table):
     """Reconstruct the rational ratio between f and its Cartier transform."""
-    request = {
-        "command": "certify-ratio",
-        "series": series_text,
-        "prime": prime,
-        "dwork": dwork,
-        "order": order,
-        "level": level,
-        "deg_bound": deg_bound,
-    }
-
     def body(warnings):
-        entry = _build(_parse_spec(series_text, prime, dwork, order), warnings)
+        entry = _build(_parse_spec(series, prime, dwork, order), warnings)
         cert = ratio_certificate(entry.series, level, deg_bound)
         return {"certificate": cert.to_json_dict()}
 
-    _finish(request, table, body)
+    _finish(body)
 
 
 @main.command("certify-logderiv")
@@ -341,30 +300,19 @@ def certify_ratio(series_text, prime, dwork, order, level, deg_bound, table):
     help="Frobenius period; defaults to the catalog annotation.",
 )
 @table_option
-def certify_logderiv(series_text, prime, dwork, order, level, deg_bound, period, table):
+def certify_logderiv(series, prime, dwork, order, level, deg_bound, period, table):
     """Reconstruct a rational congruent to f'/f at the requested level."""
-    request = {
-        "command": "certify-logderiv",
-        "series": series_text,
-        "prime": prime,
-        "dwork": dwork,
-        "order": order,
-        "level": level,
-        "deg_bound": deg_bound,
-        "period": period,
-    }
-
     def body(warnings):
-        entry = _build(_parse_spec(series_text, prime, dwork, order), warnings)
+        entry = _build(_parse_spec(series, prime, dwork, order), warnings)
         h = period if period is not None else entry.frobenius_period or 1
         cert = logderiv_certificate(entry.series, h, level, deg_bound)
         return {"certificate": cert.to_json_dict(), "period": h}
 
-    _finish(request, table, body)
+    _finish(body)
 
 
 @main.command()
-@click.option("--series", "series_texts", required=True, multiple=True)
+@click.option("--series", required=True, multiple=True)
 @prime_option
 @dwork_option
 @order_option
@@ -379,28 +327,17 @@ def certify_logderiv(series_text, prime, dwork, order, level, deg_bound, period,
     help="Per-series derivative order; repeat once per --series.",
 )
 @table_option
-def scan(series_texts, prime, dwork, order, exp_bound, level, deg_bound, derivatives, table):
+def scan(series, prime, dwork, order, exp_bound, level, deg_bound, derivatives, table):
     """Scan an exponent box for certified multiplicative relations.
 
     A scan that finds nothing still exits 0: absence at these bounds is a
     result, not a failure.
     """
-    if derivatives and len(derivatives) != len(series_texts):
+    if derivatives and len(derivatives) != len(series):
         raise click.UsageError("need one --derivative per --series")
-    request = {
-        "command": "scan",
-        "series": list(series_texts),
-        "prime": prime,
-        "dwork": dwork,
-        "order": order,
-        "exp_bound": exp_bound,
-        "level": level,
-        "deg_bound": deg_bound,
-        "derivatives": list(derivatives) if derivatives else None,
-    }
 
     def body(warnings):
-        specs = [_parse_spec(text, prime, dwork, order) for text in series_texts]
+        specs = [_parse_spec(text, prime, dwork, order) for text in series]
         if any(spec.ctx != specs[0].ctx for spec in specs):
             raise click.UsageError("all scanned series must share one coefficient context")
         fs = [_build(spec, warnings).series for spec in specs]
@@ -410,11 +347,11 @@ def scan(series_texts, prime, dwork, order, exp_bound, level, deg_bound, derivat
             level,
             deg_bound,
             derivative_orders=tuple(derivatives) if derivatives else None,
-            names=series_texts,
+            names=series,
         )
         return {"report": report.to_json_dict()}
 
-    _finish(request, table, body)
+    _finish(body)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from .errors import (
     NotNilpotent,
     OrderExhausted,
 )
-from .rational import Polynomial
 from .rings import PadicContext, _int_parts, _ring_inverse, _ring_mul
 from .series import (
     TruncSeries,
@@ -373,20 +372,20 @@ def monicize(terms, ctx: PadicContext, order: int) -> DiffOp:
     if n < 1:
         raise BadParameters("operator must have positive delta-order")
     max_z = max(z for z, _ in raw)
+    pad = [0] * (order - max_z - 1)
     numerators = []
     for k in range(n + 1):
         coeffs = [ctx.zero()] * (max_z + 1)
         for z, poly in raw:
             if k < len(poly):
                 coeffs[z] = coeffs[z] + poly[k]
-        numerators.append(Polynomial.from_coeffs(ctx, coeffs))
-    lead = numerators[n]
-    if lead.vanishes_at_zero():
+        f = TruncSeries(coeffs, ctx)
+        # zero-padded to max(order, max_z + 1); truncated to order below
+        numerators.append(TruncSeries.from_rows(ctx, f.den, [row + pad for row in f.rows]))
+    if numerators[n].constant_term().is_zero():
         raise LeadingNotUnit("leading delta coefficient vanishes at z = 0")
-    lead_series_inv = lead.to_series(order).invert_unit()
-    series_coeffs = tuple(
-        numerators[n - i].to_series(order) * lead_series_inv for i in range(1, n + 1)
-    )
+    lead_inv = numerators[n].truncate(order).invert_unit()
+    series_coeffs = tuple(numerators[n - i].truncate(order) * lead_inv for i in range(1, n + 1))
     return DiffOp(series_coeffs, ctx, raw)
 
 

@@ -40,7 +40,8 @@ from fractions import Fraction
 
 from .errors import BadParameters, NegativeValuation, NotInK0, ReconstructionFailed
 from .rings import INF, Coefficient, PadicContext
-from .rings import _adjugate, _primitive, _pseudo_step, _scale, _strip
+from .rings import _adjugate, _component_digits, _p_adic_order, _primitive, _pseudo_step
+from .rings import _scale, _strip
 from .series import TruncSeries, _coefficient, _fold, _mul_add, _unfolded
 
 
@@ -380,8 +381,8 @@ class ResidueTarget:
     def __init__(self, target: TruncSeries, m: int, upto: int):
         e, p = target.ctx.e, target.ctx.prime
         self.prime = p
-        self.digits = max(0, -(-m // e))
-        self.thresholds = tuple(p ** max(0, -((i - m) // e)) for i in range(e))
+        self.digits = max(0, _component_digits(m, 0, e))
+        self.thresholds = tuple(p ** max(0, _component_digits(m, i, e)) for i in range(e))
         rows = [row[:upto] for row in target.rows]
         self.rows = _residue_rows(target.den, rows, p, p**self.digits)
 
@@ -389,14 +390,12 @@ class ResidueTarget:
 def _residue_rows(den, rows, p, mod):
     """Residues modulo mod, a power of p, of the integer rows over den, or
     None when one of the values rows[t][j] / den has p in its denominator."""
-    k = 0
-    while den % p == 0:
-        den //= p
-        k += 1
+    k = _p_adic_order(den, p)
     if k:
         pk = p**k
         if any(x % pk for row in rows for x in row):
             return None
+        den //= pk
         rows = [[x // pk for x in row] for row in rows]
     if den == 1:
         return [[x % mod for x in row] for row in rows]
@@ -569,7 +568,7 @@ def raw_congruence_check(num, den, target, m, upto, residues=None) -> bool:
     ResidueTarget(target, m, upto), passed by callers that screen many
     pairs against one target so that the target is reduced only once.
     """
-    if 0 < m < 4096:
+    if m > 0:
         if residues is None:
             residues = ResidueTarget(target, m, upto)
         fast = _residue_screen(num, den, residues, upto)
@@ -596,21 +595,20 @@ def reconstruct_rational(
 
     The Pade sweep runs on g = target / mult, then on canonical_lift(g, m),
     built only when g is integral and its sweep returns nothing; the first
-    candidate to verify is returned. A pair is
-    screened in the residue ring (raw_congruence_check) when the screen
-    decides the congruence exactly: g integral, m < 4096, and mult either
-    None or integral with a unit constant term, so that mult and its
-    inverse are integral and R * mult = target holds mod pi^m exactly when
-    R = g does. Candidates left are verified by congruence_outcome or
-    product_congruence_outcome, which expand no inverse for a denominator
-    without a pole. A pair whose t has a root in the open unit disc can only
-    fail or give NotInK0, so it is set aside: only when nothing verifies is
-    each one tested, first by the necessary v(r * mult - t * target) >= m
-    (t is integral), then by the outcome. Raises NotInK0 if one of them
-    matched the congruence, else ReconstructionFailed. residues is
-    ResidueTarget(target, m, target.order) with mult None, passed by a
-    caller that has reduced the target already; it is read only when the
-    screen runs.
+    candidate to verify is returned. A pair is screened in the residue ring
+    (raw_congruence_check) when the screen decides the congruence exactly: g
+    integral and mult either None or integral with a unit constant term, so
+    that mult and its inverse are integral and R * mult = target holds mod
+    pi^m exactly when R = g does. Candidates left are verified by
+    congruence_outcome or product_congruence_outcome, which expand no
+    inverse for a denominator without a pole. A pair whose t has a root in
+    the open unit disc can only fail or give NotInK0, so it is set aside:
+    only when nothing verifies is each one tested, first by the necessary
+    v(r * mult - t * target) >= m (t is integral), then by the outcome.
+    Raises NotInK0 if one of them matched the congruence, else
+    ReconstructionFailed. residues is ResidueTarget(target, m, target.order)
+    with mult None, passed by a caller that has reduced the target already;
+    it is read only when the screen runs.
 
     Both sources are swept from window first_window. The scan passes
     least_window(residues, deg_bound) there (mult None): no window below it
@@ -628,7 +626,7 @@ def reconstruct_rational(
     g = target if mult is None else target * mult.invert_unit()
     integral = g.min_valuation() >= 0
     unit = mult is None or mult.min_valuation() == mult.min_valuation(1) == 0
-    if not (integral and m < 4096 and unit):
+    if not (integral and unit):
         residues = None
     elif residues is None:
         residues = ResidueTarget(g, m, upto)
@@ -753,6 +751,6 @@ def canonical_lift(f: TruncSeries, m: int) -> TruncSeries:
     e, p = f.ctx.e, f.ctx.prime
     rows = []
     for t, row in enumerate(f.rows):
-        k = -((t - m) // e)
+        k = _component_digits(m, t, e)
         rows.append(_residue_rows(f.den, [row], p, p**k)[0] if k > 0 else [0] * len(row))
     return TruncSeries.from_rows(f.ctx, 1, rows)

@@ -38,19 +38,26 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _p_adic_order(n: int, p: int) -> int:
+    """v_p of a nonzero int."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def rational_valuation(x: Fraction, p: int):
     """p-adic valuation of a rational, INF for zero."""
     if x == 0:
         return INF
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _p_adic_order(x.numerator, p) - _p_adic_order(x.denominator, p)
+
+
+def _component_digits(m: int, t: int, e: int) -> int:
+    """ceil((m - t)/e): for a rational x, x * pi^t has valuation >= m
+    exactly when v_p(x) reaches it, since v(pi) = 1 and v(p) = e."""
+    return -((t - m) // e)
 
 
 class Ramification(enum.Enum):
@@ -254,7 +261,7 @@ class Coefficient:
         e = self.ctx.e
         out = []
         for i, c in enumerate(self.parts):
-            k = -((i - m) // e)  # ceil((m - i)/e)
+            k = _component_digits(m, i, e)
             if k <= 0:
                 out.append(Fraction(0))
                 continue

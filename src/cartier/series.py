@@ -25,7 +25,8 @@ from itertools import chain
 from operator import add, mul
 
 from .errors import BadParameters, NotAUnit
-from .rings import INF, Coefficient, PadicContext, _primitive, _ring_inverse, _rowop, _scale
+from .rings import INF, Coefficient, PadicContext, _component_digits, _p_adic_order
+from .rings import _primitive, _ring_inverse, _rowop, _scale
 
 
 class TruncSeries:
@@ -295,7 +296,7 @@ class TruncSeries:
         # component t of the difference is d/den; v(d/den) pi^t >= m exactly
         # when p^(ceil((m - t)/e) + v_p(den)) divides d
         k = _p_adic_order(den, p)
-        thresholds = [p ** max(0, -((t - m) // e) + k) for t in range(e)]
+        thresholds = [p ** max(0, _component_digits(m, t, e) + k) for t in range(e)]
         found = upto
         for ra, rb, thr in zip(self.rows, o.rows, thresholds):
             if thr > 1:
@@ -337,15 +338,6 @@ class TruncSeries:
         shown = ", ".join(self.coefficient(j).render() for j in range(min(self.order, 6)))
         tail = ", .." if self.order > 6 else ""
         return f"[{shown}{tail}] mod z^{self.order}"
-
-
-def _p_adic_order(n: int, p: int) -> int:
-    """v_p of a nonzero int."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _coeff_rows(coeffs, e):

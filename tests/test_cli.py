@@ -781,6 +781,70 @@ class TestDeterminism:
         assert first.output == second.output
 
 
+def _request_keys(table_output):
+    """The keys of the request block of a --table report, in print order."""
+    lines = table_output.splitlines()
+    assert lines[0] == "request:"
+    keys = []
+    for line in lines[1:]:
+        if not line.startswith("  "):
+            break
+        if not line.startswith("    "):
+            keys.append(line.split(":")[0].strip())
+    return keys
+
+
+# what check-dwork and scan require besides --series and --prime; with the
+# composite prime 4, every command reports BadParameters at once, and the
+# report still carries its request block
+REQUIRED = {
+    "check-dwork": ["--s", "1"],
+    "scan": ["--exp-bound", "1", "--level", "1", "--deg-bound", "1"],
+}
+
+
+class TestRequestBlock:
+    """A report's request block is the command followed by its declared
+    parameters but --table, in declaration order whatever the order of the
+    arguments."""
+
+    @pytest.mark.parametrize("command", sorted(main.commands))
+    def test_keys_are_the_declared_parameters(self, runner, command):
+        args = [command, "--series", "apery", "--prime", "4", *REQUIRED.get(command, [])]
+        declared = [p.name for p in main.commands[command].params if p.name != "table"]
+        result, payload = run_json(runner, args)
+        assert result.exit_code == 1
+        assert payload["error"]["type"] == "BadParameters"
+        assert payload["request"]["command"] == command
+        assert sorted(payload["request"]) == sorted(["command"] + declared)
+        table = runner.invoke(main, args + ["--table"])
+        assert _request_keys(table.output) == ["command"] + declared
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            [["gen"], ["--series", "apery"], ["--prime", "5"], ["--order", "4"], ["--dwork"]],
+            [
+                ["scan"],
+                # repeated options keep their relative order: it orders the series
+                ["--series", "apery", "--series", "hyp:1/2,1/2"],
+                ["--prime", "5"],
+                ["--exp-bound", "1"],
+                ["--level", "2"],
+                ["--deg-bound", "2"],
+                ["--order", "12"],
+            ],
+        ],
+        ids=["gen", "scan"],
+    )
+    def test_table_does_not_depend_on_argument_order(self, runner, groups):
+        command, *options = groups
+        forward = runner.invoke(main, command + sum(options, []) + ["--table"])
+        backward = runner.invoke(main, command + ["--table"] + sum(reversed(options), []))
+        assert forward.exit_code == 0
+        assert backward.output == forward.output
+
+
 REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references.json"
 
 

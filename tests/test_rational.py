@@ -233,16 +233,23 @@ class TestPade:
         with pytest.raises(BadParameters, match="degree bound must be >= 0, got -1"):
             reconstruct_rational(f, 1, -1, "test")
 
-    def test_integral_unit_mult_is_screened(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("m", [3, 5000])
+    def test_integral_unit_mult_is_screened(self, monkeypatch, m):
+        # the screen is exact at every level, so it also runs at high ones
+        calls, decided = [], []
         screen = rational.raw_congruence_check
+        residue_screen = rational._residue_screen
         monkeypatch.setattr(rational, "raw_congruence_check", lambda *a: calls.append(a) or screen(*a))
+        monkeypatch.setattr(
+            rational, "_residue_screen", lambda *a: decided.append(residue_screen(*a)) or decided[-1]
+        )
         target = TruncSeries.from_coeffs(U5, [1] * 12)
         mult = TruncSeries.from_coeffs(U5, [1, 1] + [0] * 10)
-        got, resid = reconstruct_rational(target, 3, 2, "test", mult=mult)
+        got, resid = reconstruct_rational(target, m, 2, "test", mult=mult)
         assert got == RationalFunction.make(Polynomial.one(U5), poly(U5, 1, 0, -1))
         assert resid == INF
         assert calls
+        assert any(d is not None for d in decided)
 
     def test_mult_without_integral_inverse_is_not_screened(self, monkeypatch):
         # u = 1 + z/5 has a unit constant term but u^-1 is not integral, so
