@@ -8,6 +8,7 @@ hypergeometric entries and 1 for the others.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -15,7 +16,7 @@ from functools import cached_property
 
 from .diffops import DiffOp, monicize
 from .errors import BadContext, BadParameters, IntegralityFailure, OrderExhausted
-from .rings import PadicContext, Ramification
+from .rings import PadicContext, Ramification, _capped_power
 from .series import TruncSeries
 
 
@@ -237,9 +238,22 @@ def p_lucas_check(f: TruncSeries) -> CongruenceReport:
     """
     _require_integral(f)
     ctx = f.ctx
-    prod = _prefix_series(f, ctx.prime) * f.subst_zpk(1).truncate(f.order)
+    prod = _prefix_series(f, ctx.prime) * f.subst_zpk_truncated(1, f.order)
     idx = f.first_discrepancy(prod, ctx.e, f.order)
     return CongruenceReport("p-lucas", ctx.prime, 1, f.order, idx)
+
+
+def _power_text(p: int, s: int) -> str:
+    """p^s in decimal when Python prints an int that long (see
+    sys.get_int_max_str_digits), else the text p^s."""
+    # Pythons before 3.10.7 have no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or s * math.log10(p) < limit + 1:
+        try:
+            return str(p**s)
+        except ValueError:
+            pass
+    return f"{p}^{s}"
 
 
 def dwork_congruence_check(f: TruncSeries, s: int) -> CongruenceReport:
@@ -254,10 +268,10 @@ def dwork_congruence_check(f: TruncSeries, s: int) -> CongruenceReport:
         raise BadParameters("congruence level must be at least 1")
     _require_integral(f)
     p = ctx.prime
-    if f.order < p**s:
-        raise OrderExhausted(f"need at least p^s = {p**s} coefficients")
-    fp = f.subst_zpk(1).truncate(f.order)
-    lhs = f * _prefix_series(f, p ** (s - 1)).subst_zpk(1).truncate(f.order)
+    if f.order < _capped_power(p, s, f.order):
+        raise OrderExhausted(f"need at least p^s = {_power_text(p, s)} coefficients")
+    fp = f.subst_zpk_truncated(1, f.order)
+    lhs = f * _prefix_series(f, p ** (s - 1)).subst_zpk_truncated(1, f.order)
     rhs = _prefix_series(f, p**s) * fp
     idx = lhs.first_discrepancy(rhs, s * ctx.e, f.order)
     return CongruenceReport("dwork", p, s, f.order, idx)

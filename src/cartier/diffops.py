@@ -13,9 +13,7 @@ j^n f_j = -(contributions of lower f's), and j^n never vanishes for j >= 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from operator import mul
 
 from .errors import (
     BadParameters,
@@ -32,13 +30,11 @@ from .series import (
     _const_map,
     _diag,
     _flat,
-    _fold,
     _ints,
     _invert,
     _matmul_ints,
     _recurrence,
     _square,
-    _unfolded,
 )
 
 
@@ -320,44 +316,27 @@ def _unit_solution_ints(cs, lead, n, order):
     at 0: the unit-solution recursion of both the banded and the generic
     form, in integers.
 
-    delta^k f is kept beside f as rows w[k] (w[k][t][i] = i^k f_t[i]) over
-    f's running denominator, so each step is one dot product per term of
-    C_k and pi-component, as in series._recurrence.
+    It is series._recurrence on the column X = (f, delta f, ..,
+    delta^(K-1) f), K = len(cs), with C_0 .. C_(K-1) in row 0 of M and
+    every other row of M zero: row 0 of R_j is sum_k (C_k * delta^k f)_j,
+    from which solve reads f_j and returns j^k f_j in row k.
     """
     ctx = lead.ctx
-    e = ctx.e
+    e, p = ctx.e, ctx.prime
+    size = max(len(cs), 1)
     dc, crows = _align(cs)
-    dl, linv = _ring_inverse(*_int_parts(lead), ctx.prime)
-    terms = [
-        (k, s, row[1:])
-        for k, entry in enumerate(crows)
-        for s, row in enumerate(entry)
-        if any(row[1:])
-    ]
+    zero = [[0]] * e
+    m = [crows or [zero]] + [[zero] * size] * (size - 1)
+    dl, linv = _ring_inverse(*_int_parts(lead), p)
+
+    def solve(j, r, dr):
+        f = [-v for v in _ring_mul(r[:e], linv, p)]
+        return [j**k * v for k in range(size) for v in f], dr * dl * j**n
+
     # f_0 = 1, and (delta^k f)_0 = 0 for k >= 1
-    den = 1
-    w = [[[int(t == k == 0)] for t in range(e)] for k in range(max(len(cs), 1))]
-    for j in range(1, order):
-        acc = _unfolded(ctx, 1)
-        for k, s, tail in terms:
-            head = tail[:j]
-            for t, ws in enumerate(w[k]):
-                acc[s + t][0] += sum(map(mul, head, reversed(ws)))
-        num = [-v for v in _ring_mul([v for (v,) in _fold(acc, ctx)], linv, ctx.prime)]
-        dj = dc * den * dl * j**n
-        g = math.gcd(dj, *num)
-        dj //= g
-        grown = math.lcm(den, dj)
-        if grown != den:
-            scale = grown // den
-            w = [[[v * scale for v in ws] for ws in wk] for wk in w]
-            den = grown
-        scale = den // dj
-        for k, wk in enumerate(w):
-            jk = j**k * scale
-            for ws, v in zip(wk, num):
-                ws.append(v // g * jk)
-    return TruncSeries._of(ctx, den, w[0])
+    x0 = [int(i == 0) for i in range(size * e)]
+    den, x = _recurrence(dc, m, x0, 1, order, solve, ctx)
+    return TruncSeries._of(ctx, den, x[0][0])
 
 
 def monicize(terms, ctx: PadicContext, order: int) -> DiffOp:

@@ -40,7 +40,7 @@ from .rational import (
     product_congruence_outcome,
     reconstruct_rational,
 )
-from .rings import INF
+from .rings import INF, _capped_power
 from .series import TruncSeries, _diag
 
 
@@ -178,7 +178,7 @@ def antecedent_chain(L: DiffOp, levels: int, order: int) -> list:
         return []
     ctx = L.ctx
     p = ctx.prime
-    if _ceil_div(order, p**levels) < 2:
+    if _ceil_div(order, _capped_power(p, levels, order)) < 2:
         raise OrderExhausted(
             f"order {order} cannot support {levels} levels at p = {p}"
         )
@@ -232,7 +232,7 @@ def integrality_check(f: TruncSeries, level: int) -> IntegralityReport:
     if level < 1:
         raise BadParameters(f"level must be >= 1, got {level}")
     _require_unit_start(f)
-    upto = min(f.ctx.prime**level - 1, f.order - 1)
+    upto = min(_capped_power(f.ctx.prime, level, f.order) - 1, f.order - 1)
     min_val = INF
     first_failure = None
     for j in range(1, upto + 1):
@@ -321,7 +321,7 @@ def frobenius_ratio_certificate(f: TruncSeries, h: int, k: int, deg_bound: int) 
         return Certificate(
             "frobenius-ratio", 0, RationalFunction.constant(f.ctx, 1), f.order, INF
         )
-    u = f.subst_zpk(kh).truncate(f.order)
+    u = f.subst_zpk_truncated(kh, f.order)
     cand, resid = reconstruct_rational(
         f, kh, deg_bound, "frobenius ratio certificate", u, require_norm_one=True
     )
@@ -337,7 +337,7 @@ def successive_frobenius_quotient(f: TruncSeries, h: int, k: int, deg_bound: int
     b_next = frobenius_ratio_certificate(f, h, k + 1, deg_bound).rational
     b_cur = frobenius_ratio_certificate(f, h, k, deg_bound).rational
     quot = b_next.divide(b_cur.subst_zpk(h))
-    u = f.subst_zpk(h).truncate(f.order)
+    u = f.subst_zpk_truncated(h, f.order)
     upto = f.order
     outcome = product_congruence_outcome(quot, u, f, kh, upto, require_norm_one=True)
     return _derived("frobenius-quotient", kh, quot, upto, outcome, "successive quotient",

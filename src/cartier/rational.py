@@ -42,35 +42,23 @@ from .errors import BadParameters, NegativeValuation, NotInK0, ReconstructionFai
 from .rings import INF, Coefficient, PadicContext
 from .rings import _adjugate, _component_digits, _p_adic_order, _primitive, _pseudo_step
 from .rings import _scale, _strip
-from .series import TruncSeries, _coefficient, _fold, _mul_add, _unfolded
+from .series import IntegerRows, TruncSeries, _fold, _mul_add, _unfolded
 
 
-class Polynomial:
-    """A dense polynomial, stored as a TruncSeries is: ctx, den and e integer
-    numerator rows, one per pi-component, so that coefficient j is
-    sum_t rows[t][j] pi^t / den. The form is canonical (den > 0, gcd of den
-    and every numerator 1) and the top column is nonzero, so equal
-    polynomials have equal rows and the zero polynomial has empty rows.
+class Polynomial(IntegerRows):
+    """A dense polynomial in the row form it shares with TruncSeries
+    (series.IntegerRows): coefficient j is sum_t rows[t][j] pi^t / den,
+    canonical, with a nonzero top column, so equal polynomials have equal
+    rows and the zero polynomial has empty rows. The base class holds the
+    Coefficient view, equality, hashing, negation and the valuations.
 
     Arithmetic pads the operands to the length of the result and runs the
     series operation on them; a product of lengths la and lb is exact as a
-    series truncated to la + lb - 1. coeffs is a view of Coefficients built
-    on first use and cached, for indexing and rendering; no computation
-    reads it. Instances are immutable, and their rows are never modified in
-    place.
+    series truncated to la + lb - 1. The coeffs view serves indexing and
+    rendering; no computation reads it.
     """
 
-    __slots__ = ("ctx", "den", "rows", "_view")
-
-    @classmethod
-    def _canonical(cls, ctx, den, rows):
-        """The polynomial of rows over den, already canonical and stripped."""
-        self = object.__new__(cls)
-        self.ctx = ctx
-        self.den = den
-        self.rows = rows
-        self._view = None
-        return self
+    __slots__ = ()
 
     @classmethod
     def _of_series(cls, s: TruncSeries) -> "Polynomial":
@@ -107,16 +95,6 @@ class Polynomial:
         return cls._canonical(ctx, 1, rows)
 
     @property
-    def coeffs(self) -> tuple:
-        """The coefficients as a tuple of Coefficients, built once."""
-        view = self._view
-        if view is None:
-            view = self._view = tuple(
-                _coefficient(self.den, col, self.ctx) for col in zip(*self.rows)
-            )
-        return view
-
-    @property
     def degree(self) -> int:
         """-1 for the zero polynomial."""
         return len(self.rows[0]) - 1
@@ -141,15 +119,6 @@ class Polynomial:
             rows = [row + [0] * (n - len(row)) for row in rows]
         return TruncSeries._canonical(self.ctx, self.den, rows)
 
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.ctx == other.ctx and self.den == other.den and self.rows == other.rows
-
-    def __hash__(self):
-        rows = tuple(map(tuple, self.rows))
-        return hash((self.den, rows, self.ctx.prime, self.ctx.ramification))
-
     def __add__(self, other):
         n = max(self.degree, other.degree) + 1
         return Polynomial._of_series(self._series(n) + other._series(n))
@@ -157,9 +126,6 @@ class Polynomial:
     def __sub__(self, other):
         n = max(self.degree, other.degree) + 1
         return Polynomial._of_series(self._series(n) - other._series(n))
-
-    def __neg__(self):
-        return Polynomial._canonical(self.ctx, self.den, [[-x for x in row] for row in self.rows])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Coefficient)):
@@ -190,7 +156,7 @@ class Polynomial:
 
     def gauss_valuation(self):
         """min coefficient valuation; INF for the zero polynomial."""
-        return self._series().min_valuation()
+        return self.min_valuation()
 
     def render(self) -> list:
         return [c.render() for c in self.coeffs]
@@ -218,8 +184,7 @@ def no_roots_in_open_unit_disc(b: Polynomial) -> bool:
     denominators admissible for the unit-disc rational ring."""
     if b.vanishes_at_zero():
         return False
-    s = b._series()
-    return s.min_valuation() == s.min_valuation(1)
+    return b.min_valuation() == b.min_valuation(1)
 
 
 def _integral_lead(polys, p):
@@ -267,8 +232,7 @@ class RationalFunction:
     def from_coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
         """num/den for a pair without a common factor: only normalizes, by
         den(0), or by the lowest nonzero coefficient when den(0) = 0."""
-        s = den._series()
-        d, inv = s._inverse_of(s.first_nonzero())
+        d, inv = den._inverse_of(den.first_nonzero())
         return cls(num._times(d, inv), den._times(d, inv))
 
     @classmethod

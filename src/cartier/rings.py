@@ -47,6 +47,13 @@ def _p_adic_order(n: int, p: int) -> int:
     return v
 
 
+def _capped_power(p: int, k: int, n: int) -> int:
+    """p^k when k <= n.bit_length(), else p^(n.bit_length()), which already
+    exceeds n: either way it compares with every int from 0 to n as p^k
+    does, without forming a huge p^k only to bound a window of n terms."""
+    return p ** min(k, n.bit_length())
+
+
 def rational_valuation(x: Fraction, p: int):
     """p-adic valuation of a rational, INF for zero."""
     if x == 0:

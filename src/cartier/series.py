@@ -10,11 +10,13 @@ bookkeeping without a separate precision field.
 A series is stored as integer numerator rows, one row per pi-component,
 over one common denominator: coefficient j is sum_t rows[t][j] pi^t / den.
 The form is canonical (den > 0 and the gcd of den and every numerator is 1),
-so equal values have equal rows. Every operation, and the product kernel at
-the end of this module, runs on these rows; coeffs, the tuple of
-Coefficients, is a view built on first use and cached, for code that
-indexes or renders a series. The series-matrix product, inverse and uniform
-part in diffops are built on the same kernel.
+so equal values have equal rows; rational.Polynomial shares the form and
+its base class, IntegerRows. Every operation, and the product kernel at the
+end of this module, runs on these rows; coeffs, the tuple of Coefficients,
+is a view built on first use and cached, for code that indexes or renders a
+value. The series-matrix product, inverse and uniform part in diffops and
+the unit solution of an operator are built on the same kernel, the last
+three on its one running-denominator recurrence (_recurrence).
 """
 
 from __future__ import annotations
@@ -26,17 +28,82 @@ from operator import add, mul
 
 from .errors import BadParameters, NotAUnit
 from .rings import INF, Coefficient, PadicContext, _component_digits, _p_adic_order
-from .rings import _primitive, _ring_inverse, _rowop, _scale
+from .rings import _capped_power, _primitive, _ring_inverse, _rowop, _scale
 
 
-class TruncSeries:
+class IntegerRows:
+    """The row form that TruncSeries and rational.Polynomial share: ctx, den
+    and e canonical integer rows as described above. A value equals only
+    values of its own type. Instances are immutable, and their rows are
+    never modified in place.
+    """
+
+    __slots__ = ("ctx", "den", "rows", "_view")
+
+    @classmethod
+    def _canonical(cls, ctx, den, rows):
+        """The value of rows over den, which are already in canonical form."""
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.den = den
+        self.rows = rows
+        self._view = None
+        return self
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as a tuple of Coefficients, built once."""
+        view = self._view
+        if view is None:
+            view = self._view = tuple(
+                _coefficient(self.den, col, self.ctx) for col in zip(*self.rows)
+            )
+        return view
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ctx == other.ctx and self.den == other.den and self.rows == other.rows
+
+    def __hash__(self):
+        rows = tuple(map(tuple, self.rows))
+        return hash((self.den, rows, self.ctx.prime, self.ctx.ramification))
+
+    def __neg__(self):
+        return self._canonical(self.ctx, self.den, [[-x for x in row] for row in self.rows])
+
+    def first_nonzero(self):
+        """Index of the first nonzero coefficient, or None for zero."""
+        hits = [next((j for j, x in enumerate(row) if x), None) for row in self.rows]
+        return min((j for j in hits if j is not None), default=None)
+
+    def _inverse_of(self, j: int):
+        """(d, x): x / d is the inverse of the nonzero coefficient j."""
+        return _ring_inverse(self.den, [row[j] for row in self.rows], self.ctx.prime)
+
+    def min_valuation(self, upto=None):
+        """Smallest coefficient valuation on the window (INF if all zero).
+
+        The smallest p-adic order along a row is that of the row's gcd.
+        """
+        e, p = self.ctx.e, self.ctx.prime
+        k = _p_adic_order(self.den, p)
+        best = INF
+        for t, row in enumerate(self.rows):
+            g = math.gcd(*(row if upto is None else row[:upto]))
+            if g:
+                best = min(best, e * (_p_adic_order(g, p) - k) + t)
+        return best
+
+
+class TruncSeries(IntegerRows):
     """A series known mod z^order, as integer rows over a denominator.
 
     TruncSeries(coeffs, ctx) builds one from a sequence of Coefficients;
     from_rows builds one from integer rows. Instances are immutable.
     """
 
-    __slots__ = ("ctx", "den", "rows", "_view")
+    __slots__ = ()
 
     def __init__(self, coeffs, ctx: PadicContext):
         view = tuple(c if isinstance(c, Coefficient) else ctx.coeff(c) for c in coeffs)
@@ -67,16 +134,6 @@ class TruncSeries:
         return cls._canonical(ctx, den, rows)
 
     @classmethod
-    def _canonical(cls, ctx, den, rows):
-        """Series of rows over den that are already in canonical form."""
-        self = object.__new__(cls)
-        self.ctx = ctx
-        self.den = den
-        self.rows = rows
-        self._view = None
-        return self
-
-    @classmethod
     def from_coeffs(cls, ctx: PadicContext, values) -> "TruncSeries":
         values = list(values)
         if all(isinstance(v, (int, Fraction)) for v in values):
@@ -98,16 +155,6 @@ class TruncSeries:
         return out
 
     # -- the Coefficient view ------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple:
-        """The coefficients as a tuple of Coefficients, built once."""
-        view = self._view
-        if view is None:
-            view = self._view = tuple(
-                _coefficient(self.den, col, self.ctx) for col in zip(*self.rows)
-            )
-        return view
 
     @property
     def order(self) -> int:
@@ -160,11 +207,6 @@ class TruncSeries:
     def __sub__(self, other):
         return self._lincomb(other, -1)
 
-    def __neg__(self):
-        return TruncSeries._canonical(
-            self.ctx, self.den, [[-x for x in row] for row in self.rows]
-        )
-
     def __mul__(self, other):
         ctx = self.ctx
         if isinstance(other, (int, Fraction, Coefficient)):
@@ -183,10 +225,6 @@ class TruncSeries:
     def _times(self, den: int, c) -> "TruncSeries":
         """This series times c / den, c integer pi-components and den > 0."""
         return TruncSeries._of(self.ctx, self.den * den, _scale(c, self.rows, self.ctx.prime))
-
-    def _inverse_of(self, j: int):
-        """(d, x): x / d is the inverse of the nonzero coefficient j."""
-        return _ring_inverse(self.den, [row[j] for row in self.rows], self.ctx.prime)
 
     def pow_int(self, n: int) -> "TruncSeries":
         """Integer power; negative exponents go through invert_unit.
@@ -209,22 +247,8 @@ class TruncSeries:
                 out = out * base
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.ctx == other.ctx and self.den == other.den and self.rows == other.rows
-
-    def __hash__(self):
-        rows = tuple(map(tuple, self.rows))
-        return hash((self.den, rows, self.ctx.prime, self.ctx.ramification))
-
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
-
-    def first_nonzero(self):
-        """Index of the first nonzero coefficient, or None for zero."""
-        hits = [next((j for j, x in enumerate(row) if x), None) for row in self.rows]
-        return min((j for j in hits if j is not None), default=None)
 
     # -- derivations and the Cartier operator --------------------------------
 
@@ -258,15 +282,27 @@ class TruncSeries:
         """
         if k < 0:
             raise BadParameters("substitution exponent must be >= 0")
-        if k == 0:
-            return self
-        q = self.ctx.prime**k
+        return self.subst_zpk_truncated(k, self.order * self.ctx.prime**k) if k else self
+
+    def subst_zpk_truncated(self, k: int, n: int) -> "TruncSeries":
+        """subst_zpk(k).truncate(n), built only to order n: coefficient i
+        lands at i * p^k for the i with i * p^k < n, and p^k is capped as
+        rings._capped_power caps it."""
+        if k < 0:
+            raise BadParameters("substitution exponent must be >= 0")
+        q = _capped_power(self.ctx.prime, k, n)
+        m = -(-n // q)  # the i with i * p^k < n
+        if m > self.order:
+            raise ValueError(f"only {self.order} coefficients are reliable before substitution")
         rows = []
         for row in self.rows:
-            out = [0] * (len(row) * q)
-            out[::q] = row
+            out = [0] * n
+            out[::q] = row[:m]
             rows.append(out)
-        return TruncSeries._canonical(self.ctx, self.den, rows)
+        # only coefficients dropped past z^n can leave a common factor
+        return (TruncSeries._of if m < self.order else TruncSeries._canonical)(
+            self.ctx, self.den, rows
+        )
 
     # -- units ---------------------------------------------------------------
 
@@ -306,20 +342,6 @@ class TruncSeries:
 
     def congruent_mod(self, other, m: int, upto: int) -> bool:
         return self.first_discrepancy(other, m, upto) is None
-
-    def min_valuation(self, upto=None):
-        """Smallest coefficient valuation on the window (INF if all zero).
-
-        The smallest p-adic order along a row is that of the row's gcd.
-        """
-        e, p = self.ctx.e, self.ctx.prime
-        k = _p_adic_order(self.den, p)
-        best = INF
-        for t, row in enumerate(self.rows):
-            g = math.gcd(*(row if upto is None else row[:upto]))
-            if g:
-                best = min(best, e * (_p_adic_order(g, p) - k) + t)
-        return best
 
     # -- serialization -------------------------------------------------------
 
@@ -444,18 +466,20 @@ def _matmul_ints(a, b, ctx, n):
 
 
 def _recurrence(dm, m, x0, d0, order, solve, ctx):
-    """Integer form of the series matrix X with X_0 = x0 / d0 and, for j >= 1,
-    X_j = solve(j, R_j) where R_j = sum_(l=1..j) M_l X_(j-l).
+    """Integer form of the n x c series block X with X_0 = x0 / d0 and, for
+    j >= 1, X_j = solve(j, R_j) where R_j = sum_(l=1..j) M_l X_(j-l).
 
-    m holds M's entries over dm, and x0 is a constant matrix. solve(j, r, dr)
-    gets R_j as the constant matrix r over dr and returns X_j the same way,
-    as (vector, denominator). solve must be linear: a step whose R_j is zero
-    gets X_j = 0 without a call. Returns (den, x): X's entries over one
-    common denominator, which grows only to the least common denominator of
-    the coefficients solved so far.
+    m holds the n x n matrix M's entries over dm, and x0 is a constant n x c
+    block: c is read from its length. solve(j, r, dr) gets R_j as the
+    constant block r over dr and returns X_j the same way, as (vector,
+    denominator). solve must be linear: a step whose R_j is zero gets
+    X_j = 0 without a call. Returns (den, x): X's entries over one common
+    denominator, which grows only to the least common denominator of the
+    coefficients solved so far.
     """
     size, e, p = len(m), ctx.e, ctx.prime
-    # x[(k size + c) e + t] is component t of X[k][c] along z
+    cols = len(x0) // (size * e)
+    # x[(k cols + c) e + t] is component t of X[k][c] along z
     x = [[v] for v in x0]
     den = d0
     # the nonzero rows of M_1, M_2, ..: (i, k, s, row) with row[l - 1] = M_l,
@@ -471,8 +495,8 @@ def _recurrence(dm, m, x0, d0, order, solve, ctx):
         r = [0] * len(x)
         for i, k, s, tail in terms:
             head = tail[:j]
-            for c in range(size):
-                src, dst = (k * size + c) * e, (i * size + c) * e
+            for c in range(cols):
+                src, dst = (k * cols + c) * e, (i * cols + c) * e
                 for t, xs in enumerate(x[src : src + e]):
                     v = sum(map(mul, head, reversed(xs)))
                     if v:
@@ -523,7 +547,8 @@ def _invert(dm, m, order, ctx):
 # -- constant matrices ---------------------------------------------------------
 #
 # A constant matrix is a flat vector of integers over a denominator held
-# beside it, component t of entry (i, c) of an n x n matrix at (i n + c) e + t.
+# beside it, component t of entry (i, c) of an n x n matrix at (i n + c) e + t
+# (of an n x c' block, as _recurrence solves for, at (i c' + c) e + t).
 
 
 def _flat(entries):
@@ -532,9 +557,11 @@ def _flat(entries):
 
 
 def _square(items, n, e):
-    """The n x n matrix of entries whose flat list of components is items."""
+    """The block of n rows of entries whose flat list of components is
+    items: n x c, with c read from the length of items."""
     cells = [items[i : i + e] for i in range(0, len(items), e)]
-    return [cells[i * n : (i + 1) * n] for i in range(n)]
+    c = len(cells) // n
+    return [cells[i * c : (i + 1) * c] for i in range(n)]
 
 
 def _diag(values, e):

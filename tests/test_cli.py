@@ -496,6 +496,56 @@ class TestCertify:
         assert payload["error"]["type"] == "BadParameters"
 
 
+class TestHugeExponents:
+    """A level, period or s far beyond what the order can show is answered
+    from the order, without forming p^level or a series of order p^level."""
+
+    TIME_BOUND_S = 2  # each run formed p^level or its series: 8-9 s or more
+
+    def run(self, runner, args):
+        start = time.perf_counter()
+        result, payload = run_json(runner, args)
+        assert time.perf_counter() - start < self.TIME_BOUND_S
+        return result, payload
+
+    @pytest.mark.parametrize("bounds", [["--level", "40"], ["--level", "1", "--period", "40"]])
+    def test_certify_logderiv_reports_its_failure(self, runner, bounds):
+        args = ["certify-logderiv", "--series", "hyp:1/2", "--prime", "5", "--order", "48",
+                "--deg-bound", "0"]
+        result, payload = self.run(runner, args + bounds)
+        assert result.exit_code == 1
+        assert payload["error"]["type"] == "ReconstructionFailed"
+
+    def test_check_integrality_reads_the_whole_order(self, runner):
+        args = ["check-integrality", "--series", "apery", "--prime", "7", "--order", "20"]
+        result, payload = self.run(runner, args + ["--level", "10000000"])
+        assert result.exit_code == 0
+        _, small = run_json(runner, args + ["--level", "2"])
+        assert payload["report"] == {**small["report"], "level": 10000000}
+        assert payload["report"]["checked_upto"] == 19
+
+    def test_antecedent_reports_the_exhausted_order(self, runner):
+        args = ["antecedent", "--series", "apery", "--prime", "7", "--order", "20"]
+        result, payload = self.run(runner, args + ["--levels", "10000000"])
+        assert result.exit_code == 1
+        assert payload["error"] == {
+            "message": "order 20 cannot support 10000000 levels at p = 7",
+            "type": "OrderExhausted",
+        }
+
+    @pytest.mark.parametrize(
+        "s, shown", [("3", "125"), ("6000", str(5**6000)), ("10000", "5^10000")]
+    )
+    def test_check_dwork_names_p_to_the_s(self, runner, s, shown):
+        args = ["check-dwork", "--series", "apery", "--prime", "5", "--order", "40", "--s", s]
+        result, payload = self.run(runner, args)
+        assert result.exit_code == 1
+        assert payload["error"] == {
+            "message": f"need at least p^s = {shown} coefficients",
+            "type": "OrderExhausted",
+        }
+
+
 class TestScan:
     def test_square_relation(self, runner):
         result, payload = run_json(

@@ -131,6 +131,50 @@ class TestPolynomial:
         assert s == TruncSeries.from_coeffs(U5, [1, 2, 0, 0])
 
 
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+class TestSharedRowForm:
+    """Polynomial and TruncSeries share series.IntegerRows."""
+
+    def values(self, ctx):
+        rng = random.Random(f"rowform/{ctx.e}")
+        coeffs = [random_coeff(rng, ctx) for _ in range(5)] + [ctx.one()]
+        return Polynomial.from_coeffs(ctx, coeffs), TruncSeries(tuple(coeffs), ctx)
+
+    def test_instances_have_no_dict(self, ctx):
+        for x in self.values(ctx):
+            assert not hasattr(x, "__dict__")
+            with pytest.raises(AttributeError):
+                x.extra = 1
+
+    def test_a_polynomial_never_equals_a_series(self, ctx):
+        p, s = self.values(ctx)
+        assert (p.den, p.rows) == (s.den, s.rows)
+        assert p != s and s != p
+        assert not p == s
+
+    def test_negation_keeps_the_type(self, ctx):
+        for x in self.values(ctx):
+            neg = -x
+            assert type(neg) is type(x)
+            assert neg.coeffs == tuple(-c for c in x.coeffs)
+            assert -neg == x
+
+    def test_equal_values_hash_equal(self, ctx):
+        p, s = self.values(ctx)
+        for x, y in (
+            (p, Polynomial.from_rows(ctx, 3 * p.den, [[3 * v for v in row] + [0] for row in p.rows])),
+            (s, TruncSeries.from_coeffs(ctx, s.coeffs)),
+        ):
+            assert x == y and hash(x) == hash(y)
+            assert x is not y
+
+    def test_valuations_on_the_rows(self, ctx):
+        p, s = self.values(ctx)
+        want = min(c.valuation() for c in p.coeffs)
+        assert p.gauss_valuation() == p.min_valuation() == s.min_valuation() == want
+        assert Polynomial.zero(ctx).gauss_valuation() == INF
+
+
 class TestUnitDiscTest:
     def test_accepts_unit_coefficients(self):
         # 1 - z has its root on the boundary, not inside

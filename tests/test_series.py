@@ -456,3 +456,32 @@ class TestRowStorageIdentity:
         f = TruncSeries.from_coeffs(U5, [1, 2, 3]) * 2
         assert f.coeffs is f.coeffs
         assert f.coefficient(2) == U5.coeff(6)
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+class TestSubstTruncated:
+    def test_is_the_truncated_substitution(self, ctx):
+        rng = random.Random(f"subst/{ctx.e}")
+        for order in (1, 2, 5):
+            for shape in SHAPES:
+                f = shaped_series(rng, ctx, order, shape)
+                for k in range(3):
+                    full = f.subst_zpk(k)
+                    for n in range(full.order + 1):
+                        assert_same(f.subst_zpk_truncated(k, n), full.truncate(n))
+
+    def test_a_huge_exponent_keeps_the_constant_term(self, ctx):
+        f = shaped_series(random.Random(f"huge/{ctx.e}"), ctx, 4, "dense")
+        for n in (0, 1, 30):
+            want = f.truncate(1).subst_zpk(n.bit_length() + 1).truncate(n)
+            assert_same(f.subst_zpk_truncated(10**9, n), want)
+
+    def test_needs_the_coefficients_it_places(self, ctx):
+        f = geometric(ctx, 3)
+        with pytest.raises(ValueError):
+            f.subst_zpk_truncated(1, 3 * ctx.prime + 1)
+        with pytest.raises(ValueError):
+            TruncSeries.zero(ctx, 0).subst_zpk_truncated(10**9, 1)
+        with pytest.raises(BadParameters):
+            f.subst_zpk_truncated(-1, 2)
+
