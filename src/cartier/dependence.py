@@ -3,10 +3,13 @@
 A tuple (a_1, .., a_m) is a candidate relation when prod f_i^(a_i) is
 congruent, modulo pi^M, to a rational function with no poles in the open
 unit disc. The scan walks primitive sign-normalized rays of the box and
-reports the smallest certified multiple on each ray; a report always carries
-both the product certificate and the certificate for the linear combination
-sum a_i f_i'/f_i, which is checked first since a failure there rules the
-ray multiple out cheaply.
+reports the smallest certified multiple on each ray. A tuple is a finding
+only when both of its certificates exist within the degree bound D: the
+screen, for the linear combination sum a_i f_i'/f_i, which is searched
+first, and then the one for the product itself. stats["screened_out"]
+counts the tuples whose screen search failed; their products are never
+searched. That is not a proof that the product has no certificate within
+D: the log-derivative of a degree-D certificate can need degree 2D.
 
 Absence of findings is bounded evidence, not a proof: the report embeds the
 box, the level, and the degree bound it was computed with.
@@ -18,12 +21,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from operator import mul
+from operator import add, mul
 
 from .errors import BadParameters, NotAUnit, NotInK0, OrderExhausted, ReconstructionFailed
 from .frobenius import Certificate
 from .rational import ResidueTarget, least_window, reconstruct_rational
-from .series import TruncSeries
+from .series import TruncSeries, _align
 
 
 def product_power(fs, exps) -> TruncSeries:
@@ -65,6 +68,23 @@ class _Powers:
         """prod f_i^(a_i), a product of the nonzero factors only."""
         factors = [self.power(i, a) for i, a in enumerate(exps) if a]
         return reduce(mul, factors) if factors else self.one
+
+
+def _combiner(logs):
+    """The map a -> sum a_i logs[i] for series of one order. The logs are
+    aligned on one denominator once, so that each combination is one integer
+    pass and one gcd."""
+    den, rows = _align(logs)
+    ctx, order = logs[0].ctx, logs[0].order
+
+    def combine(a):
+        acc = [[0] * order for _ in range(ctx.e)]
+        for c, lrows in zip(a, rows):
+            if c:
+                acc = [list(map(add, x, map(c.__mul__, y))) for x, y in zip(acc, lrows)]
+        return TruncSeries._of(ctx, den, acc)
+
+    return combine
 
 
 def _certificate(g: TruncSeries, level: int, deg_bound: int, kind: str):
@@ -212,8 +232,9 @@ def kolchin_scan(
         gs = fs
     powers = _Powers(gs)
     # g'/g at the common order - 1, from the table's g and 1/g
-    logs = [powers.power(i, 1).d_dz() * powers.power(i, -1) for i in range(m)]
-    screen_order = logs[0].order
+    combination = _combiner(
+        [powers.power(i, 1).d_dz() * powers.power(i, -1) for i in range(m)]
+    )
     rays = _primitive_rays(m, exp_bound)
 
     def eval_ray(u):
@@ -223,10 +244,7 @@ def kolchin_scan(
         while d * max(abs(x) for x in u) <= exp_bound:
             a = tuple(d * x for x in u)
             tested += 1
-            combo = TruncSeries.zero(gs[0].ctx, screen_order)
-            for coeff, l in zip(a, logs):
-                if coeff:
-                    combo = combo + l * coeff
+            combo = combination(a)
             screen = None
             if combo.min_valuation() >= 0:
                 screen = _certificate(combo, level, deg_bound, "logderiv-screen")

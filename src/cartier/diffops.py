@@ -13,7 +13,9 @@ j^n f_j = -(contributions of lower f's), and j^n never vanishes for j >= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     BadParameters,
@@ -24,158 +26,99 @@ from .errors import (
 )
 from .rings import PadicContext, _int_parts, _ring_inverse, _ring_mul
 from .series import (
+    SeriesRows,
     TruncSeries,
     _align,
     _apply,
     _const_map,
     _diag,
-    _flat,
-    _ints,
     _invert,
     _matmul_ints,
     _recurrence,
-    _square,
 )
 
 
-@dataclass(frozen=True)
-class SeriesMatrix:
-    """Square matrix of TruncSeries, all entries at one common order."""
+class SeriesMatrix(SeriesRows):
+    """Square n x n matrix of series known mod z^order, stored as a
+    TruncSeries is: integer rows over one canonical denominator, the e rows
+    of entry (i, j) starting at row (i n + j) e (the kernel's flat layout).
+    Sums, scalar products, delta, the Cartier operator, substitution,
+    truncation and the valuations are the SeriesRows operations; entry(i, j)
+    reads one entry as a TruncSeries.
+    """
 
-    rows: tuple
-    ctx: PadicContext
+    __slots__ = ()
 
     @classmethod
     def from_rows(cls, rows) -> "SeriesMatrix":
+        """The matrix of a square list of lists of TruncSeries, at their
+        least order."""
         if not rows or any(len(r) != len(rows) for r in rows):
             raise BadParameters("matrix must be square and nonempty")
-        ctx = rows[0][0].ctx
-        order = min(entry.order for row in rows for entry in row)
-        normalized = tuple(
-            tuple(entry.truncate(order) for entry in row) for row in rows
-        )
-        return cls(normalized, ctx)
-
-    @classmethod
-    def identity(cls, ctx: PadicContext, n: int, order: int) -> "SeriesMatrix":
-        return cls.from_rows(
-            [
-                [
-                    TruncSeries.one(ctx, order) if i == j else TruncSeries.zero(ctx, order)
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
+        entries = list(chain.from_iterable(rows))
+        ctx = entries[0].ctx
+        if any(s.ctx != ctx for s in entries):
+            raise BadParameters("mixed contexts")
+        order = min(s.order for s in entries)
+        den, aligned = _align([s.truncate(order) for s in entries])
+        return cls._canonical(ctx, den, list(chain.from_iterable(aligned)))
 
     @classmethod
     def zero(cls, ctx: PadicContext, n: int, order: int) -> "SeriesMatrix":
-        return cls.from_rows(
-            [[TruncSeries.zero(ctx, order)] * n for _ in range(n)]
-        )
+        return cls._canonical(ctx, 1, [[0] * order for _ in range(n * n * ctx.e)])
+
+    @classmethod
+    def identity(cls, ctx: PadicContext, n: int, order: int) -> "SeriesMatrix":
+        out = cls.zero(ctx, n, order)
+        if order:
+            for i in range(n):
+                out.rows[(i * n + i) * ctx.e][0] = 1
+        return out
 
     @property
     def size(self) -> int:
-        return len(self.rows)
-
-    @property
-    def order(self) -> int:
-        return self.rows[0][0].order
+        return math.isqrt(len(self.rows) // self.ctx.e)
 
     def entry(self, i: int, j: int) -> TruncSeries:
-        return self.rows[i][j]
+        e = self.ctx.e
+        at = (i * self.size + j) * e
+        return TruncSeries._of(self.ctx, self.den, self.rows[at : at + e])
 
-    def map_entries(self, fn) -> "SeriesMatrix":
-        return SeriesMatrix.from_rows(
-            [[fn(entry) for entry in row] for row in self.rows]
-        )
-
-    def __add__(self, other):
-        return SeriesMatrix.from_rows(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        return SeriesMatrix.from_rows(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __neg__(self):
-        return self.map_entries(lambda e: -e)
-
-    def scale(self, c) -> "SeriesMatrix":
-        return self.map_entries(lambda e: e * c)
-
-    def _ints(self):
-        """(den, entries): every entry as component rows over one denominator."""
-        return _ints(self.rows)
-
-    @classmethod
-    def _from_ints(cls, den, entries, ctx) -> "SeriesMatrix":
-        return cls.from_rows(
-            [[TruncSeries._of(ctx, den, entry) for entry in row] for row in entries]
-        )
+    def __repr__(self):
+        n = self.size
+        entries = [[self.entry(i, j) for j in range(n)] for i in range(n)]
+        return f"SeriesMatrix.from_rows({entries!r})"
 
     def matmul(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        order = min(self.order, other.order)
-        (da, a), (db, b) = self._ints(), other._ints()
-        return SeriesMatrix._from_ints(da * db, _matmul_ints(a, b, self.ctx, order), self.ctx)
+        o = self._common(other)
+        rows = _matmul_ints(self.rows, o.rows, self.ctx, min(self.order, o.order))
+        return SeriesMatrix._of(self.ctx, self.den * o.den, rows)
 
     def matmul_const(self, den, vec) -> "SeriesMatrix":
         """Right-multiply by the constant matrix vec / den, vec a flat vector
         of integers as constant_ints gives it."""
-        da, a = self._ints()
-        c = _square([[v] for v in vec], self.size, self.ctx.e)
-        return SeriesMatrix._from_ints(
-            da * den, _matmul_ints(a, c, self.ctx, self.order), self.ctx
-        )
-
-    def delta(self) -> "SeriesMatrix":
-        return self.map_entries(lambda e: e.delta())
-
-    def cartier(self) -> "SeriesMatrix":
-        return self.map_entries(lambda e: e.cartier())
-
-    def subst_zpk(self, k: int) -> "SeriesMatrix":
-        return self.map_entries(lambda e: e.subst_zpk(k))
-
-    def truncate(self, order: int) -> "SeriesMatrix":
-        return self.map_entries(lambda e: e.truncate(order))
+        if len(vec) != len(self.rows):
+            raise BadParameters("operands of different sizes")
+        rows = _matmul_ints(self.rows, [[v] for v in vec], self.ctx, self.order)
+        return SeriesMatrix._of(self.ctx, self.den * den, rows)
 
     def constant_matrix(self):
         return self.coefficient_matrix(0)
 
     def constant_ints(self):
-        """(den, vec): the value at 0 as a constant matrix (series._flat) in
-        canonical form, so that equal values give equal pairs."""
-        den, entries = _ints(self.truncate(1).rows)
-        return den, _flat(entries)
+        """(den, vec): the value at 0 as a constant matrix, column 0 of the
+        rows, in canonical form, so that equal values give equal pairs."""
+        at0 = self.truncate(1)
+        return at0.den, [row[0] for row in at0.rows]
 
     def coefficient_matrix(self, l: int):
-        return [[entry.coefficient(l) for entry in row] for row in self.rows]
+        n = self.size
+        return [[self.entry(i, j).coefficient(l) for j in range(n)] for i in range(n)]
 
     def invert_series(self) -> "SeriesMatrix":
         """Inverse as a series matrix; constant term must be invertible."""
-        dm, m = self._ints()
-        dx, x = _invert(dm, m, self.order, self.ctx)
-        return SeriesMatrix._from_ints(dx, x, self.ctx)
-
-    def min_valuation(self):
-        return min(entry.min_valuation() for row in self.rows for entry in row)
-
-    def is_zero(self) -> bool:
-        return all(entry.is_zero() for row in self.rows for entry in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, SeriesMatrix):
-            return NotImplemented
-        return self.rows == other.rows
+        dx, x = _invert(self.den, self.rows, self.order, self.ctx)
+        return SeriesMatrix._of(self.ctx, dx, x)
 
 
 # -- operators ---------------------------------------------------------------
@@ -325,8 +268,9 @@ def _unit_solution_ints(cs, lead, n, order):
     e, p = ctx.e, ctx.prime
     size = max(len(cs), 1)
     dc, crows = _align(cs)
-    zero = [[0]] * e
-    m = [crows or [zero]] + [[zero] * size] * (size - 1)
+    # row 0 of M holds C_0 .. C_(K-1); every other entry is zero
+    m = list(chain.from_iterable(crows)) or [[0]] * e
+    m += [[0]] * (size * (size - 1) * e)
     dl, linv = _ring_inverse(*_int_parts(lead), p)
 
     def solve(j, r, dr):
@@ -336,7 +280,7 @@ def _unit_solution_ints(cs, lead, n, order):
     # f_0 = 1, and (delta^k f)_0 = 0 for k >= 1
     x0 = [int(i == 0) for i in range(size * e)]
     den, x = _recurrence(dc, m, x0, 1, order, solve, ctx)
-    return TruncSeries._of(ctx, den, x[0][0])
+    return TruncSeries._of(ctx, den, x[:e])
 
 
 def monicize(terms, ctx: PadicContext, order: int) -> DiffOp:
@@ -380,9 +324,9 @@ def uniform_part(A: SeriesMatrix, order: int) -> SeriesMatrix:
     n = A.size
     ctx = A.ctx
     order = min(order, A.order)
-    da, a = A._ints()
+    da, a = A.den, A.rows
     # A0 over da; (-ad)(E) = A0 E - E A0
-    a0 = _flat(a)
+    a0 = [row[0] for row in a]
     _require_nilpotent(a0, n, ctx)
     neg_ad = _const_map(ctx, a0, a0)
 
@@ -399,7 +343,7 @@ def uniform_part(A: SeriesMatrix, order: int) -> SeriesMatrix:
         return num, dr * step ** max(top, 0) * j
 
     dy, y = _recurrence(da, a, _diag([1] * n, ctx.e), 1, order, solve, ctx)
-    return SeriesMatrix._from_ints(dy, y, ctx)
+    return SeriesMatrix._of(ctx, dy, y)
 
 
 def _require_nilpotent(a0, n, ctx):

@@ -48,11 +48,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _first_nonzero_order(m: SeriesMatrix):
-    hits = [entry.first_nonzero() for row in m.rows for entry in row]
-    return min((j for j in hits if j is not None), default=None)
-
-
 @dataclass(frozen=True)
 class AntecedentLevel:
     """One level of the antecedent chain, with its verification data."""
@@ -140,7 +135,7 @@ def _verified_level(level, L, Lk, Ak, passage, A, transformed) -> AntecedentLeve
         - A.matmul(passage)
         + passage.matmul(Ak.subst_zpk(level)).scale(ctx.coeff(p**level))
     )
-    bad = _first_nonzero_order(residual)
+    bad = residual.first_nonzero()
     if bad is not None:
         raise VerificationFailed(
             f"passage identity fails at level {level}", order=bad
@@ -287,12 +282,11 @@ class Certificate:
 def ratio_certificate(f: TruncSeries, m: int, deg_bound: int) -> Certificate:
     """D with D(z) (Cartier f)(z^p) congruent to f mod pi^m."""
     _require_unit_start(f)
-    u = f.cartier().subst_zpk(1)
-    upto = min(f.order, u.order)
+    u = f.cartier().subst_zpk_truncated(1, f.order)
     cand, resid = reconstruct_rational(
-        f.truncate(upto), m, deg_bound, "ratio certificate", u.truncate(upto), require_norm_one=True
+        f, m, deg_bound, "ratio certificate", u, require_norm_one=True
     )
-    return Certificate("ratio", m, cand, upto, resid)
+    return Certificate("ratio", m, cand, f.order, resid)
 
 
 def period_ratio_certificate(f: TruncSeries, h: int, k: int, deg_bound: int) -> Certificate:

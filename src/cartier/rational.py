@@ -138,10 +138,10 @@ class Polynomial(IntegerRows):
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        return Polynomial._of_series(self._series() * self.ctx.coeff(c))
+        return Polynomial._of_series(self._series().scale(c))
 
     def _times(self, den: int, c) -> "Polynomial":
-        """This polynomial times the ring element c / den (TruncSeries._times)."""
+        """This polynomial times the ring element c / den (SeriesRows._times)."""
         return Polynomial._of_series(self._series()._times(den, c))
 
     def derivative(self) -> "Polynomial":

@@ -11,9 +11,11 @@ A series is stored as integer numerator rows, one row per pi-component,
 over one common denominator: coefficient j is sum_t rows[t][j] pi^t / den.
 The form is canonical (den > 0 and the gcd of den and every numerator is 1),
 so equal values have equal rows; rational.Polynomial shares the form and
-its base class, IntegerRows. Every operation, and the product kernel at the
-end of this module, runs on these rows; coeffs, the tuple of Coefficients,
-is a view built on first use and cached, for code that indexes or renders a
+its base class, IntegerRows. A diffops.SeriesMatrix is stored the same way,
+its n^2 entries' rows in the flat matrix layout of the kernel at the end of
+this module, and shares the row operations of SeriesRows with TruncSeries.
+Every operation runs on these rows; coeffs, the tuple of Coefficients, is a
+view built on first use and cached, for code that indexes or renders a
 value. The series-matrix product, inverse and uniform part in diffops and
 the unit solution of an operator are built on the same kernel, the last
 three on its one running-denominator recurrence (_recurrence).
@@ -32,10 +34,12 @@ from .rings import _capped_power, _primitive, _ring_inverse, _rowop, _scale
 
 
 class IntegerRows:
-    """The row form that TruncSeries and rational.Polynomial share: ctx, den
-    and e canonical integer rows as described above. A value equals only
-    values of its own type. Instances are immutable, and their rows are
-    never modified in place.
+    """The row form that TruncSeries, SeriesMatrix and rational.Polynomial
+    share: ctx, den and canonical integer rows as described above, e rows
+    for a single series or polynomial and e rows per entry for a matrix, so
+    that row t holds pi-component t % e. A value equals only values of its
+    own type. Instances are immutable, and their rows are never modified in
+    place.
     """
 
     __slots__ = ("ctx", "den", "rows", "_view")
@@ -50,11 +54,17 @@ class IntegerRows:
         self._view = None
         return self
 
+    def _single(self):
+        """BadParameters unless this is one series or polynomial."""
+        if len(self.rows) != self.ctx.e:
+            raise BadParameters("a series matrix is read through entry(i, j)")
+
     @property
     def coeffs(self) -> tuple:
         """The coefficients as a tuple of Coefficients, built once."""
         view = self._view
         if view is None:
+            self._single()
             view = self._view = tuple(
                 _coefficient(self.den, col, self.ctx) for col in zip(*self.rows)
             )
@@ -79,6 +89,7 @@ class IntegerRows:
 
     def _inverse_of(self, j: int):
         """(d, x): x / d is the inverse of the nonzero coefficient j."""
+        self._single()
         return _ring_inverse(self.den, [row[j] for row in self.rows], self.ctx.prime)
 
     def min_valuation(self, upto=None):
@@ -92,11 +103,141 @@ class IntegerRows:
         for t, row in enumerate(self.rows):
             g = math.gcd(*(row if upto is None else row[:upto]))
             if g:
-                best = min(best, e * (_p_adic_order(g, p) - k) + t)
+                best = min(best, e * (_p_adic_order(g, p) - k) + t % e)
         return best
 
 
-class TruncSeries(IntegerRows):
+class SeriesRows(IntegerRows):
+    """The row operations of a value known mod z^order, a TruncSeries or a
+    SeriesMatrix: each keeps the operand's type and shape and works on every
+    entry at once, over the one denominator.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _of(cls, ctx, den, rows):
+        """The value of integer rows over den > 0, brought to canonical form."""
+        g = math.gcd(den, *chain.from_iterable(rows))
+        if g > 1:
+            den //= g
+            rows = [[x // g for x in row] for row in rows]
+        return cls._canonical(ctx, den, rows)
+
+    @property
+    def order(self) -> int:
+        """Number of reliable coefficients (the value is known mod z^order)."""
+        return len(self.rows[0])
+
+    def truncate(self, upto: int):
+        if upto > self.order:
+            raise ValueError(f"only {self.order} coefficients are reliable")
+        if upto == self.order:
+            return self
+        return self._of(self.ctx, self.den, [row[:upto] for row in self.rows])
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self.rows))
+
+    # -- ring operations (result order = what both operands support) --------
+
+    def _common(self, other):
+        """other, checked to be a value of this type, context and size."""
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected a {type(self).__name__}")
+        if other.ctx != self.ctx:
+            raise BadParameters("mixed contexts")
+        if len(other.rows) != len(self.rows):
+            raise BadParameters("operands of different sizes")
+        return other
+
+    def _lincomb(self, other, sign):
+        """self + sign * other on their common order."""
+        o = self._common(other)
+        n = min(self.order, o.order)
+        den = math.lcm(self.den, o.den)
+        ka, kb = den // self.den, sign * (den // o.den)
+        rows = [
+            [ka * x + kb * y for x, y in zip(ra[:n], rb[:n])]
+            for ra, rb in zip(self.rows, o.rows)
+        ]
+        return self._of(self.ctx, den, rows)
+
+    def __add__(self, other):
+        return self._lincomb(other, 1)
+
+    def __sub__(self, other):
+        return self._lincomb(other, -1)
+
+    def scale(self, c):
+        """This value times the scalar c (an int, Fraction or Coefficient)."""
+        ctx = self.ctx
+        dc, rows = _coeff_rows((ctx.coeff(c),), ctx.e)
+        return self._times(dc, [x for (x,) in rows])
+
+    def _times(self, den: int, c):
+        """This value times c / den, c integer pi-components and den > 0."""
+        e, p, rows = self.ctx.e, self.ctx.prime, self.rows
+        return self._of(
+            self.ctx,
+            self.den * den,
+            [r for at in range(0, len(rows), e) for r in _scale(c, rows[at : at + e], p)],
+        )
+
+    # -- derivations and the Cartier operator --------------------------------
+
+    def delta(self):
+        """The derivation z d/dz: multiplies coefficient j by j."""
+        return self._of(
+            self.ctx, self.den, [list(map(mul, row, range(len(row)))) for row in self.rows]
+        )
+
+    def d_dz(self):
+        """Ordinary derivative; reliable order drops by one."""
+        return self._of(
+            self.ctx,
+            self.den,
+            [list(map(mul, row[1:], range(1, len(row)))) for row in self.rows],
+        )
+
+    def cartier(self):
+        """Coefficient extraction along multiples of p: a_n -> a_(np).
+
+        The result is reliable to ceil(order/p).
+        """
+        p = self.ctx.prime
+        return self._of(self.ctx, self.den, [row[::p] for row in self.rows])
+
+    def subst_zpk(self, k: int):
+        """Substitute z -> z^(p^k); reliable order grows to order * p^k.
+
+        The gaps are exact zeros, and the first unknown coefficient is the
+        one at z^(order * p^k).
+        """
+        if k < 0:
+            raise BadParameters("substitution exponent must be >= 0")
+        return self.subst_zpk_truncated(k, self.order * self.ctx.prime**k) if k else self
+
+    def subst_zpk_truncated(self, k: int, n: int):
+        """subst_zpk(k).truncate(n), built only to order n: coefficient i
+        lands at i * p^k for the i with i * p^k < n, and p^k is capped as
+        rings._capped_power caps it."""
+        if k < 0:
+            raise BadParameters("substitution exponent must be >= 0")
+        q = _capped_power(self.ctx.prime, k, n)
+        m = -(-n // q)  # the i with i * p^k < n
+        if m > self.order:
+            raise ValueError(f"only {self.order} coefficients are reliable before substitution")
+        rows = []
+        for row in self.rows:
+            out = [0] * n
+            out[::q] = row[:m]
+            rows.append(out)
+        # only coefficients dropped past z^n can leave a common factor
+        return (self._of if m < self.order else self._canonical)(self.ctx, self.den, rows)
+
+
+class TruncSeries(SeriesRows):
     """A series known mod z^order, as integer rows over a denominator.
 
     TruncSeries(coeffs, ctx) builds one from a sequence of Coefficients;
@@ -125,15 +266,6 @@ class TruncSeries(IntegerRows):
         return cls._of(ctx, den, rows)
 
     @classmethod
-    def _of(cls, ctx, den, rows):
-        """Series of integer rows over den > 0, brought to canonical form."""
-        g = math.gcd(den, *chain.from_iterable(rows))
-        if g > 1:
-            den //= g
-            rows = [[x // g for x in row] for row in rows]
-        return cls._canonical(ctx, den, rows)
-
-    @classmethod
     def from_coeffs(cls, ctx: PadicContext, values) -> "TruncSeries":
         values = list(values)
         if all(isinstance(v, (int, Fraction)) for v in values):
@@ -156,11 +288,6 @@ class TruncSeries(IntegerRows):
 
     # -- the Coefficient view ------------------------------------------------
 
-    @property
-    def order(self) -> int:
-        """Number of reliable coefficients (the series is known mod z^order)."""
-        return len(self.rows[0])
-
     def __getitem__(self, j: int) -> Coefficient:
         return self.coeffs[j]
 
@@ -173,58 +300,20 @@ class TruncSeries(IntegerRows):
     def constant_term(self) -> Coefficient:
         return self.coefficient(0)
 
-    def truncate(self, upto: int) -> "TruncSeries":
-        if upto > self.order:
-            raise ValueError(f"only {self.order} coefficients are reliable")
-        if upto == self.order:
-            return self
-        return TruncSeries._of(self.ctx, self.den, [row[:upto] for row in self.rows])
-
-    # -- ring operations (result order = what both operands support) --------
-
-    def _common(self, other):
-        if isinstance(other, TruncSeries):
-            if other.ctx != self.ctx:
-                raise BadParameters("mixed contexts")
-            return other
-        raise TypeError("expected a TruncSeries")
-
-    def _lincomb(self, other, sign):
-        """self + sign * other on their common order."""
-        o = self._common(other)
-        n = min(self.order, o.order)
-        den = math.lcm(self.den, o.den)
-        ka, kb = den // self.den, sign * (den // o.den)
-        rows = [
-            [ka * x + kb * y for x, y in zip(ra[:n], rb[:n])]
-            for ra, rb in zip(self.rows, o.rows)
-        ]
-        return TruncSeries._of(self.ctx, den, rows)
-
-    def __add__(self, other):
-        return self._lincomb(other, 1)
-
-    def __sub__(self, other):
-        return self._lincomb(other, -1)
+    # -- products ------------------------------------------------------------
 
     def __mul__(self, other):
-        ctx = self.ctx
         if isinstance(other, (int, Fraction, Coefficient)):
-            dc, c = _coeff_rows((ctx.coeff(other),), ctx.e)
-            return self._times(dc, [x for (x,) in c])
+            return self.scale(other)
         o = self._common(other)
         n = min(self.order, o.order)
-        rows = _matmul_ints([[self.rows]], [[o.rows]], ctx, n)[0][0]
-        return TruncSeries._of(ctx, self.den * o.den, rows)
+        rows = _matmul_ints(self.rows, o.rows, self.ctx, n)
+        return TruncSeries._of(self.ctx, self.den * o.den, rows)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Coefficient)):
             return self * other
         return NotImplemented
-
-    def _times(self, den: int, c) -> "TruncSeries":
-        """This series times c / den, c integer pi-components and den > 0."""
-        return TruncSeries._of(self.ctx, self.den * den, _scale(c, self.rows, self.ctx.prime))
 
     def pow_int(self, n: int) -> "TruncSeries":
         """Integer power; negative exponents go through invert_unit.
@@ -247,63 +336,6 @@ class TruncSeries(IntegerRows):
                 out = out * base
         return out
 
-    def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
-
-    # -- derivations and the Cartier operator --------------------------------
-
-    def delta(self) -> "TruncSeries":
-        """The derivation z d/dz: multiplies coefficient j by j."""
-        return TruncSeries._of(
-            self.ctx, self.den, [list(map(mul, row, range(len(row)))) for row in self.rows]
-        )
-
-    def d_dz(self) -> "TruncSeries":
-        """Ordinary derivative; reliable order drops by one."""
-        return TruncSeries._of(
-            self.ctx,
-            self.den,
-            [list(map(mul, row[1:], range(1, len(row)))) for row in self.rows],
-        )
-
-    def cartier(self) -> "TruncSeries":
-        """Coefficient extraction along multiples of p: a_n -> a_(np).
-
-        The result is reliable to ceil(order/p).
-        """
-        p = self.ctx.prime
-        return TruncSeries._of(self.ctx, self.den, [row[::p] for row in self.rows])
-
-    def subst_zpk(self, k: int) -> "TruncSeries":
-        """Substitute z -> z^(p^k); reliable order grows to order * p^k.
-
-        The gaps are exact zeros, and the first unknown coefficient is the
-        one at z^(order * p^k).
-        """
-        if k < 0:
-            raise BadParameters("substitution exponent must be >= 0")
-        return self.subst_zpk_truncated(k, self.order * self.ctx.prime**k) if k else self
-
-    def subst_zpk_truncated(self, k: int, n: int) -> "TruncSeries":
-        """subst_zpk(k).truncate(n), built only to order n: coefficient i
-        lands at i * p^k for the i with i * p^k < n, and p^k is capped as
-        rings._capped_power caps it."""
-        if k < 0:
-            raise BadParameters("substitution exponent must be >= 0")
-        q = _capped_power(self.ctx.prime, k, n)
-        m = -(-n // q)  # the i with i * p^k < n
-        if m > self.order:
-            raise ValueError(f"only {self.order} coefficients are reliable before substitution")
-        rows = []
-        for row in self.rows:
-            out = [0] * n
-            out[::q] = row[:m]
-            rows.append(out)
-        # only coefficients dropped past z^n can leave a common factor
-        return (TruncSeries._of if m < self.order else TruncSeries._canonical)(
-            self.ctx, self.den, rows
-        )
-
     # -- units ---------------------------------------------------------------
 
     def invert_unit(self) -> "TruncSeries":
@@ -312,8 +344,8 @@ class TruncSeries(IntegerRows):
             return self
         if not any(row[0] for row in self.rows):
             raise NotAUnit("constant term vanishes")
-        dg, g = _invert(self.den, [[self.rows]], self.order, self.ctx)
-        return TruncSeries._of(self.ctx, dg, g[0][0])
+        dg, g = _invert(self.den, self.rows, self.order, self.ctx)
+        return TruncSeries._of(self.ctx, dg, g)
 
     def log_derivative(self) -> "TruncSeries":
         """f'/f, reliable to order - 1."""
@@ -384,10 +416,14 @@ def _coefficient(den, column, ctx):
 #
 # A "row" is a list of integer numerators along z. An entry (a series, or a
 # constant as a series of order 1) is a list of rows, one per pi-component,
-# over a denominator held beside it: a TruncSeries's rows are an entry. A
+# over a denominator held beside it. A matrix is one flat list of rows over
+# one denominator: the e rows of entry (i, c) of an n x n matrix start at
+# row (i n + c) e (of an n x c' block, as _recurrence solves for, at
+# (i c' + c) e). A TruncSeries's rows are the 1 x 1 case, and column 0 of a
+# matrix's rows is its value at 0, a constant matrix in the layout below. A
 # product of two entries has 2e - 1 "unfolded" rows (pi^0 up to pi^(2e-2));
-# _fold turns them back into e rows with pi^e = -p. Entries are never
-# modified in place, so results may share rows with their operands.
+# _fold turns them back into e rows with pi^e = -p. Rows are never modified
+# in place, so results may share rows with their operands.
 
 
 def _align(series):
@@ -398,14 +434,6 @@ def _align(series):
         s.rows if s.den == den else [[x * (den // s.den) for x in r] for r in s.rows]
         for s in series
     ]
-
-
-def _ints(matrix):
-    """(den, entries) for a square matrix of series, aligned on one
-    denominator: entries[i][k] is matrix[i][k]'s rows over den."""
-    n = len(matrix)
-    den, flat = _align([s for row in matrix for s in row])
-    return den, [flat[i * n : (i + 1) * n] for i in range(n)]
 
 
 def _unfolded(ctx, n):
@@ -450,18 +478,20 @@ def _mul_add(acc, a, b):
 
 
 def _matmul_ints(a, b, ctx, n):
-    """Product of two square matrices of entries, each result entry summed
-    over k in the unfolded domain and folded once, with rows of length n."""
-    size = len(a)
+    """Product of two square matrices in the flat layout, each result entry
+    summed over k in the unfolded domain and folded once, with rows of
+    length n."""
+    e = ctx.e
+    size = math.isqrt(len(a) // e)
+    # the entries, e rows each: a[i size + k] is entry (i, k) of a
+    a, b = ([rows[at : at + e] for at in range(0, len(rows), e)] for rows in (a, b))
     out = []
-    for row in a:
-        out_row = []
+    for i in range(0, len(a), size):
         for j in range(size):
             acc = _unfolded(ctx, n)
             for k in range(size):
-                _mul_add(acc, row[k], b[k][j])
-            out_row.append(_fold(acc, ctx))
-        out.append(out_row)
+                _mul_add(acc, a[i + k], b[k * size + j])
+            out += _fold(acc, ctx)
     return out
 
 
@@ -469,28 +499,27 @@ def _recurrence(dm, m, x0, d0, order, solve, ctx):
     """Integer form of the n x c series block X with X_0 = x0 / d0 and, for
     j >= 1, X_j = solve(j, R_j) where R_j = sum_(l=1..j) M_l X_(j-l).
 
-    m holds the n x n matrix M's entries over dm, and x0 is a constant n x c
-    block: c is read from its length. solve(j, r, dr) gets R_j as the
+    m holds the rows of the n x n matrix M over dm, and x0 is a constant
+    n x c block: c is read from its length. solve(j, r, dr) gets R_j as the
     constant block r over dr and returns X_j the same way, as (vector,
     denominator). solve must be linear: a step whose R_j is zero gets
-    X_j = 0 without a call. Returns (den, x): X's entries over one common
+    X_j = 0 without a call. Returns (den, x): X's rows over one common
     denominator, which grows only to the least common denominator of the
     coefficients solved so far.
     """
-    size, e, p = len(m), ctx.e, ctx.prime
+    e, p = ctx.e, ctx.prime
+    size = math.isqrt(len(m) // e)
     cols = len(x0) // (size * e)
     # x[(k cols + c) e + t] is component t of X[k][c] along z
     x = [[v] for v in x0]
     den = d0
     # the nonzero rows of M_1, M_2, ..: (i, k, s, row) with row[l - 1] = M_l,
     # without trailing zeros, so that a polynomial M costs its degree per step
-    terms = [
-        (i, k, s, _trimmed(row[1:]))
-        for i in range(size)
-        for k in range(size)
-        for s, row in enumerate(m[i][k])
-        if any(row[1:])
-    ]
+    terms = []
+    for at, row in enumerate(m):
+        if any(row[1:]):
+            ik, s = divmod(at, e)
+            terms.append((*divmod(ik, size), s, _trimmed(row[1:])))
     for j in range(1, order):
         r = [0] * len(x)
         for i, k, s, tail in terms:
@@ -520,7 +549,7 @@ def _recurrence(dm, m, x0, d0, order, solve, ctx):
         scale = den // dj
         for xs, v in zip(x, num):
             xs.append(v // g * scale)
-    return den, _square(x, size, e)
+    return den, x
 
 
 def _trimmed(row):
@@ -532,10 +561,10 @@ def _trimmed(row):
 
 
 def _invert(dm, m, order, ctx):
-    """Integer form of M^-1 to the given order, from M's entries over dm:
+    """Integer form of M^-1 to the given order, from M's rows over dm:
     X_0 = M_0^-1 and X_j = -M_0^-1 sum_(l=1..j) M_l X_(j-l), with the map
     E -> -M_0^-1 E compiled once."""
-    d0, inv0 = _const_inverse(dm, _flat(m), ctx)
+    d0, inv0 = _const_inverse(dm, [row[0] for row in m], ctx)
     minus_inv0 = _const_map(ctx, [-v for v in inv0])
 
     def solve(j, r, dr):
@@ -547,21 +576,8 @@ def _invert(dm, m, order, ctx):
 # -- constant matrices ---------------------------------------------------------
 #
 # A constant matrix is a flat vector of integers over a denominator held
-# beside it, component t of entry (i, c) of an n x n matrix at (i n + c) e + t
-# (of an n x c' block, as _recurrence solves for, at (i c' + c) e + t).
-
-
-def _flat(entries):
-    """The constant terms of a square matrix of entries, as a flat vector."""
-    return [r[0] for row in entries for entry in row for r in entry]
-
-
-def _square(items, n, e):
-    """The block of n rows of entries whose flat list of components is
-    items: n x c, with c read from the length of items."""
-    cells = [items[i : i + e] for i in range(0, len(items), e)]
-    c = len(cells) // n
-    return [cells[i * c : (i + 1) * c] for i in range(n)]
+# beside it, component t of entry (i, c) at (i n + c) e + t: the flat row
+# layout above, with one integer in place of each row.
 
 
 def _diag(values, e):

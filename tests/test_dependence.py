@@ -565,3 +565,46 @@ class TestNoExpansionPerCertificate:
         assert result.exit_code == 0
         assert screened[0] > 0
         assert poles == []
+
+
+class TestLogCombination:
+    """Each tuple's screen target sum a_i g_i'/g_i is formed in one integer
+    pass over logs aligned once per scan, and equals the term-by-term sum."""
+
+    @pytest.mark.parametrize(
+        "ctx", [U5, PadicContext.dwork(3), PadicContext.dwork(5)], ids=lambda c: f"e{c.e}"
+    )
+    def test_combination_equals_the_term_by_term_sum(self, ctx):
+        rng = random.Random(f"combination/{ctx.e}")
+        for _ in range(20):
+            order, m = rng.randrange(1, 12), rng.randrange(1, 4)
+            fs = []
+            for _ in range(m):
+                rows = [[rng.randrange(-50, 50) for _ in range(order)] for _ in range(ctx.e)]
+                for t, row in enumerate(rows):
+                    row[0] = 7 * int(t == 0)
+                fs.append(TruncSeries.from_rows(ctx, rng.choice([1, 7, 12, 49]), rows))
+            logs = [f.log_derivative() for f in fs]
+            combine = dependence._combiner(logs)
+            for _ in range(5):
+                a = [rng.randrange(-4, 5) for _ in range(m)]
+                want = TruncSeries.zero(ctx, order - 1)
+                for c, log in zip(a, logs):
+                    want = want + log * c
+                got = combine(a)
+                assert (got.den, got.rows) == (want.den, want.rows)
+
+    def test_a_scan_makes_no_scalar_series_product(self, monkeypatch):
+        fs = [half_series(U7, 36), apery_series(U7, 36), geometric(U7, 36)]
+        reference = kolchin_scan(fs, 2, 2, 6)
+        scalar = [0]
+        real_mul = TruncSeries.__mul__
+
+        def mul(self, other):
+            scalar[0] += isinstance(other, (int, Fraction, type(U7.one())))
+            return real_mul(self, other)
+
+        monkeypatch.setattr(TruncSeries, "__mul__", mul)
+        assert kolchin_scan(fs, 2, 2, 6) == reference
+        assert reference.findings
+        assert scalar[0] == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartier import (
+    BadParameters,
     LeadingNotUnit,
     NotAUnit,
     NotMOM,
@@ -221,6 +222,43 @@ class TestSeriesMatrix:
         m = SeriesMatrix.from_rows([[TruncSeries.from_coeffs(U5, [1] * 10)]])
         assert m.cartier().entry(0, 0).order == 2
         assert m.subst_zpk(1).entry(0, 0).order == 50
+
+    def test_mismatched_sizes_are_bad_parameters(self):
+        a, b = SeriesMatrix.identity(U5, 2, 4), SeriesMatrix.identity(U5, 1, 4)
+        for op in (lambda: a + b, lambda: a - b, lambda: b.matmul(a), lambda: a.matmul(b)):
+            with pytest.raises(BadParameters, match="different sizes"):
+                op()
+        with pytest.raises(BadParameters, match="different sizes"):
+            a.matmul_const(*b.constant_ints())
+        with pytest.raises(BadParameters, match="mixed contexts"):
+            a + SeriesMatrix.identity(U7, 2, 4)
+        with pytest.raises(BadParameters, match="mixed contexts"):
+            SeriesMatrix.from_rows([[TruncSeries.one(U5, 2), TruncSeries.one(D3, 2)]] * 2)
+        with pytest.raises(TypeError):
+            b + TruncSeries.one(U5, 4)
+
+    def test_rows_are_the_flat_layout_over_one_denominator(self):
+        f = TruncSeries.from_coeffs(D3, [Fraction(1, 2), 3, 0])
+        g = TruncSeries((D3.pi(), D3.zero(), Fraction(1, 3)), D3)
+        m = SeriesMatrix.from_rows([[f, g], [-g, f * 5]])
+        assert (m.size, m.order, m.den) == (2, 3, 6)
+        # entry (i, j) is rows (2 i + j) e .. (2 i + j + 1) e - 1, e = 2
+        for (i, j), want in {(0, 0): f, (0, 1): g, (1, 0): -g, (1, 1): f * 5}.items():
+            at = (2 * i + j) * 2
+            assert TruncSeries.from_rows(D3, m.den, m.rows[at : at + 2]) == want
+            assert m.entry(i, j) == want
+        # column 0 of the rows is the value at 0, which constant_ints reduces
+        d, vec = m.constant_ints()
+        assert d == 2
+        assert [Fraction(v, d) for v in vec] == [Fraction(row[0], m.den) for row in m.rows]
+
+    def test_a_matrix_has_no_coefficient_view(self):
+        m = SeriesMatrix.identity(D3, 2, 3)
+        with pytest.raises(BadParameters, match="entry"):
+            m.coeffs
+        with pytest.raises(BadParameters, match="entry"):
+            m._inverse_of(0)
+        assert m.entry(1, 1).coeffs == (D3.one(), D3.zero(), D3.zero())
 
 
 class TestUniformPart:
@@ -438,6 +476,32 @@ class TestMatrixKernelAgainstCoefficientLoops:
             b = shaped_matrix(rng, ctx, n, strided.order)
             assert strided.matmul(b) == ref_matmul(strided, b)
             assert b.matmul(strided) == ref_matmul(b, strided)
+
+    def test_row_operations_are_entrywise(self, ctx):
+        rng = random.Random(f"entrywise/{ctx.e}")
+        for n, order in self.CASES:
+            a = shaped_matrix(rng, ctx, n, order)
+            b = shaped_matrix(rng, ctx, n, order + rng.randrange(2))
+            c = random_coeff(rng, ctx)
+            entries = lambda m: [[m.entry(i, j) for j in range(n)] for i in range(n)]
+            cases = [
+                (a + b, lambda i, j: a.entry(i, j) + b.entry(i, j)),
+                (a - b, lambda i, j: a.entry(i, j) - b.entry(i, j)),
+                (-a, lambda i, j: -a.entry(i, j)),
+                (a.scale(c), lambda i, j: a.entry(i, j) * c),
+                (a.delta(), lambda i, j: a.entry(i, j).delta()),
+                (a.d_dz(), lambda i, j: a.entry(i, j).d_dz()),
+                (a.cartier(), lambda i, j: a.entry(i, j).cartier()),
+                (a.subst_zpk(1), lambda i, j: a.entry(i, j).subst_zpk(1)),
+                (a.truncate(order - 1), lambda i, j: a.entry(i, j).truncate(order - 1)),
+            ]
+            for got, want in cases:
+                assert entries(got) == [[want(i, j) for j in range(n)] for i in range(n)]
+            flat = [a.entry(i, j) for i in range(n) for j in range(n)]
+            assert a.min_valuation() == min(f.min_valuation() for f in flat)
+            hits = [f.first_nonzero() for f in flat]
+            assert a.first_nonzero() == min((h for h in hits if h is not None), default=None)
+            assert a.is_zero() == all(f.is_zero() for f in flat)
 
     def test_invert_series(self, ctx):
         rng = random.Random(f"invert/{ctx.e}")
