@@ -67,6 +67,17 @@ class CatalogEntry:
             return None
         return monicize(self.operator_terms, self.spec.ctx, self.spec.order)
 
+    @property
+    def operator_shape(self):
+        """(order, is_mom) of the operator, or None when the entry has none.
+        Both are read off the operator mod z: is_mom reads only z^0, and
+        neither they nor monicize's errors depend on the order, so the lead
+        series is inverted to order 1 only."""
+        if self.operator_terms is None:
+            return None
+        head = monicize(self.operator_terms, self.spec.ctx, 1)
+        return head.order, head.is_mom
+
 
 def _mult_order(p: int, d: int) -> int:
     if d == 1:
@@ -81,18 +92,43 @@ def _mult_order(p: int, d: int) -> int:
     return h
 
 
+def _ratio_series(ctx, order: int, step: int, pi_power: int, ratio) -> TruncSeries:
+    """sum_k c_k pi^(pi_power k) z^(step k) mod z^order, with c_0 = 1 and
+    c_k = c_(k-1) P_k / Q_k for the integers (P_k, Q_k) = ratio(k), Q_k > 0,
+    built on integer rows: c_k is N_k = P_1..P_k over the running
+    denominator Q_1..Q_k, brought to the last one by one backward pass.
+    pi^e = -p (a Dwork context) folds the powers of pi; pi_power = 0 needs
+    no pi.
+    """
+    e, p = ctx.e, ctx.prime
+    terms = -(-order // step)
+    nums, dens = [1], [1]
+    for k in range(1, terms):
+        num, den = ratio(k)
+        nums.append(nums[-1] * num)
+        dens.append(den)
+    rows = [[0] * order for _ in range(e)]
+    tail = 1  # Q_(k+1)..Q_last
+    for k in range(terms - 1, -1, -1):
+        q, t = divmod(pi_power * k, e)
+        rows[t][step * k] = nums[k] * tail * (-p) ** q
+        tail *= dens[k]
+    return TruncSeries.from_rows(ctx, tail, rows)
+
+
 def _hypergeometric(spec: SeriesSpec):
     alphas = spec.alphas
     n = len(alphas)
-    coeffs = []
-    term = Fraction(1)
-    for j in range(spec.order):
-        if j:
-            for a in alphas:
-                term *= a + j - 1
-            term /= Fraction(j) ** n
-        coeffs.append(term)
-    series = TruncSeries.from_coeffs(spec.ctx, coeffs)
+
+    def ratio(j):
+        # (alpha)_j / (alpha)_(j-1) = alpha + j - 1, over j^n in all
+        num, den = 1, j**n
+        for a in alphas:
+            num *= a.numerator + (j - 1) * a.denominator
+            den *= a.denominator
+        return num, den
+
+    series = _ratio_series(spec.ctx, spec.order, 1, 0, ratio)
     # expand prod_i (X + alpha_i)
     poly = [Fraction(1)]
     for a in alphas:
@@ -135,27 +171,16 @@ def _bessel(spec: SeriesSpec):
         raise BadContext("Bessel entry needs the Eisenstein uniformizer")
     if ctx.prime == 2:
         raise BadParameters("Bessel entry is defined for odd primes")
-    pi2 = ctx.pi() ** 2
-    coeffs = [ctx.zero()] * spec.order
-    c = ctx.one()
-    for n in range((spec.order + 1) // 2):
-        if n:
-            c = c * pi2 * Fraction(-1, 4 * n * n)
-        coeffs[2 * n] = c
-    series = TruncSeries(tuple(coeffs), ctx)
-    return series, ((0, (0, 0, 1)), (2, (pi2,)))
+    series = _ratio_series(ctx, spec.order, 2, 2, lambda n: (-1, 4 * n * n))
+    return series, ((0, (0, 0, 1)), (2, (ctx.pi() ** 2,)))
 
 
 def _exponential(spec: SeriesSpec):
     ctx = spec.ctx
     if ctx.ramification is not Ramification.DWORK:
         raise BadContext("exponential entry needs the Eisenstein uniformizer")
-    pi = ctx.pi()
-    coeffs = [ctx.one()]
-    for j in range(1, spec.order):
-        coeffs.append(coeffs[-1] * pi * Fraction(1, j))
-    series = TruncSeries(tuple(coeffs), ctx)
-    return series, ((0, (0, 1)), (1, (-pi,)))
+    series = _ratio_series(ctx, spec.order, 1, 1, lambda j: (1, j))
+    return series, ((0, (0, 1)), (1, (-ctx.pi(),)))
 
 
 def _ffrak(spec: SeriesSpec):

@@ -177,9 +177,8 @@ def gen(series, prime, dwork, order, table):
     """Build a catalog series and report it with its annotations."""
     def body(warnings):
         entry = _build(_parse_spec(series, prime, dwork, order), warnings)
-        operator = None
-        if entry.operator is not None:
-            operator = {"order": entry.operator.order, "mom": entry.operator.is_mom}
+        shape = entry.operator_shape
+        operator = None if shape is None else {"order": shape[0], "mom": shape[1]}
         return {
             "series": entry.series.to_json_dict(),
             "operator": operator,

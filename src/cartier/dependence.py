@@ -11,6 +11,10 @@ counts the tuples whose screen search failed; their products are never
 searched. That is not a proof that the product has no certificate within
 D: the log-derivative of a degree-D certificate can need degree 2D.
 
+The screen of a multiple d*u of a ray is d times that of u, so a ray's
+screen is searched at d = 1 and at multiples of p only: a d prime to p
+takes the d = 1 outcome, scaled by d, wherever _certificate says it may.
+
 Absence of findings is bounded evidence, not a proof: the report embeds the
 box, the level, and the degree bound it was computed with.
 """
@@ -19,13 +23,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add, mul
 
 from .errors import BadParameters, NotAUnit, NotInK0, OrderExhausted, ReconstructionFailed
 from .frobenius import Certificate
-from .rational import ResidueTarget, least_window, reconstruct_rational
+from .rational import RationalFunction, ResidueTarget, least_window, reconstruct_rational
 from .series import TruncSeries, _align
 
 
@@ -88,7 +92,8 @@ def _combiner(logs):
 
 
 def _certificate(g: TruncSeries, level: int, deg_bound: int, kind: str):
-    """Certified rational congruent to g mod pi^level, or None.
+    """Certified rational congruent to g mod pi^level, or None; and whether
+    that outcome carries over to d * g for every integer d prime to p.
 
     least_window gives the least Pade window s that can hold an acceptable
     certificate, or None when the linear system mod pi^level that every
@@ -97,18 +102,35 @@ def _certificate(g: TruncSeries, level: int, deg_bound: int, kind: str):
     s: a window below it yields no candidate that verifies, so the
     certificate and its residual are the ones the sweep from window 1
     returns.
+
+    A p-unit d scales the residues of g, and so the linear system of
+    least_window, by a unit mod p^k: its answer is the same. It scales
+    every Pade pair of g's sweep to (d r, t), and leaves every check's
+    verdict and valuation as it was. The canonical lift of d * g is not d
+    times that of g, so the outcome carries over when the search ends at
+    least_window or with a certificate from g itself, and not otherwise.
     """
     residues = ResidueTarget(g, level, g.order)
     first = least_window(residues, deg_bound)
     if first is None:
-        return None
+        return None, True
+    found_in = []
     try:
         cand, resid = reconstruct_rational(
-            g, level, deg_bound, kind, residues=residues, first_window=first
+            g, level, deg_bound, kind, residues=residues, first_window=first,
+            _found_in=found_in,
         )
     except (ReconstructionFailed, NotInK0):
-        return None
-    return Certificate(kind, level, cand, g.order, resid)
+        return None, False
+    return Certificate(kind, level, cand, g.order, resid), found_in == [0]
+
+
+def _scaled(cert: Certificate, d: int) -> Certificate:
+    """The certificate of d * g that _certificate returns when cert is that
+    of g and its outcome carries over: the numerator times d, the rest as
+    it was, since v(d x) = v(x)."""
+    rational = RationalFunction(cert.rational.num.scale(d), cert.rational.den)
+    return replace(cert, rational=rational)
 
 
 def analytic_element_certificate(g: TruncSeries, level: int, deg_bound: int):
@@ -119,7 +141,7 @@ def analytic_element_certificate(g: TruncSeries, level: int, deg_bound: int):
     """
     if g.min_valuation() < 0:
         raise ValueError("certificate search expects integral coefficients")
-    cert = _certificate(g, level, deg_bound, "analytic-element")
+    cert, _ = _certificate(g, level, deg_bound, "analytic-element")
     return None if cert is None else cert.rational
 
 
@@ -237,6 +259,14 @@ def kolchin_scan(
     )
     rays = _primitive_rays(m, exp_bound)
 
+    p = gs[0].ctx.prime
+
+    def search_screen(a):
+        combo = combination(a)
+        if combo.min_valuation() < 0:
+            return None, True
+        return _certificate(combo, level, deg_bound, "logderiv-screen")
+
     def eval_ray(u):
         tested = 0
         screened_out = 0
@@ -244,10 +274,13 @@ def kolchin_scan(
         while d * max(abs(x) for x in u) <= exp_bound:
             a = tuple(d * x for x in u)
             tested += 1
-            combo = combination(a)
-            screen = None
-            if combo.min_valuation() >= 0:
-                screen = _certificate(combo, level, deg_bound, "logderiv-screen")
+            # a multiple prime to p takes the d = 1 screen (see _certificate)
+            if d > 1 and d % p and carries:
+                screen = unit_screen and _scaled(unit_screen, d)
+            else:
+                screen, scales = search_screen(a)
+                if d == 1:
+                    unit_screen, carries = screen, scales
             if screen is None:
                 screened_out += 1
                 d += 1
@@ -255,7 +288,7 @@ def kolchin_scan(
             prod = powers.product(a)
             product = None
             if prod.min_valuation() >= 0:
-                product = _certificate(prod, level, deg_bound, "product")
+                product, _ = _certificate(prod, level, deg_bound, "product")
             if product is None:
                 d += 1
                 continue

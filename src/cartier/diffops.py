@@ -94,6 +94,16 @@ class SeriesMatrix(SeriesRows):
         rows = _matmul_ints(self.rows, o.rows, self.ctx, min(self.order, o.order))
         return SeriesMatrix._of(self.ctx, self.den * o.den, rows)
 
+    def row_matmul(self, i: int, other: "SeriesMatrix") -> list:
+        """Row i of self.matmul(other) as a list of TruncSeries, with the
+        series products of that row only."""
+        o = self._common(other)
+        e, n = self.ctx.e, self.size
+        block = self.rows[i * n * e : (i + 1) * n * e]
+        rows = _matmul_ints(block, o.rows, self.ctx, min(self.order, o.order))
+        den = self.den * o.den
+        return [TruncSeries._of(self.ctx, den, rows[at : at + e]) for at in range(0, n * e, e)]
+
     def matmul_const(self, den, vec) -> "SeriesMatrix":
         """Right-multiply by the constant matrix vec / den, vec a flat vector
         of integers as constant_ints gives it."""
@@ -288,6 +298,8 @@ def monicize(terms, ctx: PadicContext, order: int) -> DiffOp:
 
     The leading delta^n series must be a unit at 0.
     """
+    if order < 1:
+        raise BadParameters("order must be at least 1")
     raw = _normalize_raw_terms(terms, ctx)
     if not raw:
         raise BadParameters("empty operator")

@@ -110,11 +110,10 @@ def antecedent_step(L: DiffOp, order: int, A=None, transformed=None) -> Antecede
     C = Y.cartier()
     d0, a0 = A.constant_ints()
     C_inv = C.invert_series()
-    F = (C.delta() + C.matmul_const(p * d0, a0)).matmul(C_inv)
-    # monic coefficient of delta^(n-k) is -(1/p^(k-1)) * F[n, n-k+1]
-    coeffs = tuple(
-        F.entry(n - 1, n - k) * Fraction(-1, p ** (k - 1)) for k in range(1, n + 1)
-    )
+    # monic coefficient of delta^(n-k) is -(1/p^(k-1)) * F[n, n-k+1]: only
+    # the last row of F is formed
+    last = (C.delta() + C.matmul_const(p * d0, a0)).row_matmul(n - 1, C_inv)
+    coeffs = tuple(last[n - k] * Fraction(-1, p ** (k - 1)) for k in range(1, n + 1))
     L1 = DiffOp(coeffs, ctx)
     A1 = L1.companion()
     passage = (

@@ -550,6 +550,8 @@ def reconstruct_rational(
     require_norm_one=False,
     residues=None,
     first_window=1,
+    *,
+    _found_in=None,
 ):
     """The certificate search: R with R * mult = target mod pi^m on the
     target's window (R = target when mult is None), deg num and deg den
@@ -581,6 +583,10 @@ def reconstruct_rational(
     sweep raises NotInK0, because a pole pair below the window can meet the
     congruence. The certify-* commands report the two apart and keep
     window 1.
+
+    _found_in, a list that only the scan's dependence._certificate passes,
+    receives the index of the source that gave the certificate: 0 for g,
+    1 for its canonical lift.
     """
     if m < 1:
         raise BadParameters("level must be >= 1")
@@ -607,7 +613,7 @@ def reconstruct_rational(
 
     seen = set()
     poles = []
-    for src in sources():
+    for index, src in enumerate(sources()):
         max_window = min(2 * deg_bound + 1, src.order)
         for window in range(first_window, max_window + 1):
             for r, t in pade_pairs(src, window):
@@ -628,6 +634,8 @@ def reconstruct_rational(
                 seen.add(cand)
                 verdict, resid = outcome(cand)
                 if verdict == VERIFY_OK:
+                    if _found_in is not None:
+                        _found_in.append(index)
                     return cand, resid
     for r, t in poles:
         if _product_valuation(r, t, target, upto, mult) < m:

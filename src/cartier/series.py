@@ -478,11 +478,11 @@ def _mul_add(acc, a, b):
 
 
 def _matmul_ints(a, b, ctx, n):
-    """Product of two square matrices in the flat layout, each result entry
-    summed over k in the unfolded domain and folded once, with rows of
-    length n."""
+    """Product of a c x size block and a square matrix b in the flat layout
+    (c = size for a square a), each result entry summed over k in the
+    unfolded domain and folded once, with rows of length n."""
     e = ctx.e
-    size = math.isqrt(len(a) // e)
+    size = math.isqrt(len(b) // e)
     # the entries, e rows each: a[i size + k] is entry (i, k) of a
     a, b = ([rows[at : at + e] for at in range(0, len(rows), e)] for rows in (a, b))
     out = []

@@ -294,3 +294,121 @@ class TestEntryShape:
         assert op.unit_solution(30) == entry.series
         assert build(SeriesSpec(SeriesKind.FFRAK, U5, 8)).operator is None
         assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SeriesSpec(SeriesKind.APERY, U5, 30),
+            SeriesSpec(SeriesKind.BESSEL, D3, 12),
+            SeriesSpec(SeriesKind.EXPONENTIAL, D3, 9),
+            hyper_spec(U7, 20, Fraction(1, 2), Fraction(1, 2)),
+            hyper_spec(U5, 1, Fraction(1, 3)),
+            SeriesSpec(SeriesKind.FFRAK, U5, 8),
+        ],
+        ids=["apery", "bessel", "exponential", "hyp-half-half", "hyp-order-1", "ffrak"],
+    )
+    def test_operator_shape_is_the_operators(self, spec):
+        entry = build(spec)
+        shape = entry.operator_shape
+        if entry.operator is None:
+            assert shape is None
+        else:
+            assert shape == (entry.operator.order, entry.operator.is_mom)
+
+    def test_operator_shape_inverts_the_lead_to_order_one(self, monkeypatch):
+        from cartier import catalog
+
+        orders = []
+        real = catalog.monicize
+
+        def monicize(terms, ctx, order):
+            orders.append(order)
+            return real(terms, ctx, order)
+
+        monkeypatch.setattr(catalog, "monicize", monicize)
+        assert build(SeriesSpec(SeriesKind.APERY, U5, 342)).operator_shape == (3, True)
+        assert orders == [1]
+
+
+# The builders' former Fraction and Coefficient loops, kept as oracles for
+# the integer-row builders.
+
+def hyper_oracle(ctx, order, alphas):
+    coeffs = []
+    term = Fraction(1)
+    for j in range(order):
+        if j:
+            for a in alphas:
+                term *= a + j - 1
+            term /= Fraction(j) ** len(alphas)
+        coeffs.append(term)
+    return TruncSeries.from_coeffs(ctx, coeffs)
+
+
+def bessel_oracle(ctx, order):
+    pi2 = ctx.pi() ** 2
+    coeffs = [ctx.zero()] * order
+    c = ctx.one()
+    for n in range((order + 1) // 2):
+        if n:
+            c = c * pi2 * Fraction(-1, 4 * n * n)
+        coeffs[2 * n] = c
+    return TruncSeries(tuple(coeffs), ctx)
+
+
+def exponential_oracle(ctx, order):
+    pi = ctx.pi()
+    coeffs = [ctx.one()]
+    for j in range(1, order):
+        coeffs.append(coeffs[-1] * pi * Fraction(1, j))
+    return TruncSeries(tuple(coeffs), ctx)
+
+
+# contexts by ramification index e; for e = 1, Q_5 and the degenerate Dwork
+# context at p = 2
+RAMIFIED = {1: [U5, PadicContext.dwork(2)], 2: [D3], 4: [PadicContext.dwork(5)]}
+ORDERS = [1, 2, 3, 20, 54]
+
+
+class TestIntegerRowBuilders:
+    @pytest.mark.parametrize("e", [1, 2, 4])
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize(
+        "alphas",
+        [
+            (Fraction(1, 2),),
+            (Fraction(1, 3), Fraction(2, 3)),
+            (Fraction(1, 5), Fraction(3, 4), Fraction(-7, 2)),
+            (Fraction(-2), Fraction(1, 2)),  # a terminating series
+        ],
+        ids=["half", "thirds", "mixed", "terminating"],
+    )
+    def test_hypergeometric(self, e, order, alphas):
+        for ctx in RAMIFIED[e]:
+            entry = build(hyper_spec(ctx, order, *alphas))
+            assert entry.series == hyper_oracle(ctx, order, alphas)
+
+    @pytest.mark.parametrize("e", [1, 2, 4])
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_bessel(self, e, order):
+        for ctx in RAMIFIED[e]:
+            spec = SeriesSpec(SeriesKind.BESSEL, ctx, order)
+            if ctx.ramification.value == "unramified":
+                with pytest.raises(BadContext):
+                    build(spec)
+            elif ctx.prime == 2:
+                with pytest.raises(BadParameters):
+                    build(spec)
+            else:
+                assert build(spec).series == bessel_oracle(ctx, order)
+
+    @pytest.mark.parametrize("e", [1, 2, 4])
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_exponential(self, e, order):
+        for ctx in RAMIFIED[e]:
+            spec = SeriesSpec(SeriesKind.EXPONENTIAL, ctx, order)
+            if ctx.ramification.value == "unramified":
+                with pytest.raises(BadContext):
+                    build(spec)
+            else:
+                assert build(spec).series == exponential_oracle(ctx, order)

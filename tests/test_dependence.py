@@ -374,7 +374,9 @@ class TestCertificateFilterGuard:
         assert hashlib.sha256(result.output.encode()).hexdigest() == self.SHA256
         pruned = [windows for first, windows in searches if first is None]
         swept = [(first, windows) for first, windows in searches if first is not None]
-        assert len(pruned) == 12 and len(swept) == 12
+        # the four multiples d = 2 of a ray whose d = 1 screen certified
+        # take that screen without a search
+        assert len(pruned) == 12 and len(swept) == 8
         assert pruned == [[]] * 12
         assert all(windows and min(windows) >= first for first, windows in swept)
 
@@ -396,7 +398,7 @@ class TestCertificateFilterGuard:
         monkeypatch.setattr(dependence, "_certificate", certificate)
         result = CliRunner().invoke(main, self.ARGS)
         assert hashlib.sha256(result.output.encode()).hexdigest() == self.SHA256
-        assert searches[0] == 24
+        assert searches[0] == 20
         assert reductions[0] == searches[0]
 
 
@@ -608,3 +610,111 @@ class TestLogCombination:
         assert kolchin_scan(fs, 2, 2, 6) == reference
         assert reference.findings
         assert scalar[0] == 0
+
+
+class TestScreenOfUnitMultiples:
+    """For d prime to p, the screen of d * u is d times the screen of u. The
+    scan searches a ray's screen at d = 1 and at multiples of p only, and a
+    p-unit multiple takes the d = 1 outcome and certificate whenever that
+    search ended at least_window or with a certificate from the target
+    itself: its canonical lift does not scale with d."""
+
+    ARGS = [
+        "scan", "--series", "hyp:1/3", "--prime", "5", "--dwork", "--order", "12",
+        "--exp-bound", "4", "--level", "4", "--deg-bound", "5",
+    ]
+    # stdout of the scan when it searched the screen of every multiple
+    SHA256 = "9ae1cad82ad0c2d831aed7d1e4f599afb55518bee2e2361787675407dc792657"
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        kinds = []
+        real_certificate = dependence._certificate
+
+        def certificate(*args):
+            kinds.append(args[3])
+            return real_certificate(*args)
+
+        monkeypatch.setattr(dependence, "_certificate", certificate)
+        return kinds
+
+    @pytest.mark.parametrize(
+        "ctx", [U5, PadicContext.dwork(3), PadicContext.dwork(5)], ids=lambda c: f"e{c.e}"
+    )
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_search_on_a_unit_multiple(self, ctx, data):
+        p = ctx.prime
+        order = data.draw(st.integers(2, 30))
+        level = data.draw(st.integers(1, 4))
+        deg = data.draw(st.integers(0, 5))
+        g = scan_series(ctx, data, order, level)
+        d = data.draw(st.integers(-3 * p, 3 * p).filter(lambda x: x % p))
+        cert, carries = dependence._certificate(g, level, deg, "logderiv-screen")
+        if not carries:
+            return
+        scaled, scaled_carries = dependence._certificate(g.scale(d), level, deg, "logderiv-screen")
+        assert scaled_carries
+        if cert is None:
+            assert scaled is None
+            return
+        assert scaled.rational.num == cert.rational.num.scale(d)
+        assert scaled.rational.den == cert.rational.den
+        fields = ("kind", "level", "verified_order", "min_residual_valuation")
+        assert [getattr(scaled, f) for f in fields] == [getattr(cert, f) for f in fields]
+        assert dependence._scaled(cert, d) == scaled
+
+    @pytest.mark.parametrize(
+        "ctx", [U5, PadicContext.dwork(3), PadicContext.dwork(5)], ids=lambda c: f"e{c.e}"
+    )
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_report_equals_the_search_of_every_multiple(self, ctx, data):
+        order = data.draw(st.integers(2, 30))
+        level = data.draw(st.integers(1, 4))
+        deg = data.draw(st.integers(0, 5))
+        exp_bound = data.draw(st.integers(2, 4))
+        fs = [scan_series(ctx, data, order, level) for _ in range(data.draw(st.integers(1, 2)))]
+        report = kolchin_scan(fs, exp_bound, level, deg)
+        real_certificate = dependence._certificate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                dependence, "_certificate", lambda *args: (real_certificate(*args)[0], False)
+            )
+            reference = kolchin_scan(fs, exp_bound, level, deg)
+        assert report == reference
+
+    def test_one_screen_search_on_the_ray(self, monkeypatch):
+        kinds = self.count_searches(monkeypatch)
+        result = CliRunner().invoke(main, self.ARGS)
+        assert hashlib.sha256(result.output.encode()).hexdigest() == self.SHA256
+        # the finding is at d = 3; d = 2 and d = 3 take the screen of d = 1
+        assert kinds == ["logderiv-screen", "product", "product", "product"]
+
+    def test_a_screen_from_the_canonical_lift_is_searched_again(self, monkeypatch):
+        # the sweep over the target finds nothing, so every certificate
+        # comes from the canonical lift
+        lifted = [False]
+        real_pairs = rational.pade_pairs
+        real_lift = rational.canonical_lift
+
+        def pade_pairs(f, window):
+            return real_pairs(f, window) if lifted[0] else iter(())
+
+        def canonical_lift(f, m):
+            lifted[0] = True
+            return real_lift(f, m)
+
+        def reset(*args, **kwargs):
+            lifted[0] = False
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(rational, "pade_pairs", pade_pairs)
+        monkeypatch.setattr(rational, "canonical_lift", canonical_lift)
+        real_search = dependence.reconstruct_rational
+        monkeypatch.setattr(dependence, "reconstruct_rational", reset)
+        kinds = self.count_searches(monkeypatch)
+        result = CliRunner().invoke(main, self.ARGS)
+        assert result.exit_code == 0
+        assert json.loads(result.output)["report"]["findings"]
+        assert kinds == ["logderiv-screen", "product"] * 3

@@ -115,6 +115,11 @@ class TestMonicize:
     def test_mom_flag_false_for_shifted_operator(self):
         assert not monicize([(0, [-1, 1])], U5, 8).is_mom
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one(self, order):
+        with pytest.raises(BadParameters, match="order must be at least 1"):
+            monicize([(0, [0, 0, 1]), (1, [1, 1])], U5, order)
+
 
 class TestCompanion:
     def test_order_one(self):
