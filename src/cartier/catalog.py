@@ -9,14 +9,13 @@ hypergeometric entries and 1 for the others.
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
 from .diffops import DiffOp, monicize
 from .errors import BadContext, BadParameters, IntegralityFailure, OrderExhausted
-from .rings import PadicContext, Ramification, _capped_power
+from .rings import PadicContext, Ramification, _capped_power, record
 from .series import TruncSeries
 
 
@@ -28,7 +27,7 @@ class SeriesKind(Enum):
     FFRAK = "ffrak"
 
 
-@dataclass(frozen=True)
+@record
 class SeriesSpec:
     kind: SeriesKind
     ctx: PadicContext
@@ -47,7 +46,7 @@ class SeriesSpec:
         }
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     """A catalog series with its annotations. operator_terms is the raw
     term list of the operator annihilating the series, or None; the monic
@@ -219,7 +218,7 @@ def build(spec: SeriesSpec) -> CatalogEntry:
 # -- congruence checkers -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CongruenceReport:
     kind: str
     prime: int

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add, mul
 
 from .errors import BadParameters, NotAUnit, NotInK0, OrderExhausted, ReconstructionFailed
 from .frobenius import Certificate
 from .rational import RationalFunction, ResidueTarget, least_window, reconstruct_rational
+from .rings import record
 from .series import TruncSeries, _align
 
 
@@ -130,7 +130,9 @@ def _scaled(cert: Certificate, d: int) -> Certificate:
     of g and its outcome carries over: the numerator times d, the rest as
     it was, since v(d x) = v(x)."""
     rational = RationalFunction(cert.rational.num.scale(d), cert.rational.den)
-    return replace(cert, rational=rational)
+    return Certificate(
+        cert.kind, cert.level, rational, cert.verified_order, cert.min_residual_valuation
+    )
 
 
 def analytic_element_certificate(g: TruncSeries, level: int, deg_bound: int):
@@ -145,7 +147,7 @@ def analytic_element_certificate(g: TruncSeries, level: int, deg_bound: int):
     return None if cert is None else cert.rational
 
 
-@dataclass(frozen=True)
+@record
 class Finding:
     exponents: tuple
     product: Certificate
@@ -159,7 +161,7 @@ class Finding:
         }
 
 
-@dataclass(frozen=True)
+@record
 class DependenceReport:
     series_names: tuple
     exp_bound: int

@@ -14,7 +14,6 @@ j^n f_j = -(contributions of lower f's), and j^n never vanishes for j >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     NotNilpotent,
     OrderExhausted,
 )
-from .rings import PadicContext, _int_parts, _ring_inverse, _ring_mul
+from .rings import PadicContext, _int_parts, _ring_inverse, _ring_mul, record
 from .series import (
     SeriesRows,
     TruncSeries,
@@ -164,16 +163,28 @@ def _json_int(x):
     return x
 
 
+def _json_coeff(x, ctx):
+    """The coefficient x if it is a JSON integer, a coefficient text or a
+    list of those, one per pi-component; a float or a bool is a TypeError."""
+    for c in x if isinstance(x, list) else [x]:
+        if isinstance(c, bool) or not isinstance(c, (int, str)):
+            raise TypeError(f"expected an integer or text coefficient, got {c!r}")
+    return ctx.coeff(x)
+
+
 def raw_terms_from_json(data: dict, ctx: PadicContext):
     """Read the operator exchange format {"terms": [{zdeg, deltapoly}]}, else BadParameters."""
     try:
-        terms = [(_json_int(t["zdeg"]), [ctx.coeff(c) for c in t["deltapoly"]]) for t in data["terms"]]
+        terms = [
+            (_json_int(t["zdeg"]), [_json_coeff(c, ctx) for c in t["deltapoly"]])
+            for t in data["terms"]
+        ]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise BadParameters(f"malformed operator terms ({type(exc).__name__}: {exc})") from None
     return _normalize_raw_terms(terms, ctx)
 
 
-@dataclass(frozen=True)
+@record
 class DiffOp:
     """Monic operator delta^n + a_1 delta^(n-1) + .. + a_n.
 
@@ -249,7 +260,7 @@ def _unit_solution_raw(raw_terms, ctx, n, order):
     # plus leading-unit, both established by monicize; the z^l term Q_l(delta)
     # gives C_k its z^l coefficient, the delta^k coefficient of Q_l
     head = dict(raw_terms).get(0)
-    tail = {z: poly for z, poly in raw_terms if z > 0}
+    tail = {z: poly for z, poly in raw_terms if 0 < z < order}
     width = max(tail, default=0) + 1
     degree = max(map(len, tail.values()), default=0)
     zero = ctx.zero()
@@ -306,21 +317,22 @@ def monicize(terms, ctx: PadicContext, order: int) -> DiffOp:
     n = max(len(poly) for _, poly in raw) - 1
     if n < 1:
         raise BadParameters("operator must have positive delta-order")
-    max_z = max(z for z, _ in raw)
-    pad = [0] * (order - max_z - 1)
+    # a term at z-degree >= order changes nothing mod z^order
+    low = [(z, poly) for z, poly in raw if z < order]
+    width = max((z for z, _ in low), default=0) + 1
+    pad = [0] * (order - width)
     numerators = []
     for k in range(n + 1):
-        coeffs = [ctx.zero()] * (max_z + 1)
-        for z, poly in raw:
+        coeffs = [ctx.zero()] * width
+        for z, poly in low:
             if k < len(poly):
                 coeffs[z] = coeffs[z] + poly[k]
         f = TruncSeries(coeffs, ctx)
-        # zero-padded to max(order, max_z + 1); truncated to order below
         numerators.append(TruncSeries.from_rows(ctx, f.den, [row + pad for row in f.rows]))
     if numerators[n].constant_term().is_zero():
         raise LeadingNotUnit("leading delta coefficient vanishes at z = 0")
-    lead_inv = numerators[n].truncate(order).invert_unit()
-    series_coeffs = tuple(numerators[n - i].truncate(order) * lead_inv for i in range(1, n + 1))
+    lead_inv = numerators[n].invert_unit()
+    series_coeffs = tuple(numerators[n - i] * lead_inv for i in range(1, n + 1))
     return DiffOp(series_coeffs, ctx, raw)
 
 

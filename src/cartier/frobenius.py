@@ -20,7 +20,6 @@ defining congruence, coefficient by coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffops import DiffOp, SeriesMatrix, uniform_part
@@ -40,7 +39,7 @@ from .rational import (
     product_congruence_outcome,
     reconstruct_rational,
 )
-from .rings import INF, _capped_power
+from .rings import INF, _capped_power, record
 from .series import TruncSeries, _diag
 
 
@@ -48,7 +47,7 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass(frozen=True)
+@record
 class AntecedentLevel:
     """One level of the antecedent chain, with its verification data."""
 
@@ -196,7 +195,7 @@ def antecedent_chain(L: DiffOp, levels: int, order: int) -> list:
 # -- integrality -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class IntegralityReport:
     level: int
     checked_upto: int
@@ -253,7 +252,7 @@ def _require_unit_start(f: TruncSeries):
 # -- certificates ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     """A verified rational congruence, with its diagnostics.
 

@@ -35,11 +35,10 @@ that no window can serve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParameters, NegativeValuation, NotInK0, ReconstructionFailed
-from .rings import INF, Coefficient, PadicContext
+from .rings import INF, Coefficient, PadicContext, record
 from .rings import _adjugate, _component_digits, _p_adic_order, _primitive, _pseudo_step
 from .rings import _scale, _strip
 from .series import IntegerRows, TruncSeries, _fold, _mul_add, _unfolded
@@ -198,7 +197,7 @@ def _integral_lead(polys, p):
     return _primitive(*polys)
 
 
-@dataclass(frozen=True)
+@record
 class RationalFunction:
     """Reduced fraction of polynomials, denominator normalized to den(0) = 1
     when the constant term is a unit (always the case for certificates)."""

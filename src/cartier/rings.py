@@ -19,8 +19,8 @@ import enum
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import BadParameters, NegativeValuation
 
@@ -67,20 +67,90 @@ def _component_digits(m: int, t: int, e: int) -> int:
     return -((t - m) // e)
 
 
+def record(cls):
+    """Make cls an immutable record of its annotated fields, in order, as
+    @dataclass(frozen=True) would, with methods written once here instead of
+    generated for each class: positional or keyword construction (a class
+    attribute is the field's default) followed by __post_init__, equality
+    between instances of one class field by field, the hash of the field
+    tuple, the repr Name(field=value, ...), and AttributeError on assignment
+    or deletion. A method the class defines itself is kept."""
+    names = tuple(cls.__annotations__)
+    defaults = {f: cls.__dict__[f] for f in names if f in cls.__dict__}
+    # attrgetter of one name gives the bare value, not a 1-tuple
+    values = attrgetter(*names) if len(names) > 1 else lambda r: tuple(getattr(r, f) for f in names)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = _bind(cls.__name__, names, defaults, args, kwargs)
+        fields = self.__dict__
+        for name, value in zip(names, args):
+            fields[name] = value
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in names)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        # a class that defines __eq__ alone has __hash__ None: it gets ours
+        if cls.__dict__.get(method.__name__) is None:
+            setattr(cls, method.__name__, method)
+    return cls
+
+
+def _bind(name, names, defaults, args, kwargs):
+    """The field values of name(*args, **kwargs), in field order, or the
+    TypeError of a call with a wrong argument list."""
+    if len(args) > len(names):
+        raise TypeError(f"{name}() takes {len(names)} arguments but {len(args)} were given")
+    bound = dict(zip(names, args))
+    for key in kwargs:
+        if key not in names:
+            raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+        if key in bound:
+            raise TypeError(f"{name}() got multiple values for argument {key!r}")
+    bound = {**defaults, **bound, **kwargs}
+    missing = [n for n in names if n not in bound]
+    if missing:
+        raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+    return [bound[n] for n in names]
+
+
 class Ramification(enum.Enum):
     UNRAMIFIED = "unramified"
     DWORK = "dwork"
 
 
-@dataclass(frozen=True)
+@record
 class PadicContext:
-    """Identity of the coefficient ring: the prime and the ramification."""
+    """Identity of the coefficient ring: the prime and the ramification.
+
+    Its attribute e, the ramification index (v(p) = e in pi-units), is not a
+    field: it is derived from the two fields once, because every Coefficient
+    construction reads it.
+    """
 
     prime: int
     ramification: Ramification
-    # ramification index, v(p) = e in pi-units; derived from the two fields
-    # above once, because every Coefficient construction reads it
-    e: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not _is_prime(self.prime):
@@ -136,16 +206,19 @@ class PadicContext:
         return self.coeff((0, 1))
 
 
-@dataclass(frozen=True)
+@record
 class Coefficient:
     """An exact element sum_i parts[i] * pi^i of the context's field."""
 
     parts: tuple
     ctx: PadicContext
 
-    def __post_init__(self):
-        if len(self.parts) != self.ctx.e:
+    def __init__(self, parts: tuple, ctx: PadicContext):
+        # written out, not record's: every arithmetic result is built here
+        if len(parts) != ctx.e:
             raise BadParameters("component count must equal the ramification index")
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "ctx", ctx)
 
     # -- ring structure -----------------------------------------------------
 

@@ -22,6 +22,11 @@ GAUSS_TERMS_AT = (
     '{"terms": [{"zdeg": 0, "deltapoly": ["0", "0", "1"]},'
     ' {"zdeg": %s, "deltapoly": ["-1/4", "-1", "-1"]}]}'
 )
+# the same operator with its z^1 constant coefficient -1/4 written as given
+GAUSS_TERMS_WITH = (
+    '{"terms": [{"zdeg": 0, "deltapoly": ["0", "0", "1"]},'
+    ' {"zdeg": 1, "deltapoly": [%s, "-1", "-1"]}]}'
+)
 
 
 @pytest.fixture
@@ -369,9 +374,16 @@ class TestAntecedent:
             GAUSS_TERMS_AT % "1.5",
             GAUSS_TERMS_AT % "true",
             GAUSS_TERMS_AT % '"1"',
+            # coefficients that are not an int or a text: -0.25 is exact in
+            # binary, so each of these read as a valid operator before
+            GAUSS_TERMS_WITH % "-0.25",
+            GAUSS_TERMS_WITH % "true",
+            GAUSS_TERMS_WITH % "[-0.25]",
+            GAUSS_TERMS_WITH % "[false]",
         ],
         ids=["not-json", "no-terms", "zero-denominator", "bad-zdeg", "top-level-list",
-             "float-zdeg", "bool-zdeg", "string-zdeg"],
+             "float-zdeg", "bool-zdeg", "string-zdeg", "float-coeff", "bool-coeff",
+             "float-component", "bool-component"],
     )
     def test_malformed_operator_file_is_a_reported_error(self, runner, tmp_path, text):
         path = tmp_path / "op.json"

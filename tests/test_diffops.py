@@ -120,6 +120,32 @@ class TestMonicize:
         with pytest.raises(BadParameters, match="order must be at least 1"):
             monicize([(0, [0, 0, 1]), (1, [1, 1])], U5, order)
 
+    @pytest.mark.parametrize("ctx", [U5, D3, PadicContext.dwork(5)], ids=["e1", "e2", "e4"])
+    @pytest.mark.parametrize("far", [12, 10**6])
+    def test_terms_at_or_above_the_order_build_nothing(self, ctx, far, monkeypatch):
+        """A term at z-degree >= order changes nothing mod z^order, so no
+        series longer than the order is built for it; one at order - 1 does
+        change the operator."""
+        order = 12
+        gauss = [(0, [0, 0, 1]), (1, ["-1/4", -1, -1])]
+        term = [1, "1/3", 2]
+        init = TruncSeries.__init__
+
+        def bounded_init(self, coeffs, ctx):
+            coeffs = tuple(coeffs)
+            assert len(coeffs) <= order, f"a series of {len(coeffs)} coefficients"
+            init(self, coeffs, ctx)
+
+        monkeypatch.setattr(TruncSeries, "__init__", bounded_init)
+        plain = monicize(gauss, ctx, order)
+        padded = monicize(gauss + [(far, term)], ctx, order)
+        assert padded.coeffs == plain.coeffs
+        assert padded.raw_terms[-1][0] == far
+        assert padded.unit_solution(order) == plain.unit_solution(order)
+        near = monicize(gauss + [(order - 1, term)], ctx, order)
+        assert near.coeffs != plain.coeffs
+        assert near.unit_solution(order) != plain.unit_solution(order)
+
 
 class TestCompanion:
     def test_order_one(self):

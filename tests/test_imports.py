@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private function or method the package defines is read in it.
+"""Every name a module of the package imports is used in that module, every
+private function or method the package defines is read in it, and no module
+imports dataclasses.
 
 __init__.py is left out of the import check: it imports names only to
 re-export them.
@@ -37,6 +38,29 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set:
+    """The top-level package of every absolute import in source."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_the_check_sees_a_dataclasses_import():
+    source = "import os.path\nfrom dataclasses import field\nfrom . import rings\n"
+    assert imported_modules(source) == {"os", "dataclasses"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_does_not_import_dataclasses(path):
+    """The records are built by rings.record: @dataclass would generate and
+    exec their methods at every import of the package."""
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
 
 
 def unread_private_functions(sources) -> list:
