@@ -5,14 +5,14 @@ fixed request produces byte-identical output) or an indented table with
 --table. The report opens with its request: the command and the value of
 every declared option but --table, defaults included. Exit codes: 0 on
 success, 1 when a verification fails or a library error is reported, 2 for
-usage problems.
+usage problems, which print `Error: <message>` on stderr.
 """
 
+import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-
-import click
 
 from .catalog import SeriesKind, SeriesSpec, build, dwork_congruence_check, p_lucas_check
 from .dependence import kolchin_scan
@@ -25,6 +25,11 @@ from .frobenius import (
     ratio_certificate,
 )
 from .rings import PadicContext
+
+
+class UsageError(Exception):
+    """A request no command can run as given: exit 2, the message on stderr."""
+
 
 _PLAIN_KINDS = {
     "apery": SeriesKind.APERY,
@@ -44,11 +49,11 @@ def _parse_spec(text: str, prime: int, dwork: bool, order: int) -> SeriesSpec:
         try:
             alphas = tuple(Fraction(tok) for tok in text[4:].split(","))
         except (ValueError, ZeroDivisionError):
-            raise click.UsageError(f"cannot read hypergeometric parameters in {text!r}")
+            raise UsageError(f"cannot read hypergeometric parameters in {text!r}")
     elif text in _PLAIN_KINDS:
         kind = _PLAIN_KINDS[text]
     else:
-        raise click.UsageError(
+        raise UsageError(
             f"unknown series {text!r}; use apery, bessel, exp, ffrak or hyp:a1,a2,..."
         )
     use_dwork = dwork or kind in _DWORK_KINDS
@@ -106,34 +111,26 @@ def _scalar(item):
 
 
 def _emit(payload: dict, table: bool):
-    # an explicit file: click's default stdout lookup caches every stream
-    # it is handed and holds it strongly, so an in-process caller that
-    # redirects stdout per call would keep every report it ever printed
     if table:
         for line in _table_lines(payload):
-            click.echo(line, file=sys.stdout)
+            print(line)
     else:
-        click.echo(json.dumps(payload, sort_keys=True, indent=2), file=sys.stdout)
+        print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 # structured fields of VerificationFailed, ReconstructionFailed and
 # IntegralityFailure, copied into the error payload when they are set
 _ERROR_FIELDS = ("order", "deg_bound", "index")
 
+# (request block, --table) of the command that main is running
+_running = None
+
 
 def _finish(body, ok=True):
     """Emit the report of the current command and translate outcomes into
     exit codes. body collects the warnings of the catalog entries it builds
     (_build) for the report."""
-    ctx = click.get_current_context()
-    # the command, then every declared parameter but --table in declaration
-    # order, which --table output keeps; a repeated option is a list, or
-    # null when it is not given
-    request = {"command": ctx.info_name}
-    for param in ctx.command.params:
-        if param.name != "table":
-            value = ctx.params[param.name]
-            request[param.name] = (list(value) or None) if isinstance(value, tuple) else value
+    request, table = _running
     warnings = []
     try:
         payload = body(warnings)
@@ -147,32 +144,57 @@ def _finish(body, ok=True):
         ok = False
     if warnings:
         payload = {**payload, "warnings": warnings}
-    _emit({"request": request, **payload}, ctx.params["table"])
+    _emit({"request": request, **payload}, table)
     passed = ok(payload) if callable(ok) else ok
     if not passed:
         raise SystemExit(1)
 
 
-series_option = click.option("--series", required=True)
-prime_option = click.option("--prime", type=int, required=True)
-dwork_option = click.option(
-    "--dwork", is_flag=True, help="Use the Eisenstein uniformizer pi with pi^(p-1) = -p."
+def _existing_file(path):
+    """The value of --operator-file: a path that names a readable file."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"File {path!r} does not exist.")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"File {path!r} is a directory.")
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"File {path!r} is not readable.")
+    return path
+
+
+def option(flag, dest=None, **spec):
+    """(dest, flag, add_argument keywords) of one option; dest is the flag
+    without its dashes, - read as _, unless given."""
+    if spec.get("default") is not None:
+        spec["help"] = f"{spec.get('help', '')} [default: %(default)s]".lstrip()
+    return dest or flag[2:].replace("-", "_"), flag, spec
+
+
+SERIES = option("--series", required=True)
+PRIME = option("--prime", type=int, required=True)
+DWORK = option(
+    "--dwork", action="store_true", help="Use the Eisenstein uniformizer pi with pi^(p-1) = -p."
 )
-order_option = click.option("--order", type=int, default=48, show_default=True)
-table_option = click.option("--table", is_flag=True, help="Aligned text instead of JSON.")
+ORDER = option("--order", type=int, default=48)
+LEVEL = option("--level", type=int, default=1)
+DEG_BOUND = option("--deg-bound", type=int, default=8)
+TABLE = option("--table", action="store_true", help="Aligned text instead of JSON.")
+
+# command name -> (function, options in declaration order); the parser and
+# every report's request block are built from it
+COMMANDS = {}
 
 
-@click.group()
-def main():
-    """p-adic series, Frobenius antecedents, and congruence certificates."""
+def command(name, *options):
+    """Declare the decorated function as the command name with options."""
+
+    def register(fn):
+        COMMANDS[name] = (fn, options)
+        return fn
+
+    return register
 
 
-@main.command()
-@series_option
-@prime_option
-@dwork_option
-@order_option
-@table_option
+@command("gen", SERIES, PRIME, DWORK, ORDER, TABLE)
 def gen(series, prime, dwork, order, table):
     """Build a catalog series and report it with its annotations."""
     def body(warnings):
@@ -189,13 +211,7 @@ def gen(series, prime, dwork, order, table):
     _finish(body)
 
 
-@main.command("check-integrality")
-@series_option
-@prime_option
-@dwork_option
-@order_option
-@click.option("--level", type=int, default=1, show_default=True)
-@table_option
+@command("check-integrality", SERIES, PRIME, DWORK, ORDER, LEVEL, TABLE)
 def check_integrality(series, prime, dwork, order, level, table):
     """Check coefficient valuations on the window up to p^level - 1."""
     def body(warnings):
@@ -205,12 +221,7 @@ def check_integrality(series, prime, dwork, order, level, table):
     _finish(body, ok=lambda p: p["report"]["passed"])
 
 
-@main.command("check-lucas")
-@series_option
-@prime_option
-@dwork_option
-@order_option
-@table_option
+@command("check-lucas", SERIES, PRIME, DWORK, ORDER, TABLE)
 def check_lucas(series, prime, dwork, order, table):
     """Check f = F_(p-1) * f(z^p) mod pi^e to the reliable order."""
     def body(warnings):
@@ -220,12 +231,14 @@ def check_lucas(series, prime, dwork, order, table):
     _finish(body, ok=lambda p: p["report"]["passed"])
 
 
-@main.command("check-dwork")
-@series_option
-@prime_option
-@order_option
-@click.option("--s", type=int, required=True, help="Congruence level.")
-@table_option
+@command(
+    "check-dwork",
+    SERIES,
+    PRIME,
+    ORDER,
+    option("--s", type=int, required=True, help="Congruence level."),
+    TABLE,
+)
 def check_dwork(series, prime, order, s, table):
     """Check f * F_(s-1)(z^p) = F_s * f(z^p) mod p^s."""
     def body(warnings):
@@ -235,23 +248,24 @@ def check_dwork(series, prime, order, s, table):
     _finish(body, ok=lambda p: p["report"]["passed"])
 
 
-@main.command()
-@click.option("--series", default=None)
-@click.option(
-    "--operator-file",
-    type=click.Path(exists=True, dir_okay=False),
-    default=None,
-    help="JSON operator (terms of z-degree and delta-polynomial) instead of a catalog series.",
+@command(
+    "antecedent",
+    option("--series"),
+    option(
+        "--operator-file",
+        type=_existing_file,
+        help="JSON operator (terms of z-degree and delta-polynomial) instead of a catalog series.",
+    ),
+    PRIME,
+    DWORK,
+    ORDER,
+    option("--levels", type=int, default=1),
+    TABLE,
 )
-@prime_option
-@dwork_option
-@order_option
-@click.option("--levels", type=int, default=1, show_default=True)
-@table_option
 def antecedent(series, operator_file, prime, dwork, order, levels, table):
     """Run the Frobenius antecedent chain and report per-level residuals."""
     if (series is None) == (operator_file is None):
-        raise click.UsageError("give exactly one of --series or --operator-file")
+        raise UsageError("give exactly one of --series or --operator-file")
 
     def body(warnings):
         if operator_file is not None:
@@ -267,14 +281,7 @@ def antecedent(series, operator_file, prime, dwork, order, levels, table):
     _finish(body)
 
 
-@main.command("certify-ratio")
-@series_option
-@prime_option
-@dwork_option
-@order_option
-@click.option("--level", type=int, default=1, show_default=True)
-@click.option("--deg-bound", type=int, default=8, show_default=True)
-@table_option
+@command("certify-ratio", SERIES, PRIME, DWORK, ORDER, LEVEL, DEG_BOUND, TABLE)
 def certify_ratio(series, prime, dwork, order, level, deg_bound, table):
     """Reconstruct the rational ratio between f and its Cartier transform."""
     def body(warnings):
@@ -285,20 +292,17 @@ def certify_ratio(series, prime, dwork, order, level, deg_bound, table):
     _finish(body)
 
 
-@main.command("certify-logderiv")
-@series_option
-@prime_option
-@dwork_option
-@order_option
-@click.option("--level", type=int, default=1, show_default=True)
-@click.option("--deg-bound", type=int, default=8, show_default=True)
-@click.option(
-    "--period",
-    type=int,
-    default=None,
-    help="Frobenius period; defaults to the catalog annotation.",
+@command(
+    "certify-logderiv",
+    SERIES,
+    PRIME,
+    DWORK,
+    ORDER,
+    LEVEL,
+    DEG_BOUND,
+    option("--period", type=int, help="Frobenius period; defaults to the catalog annotation."),
+    TABLE,
 )
-@table_option
 def certify_logderiv(series, prime, dwork, order, level, deg_bound, period, table):
     """Reconstruct a rational congruent to f'/f at the requested level."""
     def body(warnings):
@@ -310,22 +314,24 @@ def certify_logderiv(series, prime, dwork, order, level, deg_bound, period, tabl
     _finish(body)
 
 
-@main.command()
-@click.option("--series", required=True, multiple=True)
-@prime_option
-@dwork_option
-@order_option
-@click.option("--exp-bound", type=int, required=True)
-@click.option("--level", type=int, required=True)
-@click.option("--deg-bound", type=int, required=True)
-@click.option(
-    "--derivative",
-    "derivatives",
-    type=int,
-    multiple=True,
-    help="Per-series derivative order; repeat once per --series.",
+@command(
+    "scan",
+    option("--series", required=True, action="append"),
+    PRIME,
+    DWORK,
+    ORDER,
+    option("--exp-bound", type=int, required=True),
+    option("--level", type=int, required=True),
+    option("--deg-bound", type=int, required=True),
+    option(
+        "--derivative",
+        "derivatives",
+        type=int,
+        action="append",
+        help="Per-series derivative order; repeat once per --series.",
+    ),
+    TABLE,
 )
-@table_option
 def scan(series, prime, dwork, order, exp_bound, level, deg_bound, derivatives, table):
     """Scan an exponent box for certified multiplicative relations.
 
@@ -333,12 +339,12 @@ def scan(series, prime, dwork, order, exp_bound, level, deg_bound, derivatives, 
     result, not a failure.
     """
     if derivatives and len(derivatives) != len(series):
-        raise click.UsageError("need one --derivative per --series")
+        raise UsageError("need one --derivative per --series")
 
     def body(warnings):
         specs = [_parse_spec(text, prime, dwork, order) for text in series]
         if any(spec.ctx != specs[0].ctx for spec in specs):
-            raise click.UsageError("all scanned series must share one coefficient context")
+            raise UsageError("all scanned series must share one coefficient context")
         fs = [_build(spec, warnings).series for spec in specs]
         report = kolchin_scan(
             fs,
@@ -351,6 +357,81 @@ def scan(series, prime, dwork, order, exp_bound, level, deg_bound, derivatives, 
         return {"report": report.to_json_dict()}
 
     _finish(body)
+
+
+class _Formatter(argparse.HelpFormatter):
+    """Usage lines that open with `Usage:`."""
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """No abbreviated options, --help but no -h, and usage errors that end
+    in `Error: <message>`."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, formatter_class=_Formatter, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"Error: {message}\n")
+
+
+def _parsers():
+    """The program's parser and each command's subparser, by name."""
+    top = _Parser(
+        prog="cartier",
+        description="p-adic series, Frobenius antecedents, and congruence certificates.",
+    )
+    choices = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    subparsers = {}
+    for name, (fn, options) in COMMANDS.items():
+        sub = choices.add_parser(name, help=fn.__doc__.split("\n")[0], description=fn.__doc__)
+        for dest, flag, spec in options:
+            sub.add_argument(flag, dest=dest, **spec)
+        subparsers[name] = sub
+    return top, subparsers
+
+
+_PARSER, _SUBPARSERS = _parsers()
+
+
+class _Program:
+    """The `cartier` program, called the way a click command is called:
+    click.testing.CliRunner reads name and calls main(args=..., prog_name=...)."""
+
+    name = "cartier"
+
+    def main(self, args=None, prog_name=None):
+        """Run the command args name (sys.argv[1:] when None) and raise
+        SystemExit with its exit code. Usage lines always name the program
+        cartier, whatever prog_name says."""
+        global _running
+        namespace, unknown = _PARSER.parse_known_args(args)
+        name = namespace.command
+        if unknown:
+            _SUBPARSERS[name].error(f"unrecognized arguments: {' '.join(unknown)}")
+        fn, options = COMMANDS[name]
+        values = {dest: getattr(namespace, dest) for dest, _, _ in options}
+        # the command, then every declared option but --table in declaration
+        # order, which --table output keeps; a repeated option is a list, or
+        # null when it is not given
+        request = {"command": name, **values}
+        del request["table"]
+        _running = request, values["table"]
+        try:
+            fn(**values)
+        except UsageError as err:
+            _SUBPARSERS[name].error(str(err))
+        raise SystemExit(0)
+
+    def __call__(self):
+        self.main()
+
+
+main = _Program()
 
 
 if __name__ == "__main__":

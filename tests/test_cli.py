@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartier import LeadingNotUnit, catalog
-from cartier.cli import main
+from cartier.cli import COMMANDS, main
 
 
 # delta^2 - z (delta + 1/2)^2 with its z-degree 1 written as given
@@ -27,6 +27,8 @@ GAUSS_TERMS_WITH = (
     '{"terms": [{"zdeg": 0, "deltapoly": ["0", "0", "1"]},'
     ' {"zdeg": 1, "deltapoly": [%s, "-1", "-1"]}]}'
 )
+
+HERE = Path(__file__).resolve().parent
 
 
 @pytest.fixture
@@ -78,6 +80,38 @@ class TestGen:
             main, ["gen", "--series", "nope", "--prime", "5", "--order", "4"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # an abbreviation of --order is not --order
+            ["gen", "--series", "apery", "--prime", "5", "--ord", "5"],
+            ["nope", "--series", "apery"],
+            ["gen", "--series", "apery", "--prime", "x"],
+            ["gen", "--series", "apery", "--prime"],
+            ["gen", "--series", "apery", "--prime", "5", "-h"],
+            ["antecedent", "--operator-file", str(HERE / "missing.json"), "--prime", "5"],
+            ["antecedent", "--operator-file", str(HERE), "--prime", "5"],
+        ],
+        ids=["abbreviation", "command", "not-an-int", "no-value", "short-help", "missing-file", "directory"],
+    )
+    def test_bad_arguments_are_usage_errors(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Error" in result.output
+
+    def test_no_arguments_is_a_usage_error(self, runner):
+        result = runner.invoke(main, [])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Usage:" in result.output
+
+    @pytest.mark.parametrize("args", [["--help"], ["gen", "--help"], ["gen", "--series", "x", "--help"]])
+    def test_help_exits_0(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.output.startswith("Usage:")
 
     def test_bad_context_is_a_reported_error(self, runner):
         # Bessel at p = 2 is rejected by the catalog, not by flag parsing
@@ -870,10 +904,10 @@ class TestRequestBlock:
     parameters but --table, in declaration order whatever the order of the
     arguments."""
 
-    @pytest.mark.parametrize("command", sorted(main.commands))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_keys_are_the_declared_parameters(self, runner, command):
         args = [command, "--series", "apery", "--prime", "4", *REQUIRED.get(command, [])]
-        declared = [p.name for p in main.commands[command].params if p.name != "table"]
+        declared = [dest for dest, _, _ in COMMANDS[command][1] if dest != "table"]
         result, payload = run_json(runner, args)
         assert result.exit_code == 1
         assert payload["error"]["type"] == "BadParameters"
@@ -931,6 +965,31 @@ class TestBenchReferences:
         assert code == ref["exit"]
         assert len(data) == ref["bytes"]
         assert hashlib.sha256(data).hexdigest() == ref["sha256"]
+
+
+# one ramified scan with repeated options and one antecedent chain
+PROCESS_JOBS = [
+    "scan --series apery --series bessel --prime 3 --dwork --order 17 --exp-bound 1 --level 3 --deg-bound 9",
+    "antecedent --series apery --prime 5 --order 40 --levels 2",
+]
+# the console script: sys.argv as the shell hands it over, then main()
+CONSOLE_SCRIPT = "import sys; sys.argv = ['cartier', *sys.argv[1:]]; import cartier.cli; cartier.cli.main()"
+
+
+class TestProcessEntry:
+    """A fresh process parses sys.argv itself and prints the recorded bytes,
+    through `python -m cartier.cli` and through the console-script entry."""
+
+    @pytest.mark.parametrize("entry", [["-m", "cartier.cli"], ["-c", CONSOLE_SCRIPT]], ids=["module", "script"])
+    @pytest.mark.parametrize("key", PROCESS_JOBS)
+    def test_job_is_byte_identical(self, entry, key):
+        ref = json.loads(REFERENCES.read_text(encoding="utf-8"))[key]
+        env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
+        done = subprocess.run(
+            [sys.executable, *entry, *key.split(" ")], env=env, capture_output=True, timeout=120
+        )
+        assert done.returncode == ref["exit"], done.stderr
+        assert hashlib.sha256(done.stdout).hexdigest() == ref["sha256"]
 
 
 # -- fuzzing: every invocation is a JSON report (exit 0 or 1) or a usage
@@ -1000,7 +1059,7 @@ class TestFuzz:
 
 
 class TestRuntimeDependencies:
-    def test_cli_imports_only_the_standard_library_and_click(self):
+    def test_cli_imports_only_the_standard_library(self):
         # a fresh interpreter, so that no module another test imported counts
         src = Path(__file__).resolve().parents[1] / "src"
         probe = (
@@ -1015,4 +1074,5 @@ class TestRuntimeDependencies:
         ).stdout
         loaded = set(json.loads(out))
         assert "cartier" in loaded
-        assert loaded - set(sys.stdlib_module_names) - {"click", "cartier"} == set()
+        assert "click" not in loaded
+        assert loaded - set(sys.stdlib_module_names) - {"cartier"} == set()
