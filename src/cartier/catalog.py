@@ -242,8 +242,8 @@ class CongruenceReport:
 
 
 def _require_integral(f: TruncSeries):
-    if f.min_valuation() < 0:
-        j = next(j for j in range(f.order) if f[j].valuation() < 0)
+    j = f.first_nonintegral(f.order)
+    if j is not None:
         raise IntegralityFailure(f"coefficient {j} has negative valuation", index=j)
 
 

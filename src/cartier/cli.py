@@ -1,11 +1,15 @@
 """Command-line front end.
 
-Every subcommand emits a single report, JSON by default (sorted keys, so a
+Every subcommand is a function that takes the warnings list and its
+declared options and returns its payload; one runner (_Program.main) does
+the rest. It prints a single report, JSON by default (sorted keys, so a
 fixed request produces byte-identical output) or an indented table with
---table. The report opens with its request: the command and the value of
-every declared option but --table, defaults included. Exit codes: 0 on
-success, 1 when a verification fails or a library error is reported, 2 for
-usage problems, which print `Error: <message>` on stderr.
+--table, which it adds to every command. The report opens with its request:
+the command and the value of every declared option, defaults included; a
+library error (CartierError) becomes its `error` payload. Exit codes: 1
+when the report has an `error`, or a `report` whose `passed` is false; 0
+otherwise; 2 for usage problems, which print `Error: <message>` on stderr
+and nothing on stdout.
 """
 
 import argparse
@@ -110,46 +114,6 @@ def _scalar(item):
     return str(item)
 
 
-def _emit(payload: dict, table: bool):
-    if table:
-        for line in _table_lines(payload):
-            print(line)
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-# structured fields of VerificationFailed, ReconstructionFailed and
-# IntegralityFailure, copied into the error payload when they are set
-_ERROR_FIELDS = ("order", "deg_bound", "index")
-
-# (request block, --table) of the command that main is running
-_running = None
-
-
-def _finish(body, ok=True):
-    """Emit the report of the current command and translate outcomes into
-    exit codes. body collects the warnings of the catalog entries it builds
-    (_build) for the report."""
-    request, table = _running
-    warnings = []
-    try:
-        payload = body(warnings)
-    except CartierError as err:
-        error = {"type": type(err).__name__, "message": str(err)}
-        for field in _ERROR_FIELDS:
-            value = getattr(err, field, None)
-            if value is not None:
-                error[field] = value
-        payload = {"error": error}
-        ok = False
-    if warnings:
-        payload = {**payload, "warnings": warnings}
-    _emit({"request": request, **payload}, table)
-    passed = ok(payload) if callable(ok) else ok
-    if not passed:
-        raise SystemExit(1)
-
-
 def _existing_file(path):
     """The value of --operator-file: a path that names a readable file."""
     if not os.path.exists(path):
@@ -177,10 +141,10 @@ DWORK = option(
 ORDER = option("--order", type=int, default=48)
 LEVEL = option("--level", type=int, default=1)
 DEG_BOUND = option("--deg-bound", type=int, default=8)
-TABLE = option("--table", action="store_true", help="Aligned text instead of JSON.")
 
 # command name -> (function, options in declaration order); the parser and
-# every report's request block are built from it
+# every report's request block are built from it. A command is called with
+# the warnings list (see _build) and its options, and returns its payload.
 COMMANDS = {}
 
 
@@ -194,41 +158,32 @@ def command(name, *options):
     return register
 
 
-@command("gen", SERIES, PRIME, DWORK, ORDER, TABLE)
-def gen(series, prime, dwork, order, table):
+@command("gen", SERIES, PRIME, DWORK, ORDER)
+def gen(warnings, series, prime, dwork, order):
     """Build a catalog series and report it with its annotations."""
-    def body(warnings):
-        entry = _build(_parse_spec(series, prime, dwork, order), warnings)
-        shape = entry.operator_shape
-        operator = None if shape is None else {"order": shape[0], "mom": shape[1]}
-        return {
-            "series": entry.series.to_json_dict(),
-            "operator": operator,
-            "frobenius_period": entry.frobenius_period,
-            "warnings": list(entry.warnings),
-        }
-
-    _finish(body)
+    entry = _build(_parse_spec(series, prime, dwork, order), warnings)
+    shape = entry.operator_shape
+    operator = None if shape is None else {"order": shape[0], "mom": shape[1]}
+    return {
+        "series": entry.series.to_json_dict(),
+        "operator": operator,
+        "frobenius_period": entry.frobenius_period,
+        "warnings": list(entry.warnings),
+    }
 
 
-@command("check-integrality", SERIES, PRIME, DWORK, ORDER, LEVEL, TABLE)
-def check_integrality(series, prime, dwork, order, level, table):
+@command("check-integrality", SERIES, PRIME, DWORK, ORDER, LEVEL)
+def check_integrality(warnings, series, prime, dwork, order, level):
     """Check coefficient valuations on the window up to p^level - 1."""
-    def body(warnings):
-        entry = _build(_parse_spec(series, prime, dwork, order), warnings)
-        return {"report": integrality_check(entry.series, level).to_json_dict()}
-
-    _finish(body, ok=lambda p: p["report"]["passed"])
+    entry = _build(_parse_spec(series, prime, dwork, order), warnings)
+    return {"report": integrality_check(entry.series, level).to_json_dict()}
 
 
-@command("check-lucas", SERIES, PRIME, DWORK, ORDER, TABLE)
-def check_lucas(series, prime, dwork, order, table):
+@command("check-lucas", SERIES, PRIME, DWORK, ORDER)
+def check_lucas(warnings, series, prime, dwork, order):
     """Check f = F_(p-1) * f(z^p) mod pi^e to the reliable order."""
-    def body(warnings):
-        entry = _build(_parse_spec(series, prime, dwork, order), warnings)
-        return {"report": p_lucas_check(entry.series).to_json_dict()}
-
-    _finish(body, ok=lambda p: p["report"]["passed"])
+    entry = _build(_parse_spec(series, prime, dwork, order), warnings)
+    return {"report": p_lucas_check(entry.series).to_json_dict()}
 
 
 @command(
@@ -237,15 +192,11 @@ def check_lucas(series, prime, dwork, order, table):
     PRIME,
     ORDER,
     option("--s", type=int, required=True, help="Congruence level."),
-    TABLE,
 )
-def check_dwork(series, prime, order, s, table):
+def check_dwork(warnings, series, prime, order, s):
     """Check f * F_(s-1)(z^p) = F_s * f(z^p) mod p^s."""
-    def body(warnings):
-        entry = _build(_parse_spec(series, prime, False, order), warnings)
-        return {"report": dwork_congruence_check(entry.series, s).to_json_dict()}
-
-    _finish(body, ok=lambda p: p["report"]["passed"])
+    entry = _build(_parse_spec(series, prime, False, order), warnings)
+    return {"report": dwork_congruence_check(entry.series, s).to_json_dict()}
 
 
 @command(
@@ -260,36 +211,28 @@ def check_dwork(series, prime, order, s, table):
     DWORK,
     ORDER,
     option("--levels", type=int, default=1),
-    TABLE,
 )
-def antecedent(series, operator_file, prime, dwork, order, levels, table):
+def antecedent(warnings, series, operator_file, prime, dwork, order, levels):
     """Run the Frobenius antecedent chain and report per-level residuals."""
     if (series is None) == (operator_file is None):
         raise UsageError("give exactly one of --series or --operator-file")
-
-    def body(warnings):
-        if operator_file is not None:
-            op = _load_operator(operator_file, prime, dwork, order)
-        else:
-            entry = _build(_parse_spec(series, prime, dwork, order), warnings)
-            if entry.operator is None:
-                raise BadParameters(f"series {series!r} ships without an operator")
-            op = entry.operator
-        chain = antecedent_chain(op, levels, order)
-        return {"levels": [level.to_json_dict() for level in chain]}
-
-    _finish(body)
-
-
-@command("certify-ratio", SERIES, PRIME, DWORK, ORDER, LEVEL, DEG_BOUND, TABLE)
-def certify_ratio(series, prime, dwork, order, level, deg_bound, table):
-    """Reconstruct the rational ratio between f and its Cartier transform."""
-    def body(warnings):
+    if operator_file is not None:
+        op = _load_operator(operator_file, prime, dwork, order)
+    else:
         entry = _build(_parse_spec(series, prime, dwork, order), warnings)
-        cert = ratio_certificate(entry.series, level, deg_bound)
-        return {"certificate": cert.to_json_dict()}
+        if entry.operator is None:
+            raise BadParameters(f"series {series!r} ships without an operator")
+        op = entry.operator
+    chain = antecedent_chain(op, levels, order)
+    return {"levels": [level.to_json_dict() for level in chain]}
 
-    _finish(body)
+
+@command("certify-ratio", SERIES, PRIME, DWORK, ORDER, LEVEL, DEG_BOUND)
+def certify_ratio(warnings, series, prime, dwork, order, level, deg_bound):
+    """Reconstruct the rational ratio between f and its Cartier transform."""
+    entry = _build(_parse_spec(series, prime, dwork, order), warnings)
+    cert = ratio_certificate(entry.series, level, deg_bound)
+    return {"certificate": cert.to_json_dict()}
 
 
 @command(
@@ -301,17 +244,13 @@ def certify_ratio(series, prime, dwork, order, level, deg_bound, table):
     LEVEL,
     DEG_BOUND,
     option("--period", type=int, help="Frobenius period; defaults to the catalog annotation."),
-    TABLE,
 )
-def certify_logderiv(series, prime, dwork, order, level, deg_bound, period, table):
+def certify_logderiv(warnings, series, prime, dwork, order, level, deg_bound, period):
     """Reconstruct a rational congruent to f'/f at the requested level."""
-    def body(warnings):
-        entry = _build(_parse_spec(series, prime, dwork, order), warnings)
-        h = period if period is not None else entry.frobenius_period or 1
-        cert = logderiv_certificate(entry.series, h, level, deg_bound)
-        return {"certificate": cert.to_json_dict(), "period": h}
-
-    _finish(body)
+    entry = _build(_parse_spec(series, prime, dwork, order), warnings)
+    h = period if period is not None else entry.frobenius_period or 1
+    cert = logderiv_certificate(entry.series, h, level, deg_bound)
+    return {"certificate": cert.to_json_dict(), "period": h}
 
 
 @command(
@@ -330,9 +269,8 @@ def certify_logderiv(series, prime, dwork, order, level, deg_bound, period, tabl
         action="append",
         help="Per-series derivative order; repeat once per --series.",
     ),
-    TABLE,
 )
-def scan(series, prime, dwork, order, exp_bound, level, deg_bound, derivatives, table):
+def scan(warnings, series, prime, dwork, order, exp_bound, level, deg_bound, derivatives):
     """Scan an exponent box for certified multiplicative relations.
 
     A scan that finds nothing still exits 0: absence at these bounds is a
@@ -340,23 +278,19 @@ def scan(series, prime, dwork, order, exp_bound, level, deg_bound, derivatives, 
     """
     if derivatives and len(derivatives) != len(series):
         raise UsageError("need one --derivative per --series")
-
-    def body(warnings):
-        specs = [_parse_spec(text, prime, dwork, order) for text in series]
-        if any(spec.ctx != specs[0].ctx for spec in specs):
-            raise UsageError("all scanned series must share one coefficient context")
-        fs = [_build(spec, warnings).series for spec in specs]
-        report = kolchin_scan(
-            fs,
-            exp_bound,
-            level,
-            deg_bound,
-            derivative_orders=tuple(derivatives) if derivatives else None,
-            names=series,
-        )
-        return {"report": report.to_json_dict()}
-
-    _finish(body)
+    specs = [_parse_spec(text, prime, dwork, order) for text in series]
+    if any(spec.ctx != specs[0].ctx for spec in specs):
+        raise UsageError("all scanned series must share one coefficient context")
+    fs = [_build(spec, warnings).series for spec in specs]
+    report = kolchin_scan(
+        fs,
+        exp_bound,
+        level,
+        deg_bound,
+        derivative_orders=tuple(derivatives) if derivatives else None,
+        names=series,
+    )
+    return {"report": report.to_json_dict()}
 
 
 class _Formatter(argparse.HelpFormatter):
@@ -391,11 +325,17 @@ def _parsers():
         sub = choices.add_parser(name, help=fn.__doc__.split("\n")[0], description=fn.__doc__)
         for dest, flag, spec in options:
             sub.add_argument(flag, dest=dest, **spec)
+        sub.add_argument("--table", action="store_true", help="Aligned text instead of JSON.")
         subparsers[name] = sub
     return top, subparsers
 
 
 _PARSER, _SUBPARSERS = _parsers()
+
+
+# structured fields of VerificationFailed, ReconstructionFailed and
+# IntegralityFailure, copied into the error payload when they are set
+_ERROR_FIELDS = ("order", "deg_bound", "index")
 
 
 class _Program:
@@ -408,24 +348,37 @@ class _Program:
         """Run the command args name (sys.argv[1:] when None) and raise
         SystemExit with its exit code. Usage lines always name the program
         cartier, whatever prog_name says."""
-        global _running
         namespace, unknown = _PARSER.parse_known_args(args)
         name = namespace.command
         if unknown:
             _SUBPARSERS[name].error(f"unrecognized arguments: {' '.join(unknown)}")
         fn, options = COMMANDS[name]
         values = {dest: getattr(namespace, dest) for dest, _, _ in options}
-        # the command, then every declared option but --table in declaration
-        # order, which --table output keeps; a repeated option is a list, or
-        # null when it is not given
-        request = {"command": name, **values}
-        del request["table"]
-        _running = request, values["table"]
+        warnings = []
         try:
-            fn(**values)
+            payload = fn(warnings, **values)
         except UsageError as err:
             _SUBPARSERS[name].error(str(err))
-        raise SystemExit(0)
+        except CartierError as err:
+            error = {"type": type(err).__name__, "message": str(err)}
+            for field in _ERROR_FIELDS:
+                value = getattr(err, field, None)
+                if value is not None:
+                    error[field] = value
+            payload = {"error": error}
+        # the request is the command, then every declared option in
+        # declaration order, which --table output keeps; a repeated option is
+        # a list, or null when it is not given
+        payload = {"request": {"command": name, **values}, **payload}
+        if warnings:
+            payload["warnings"] = warnings
+        if namespace.table:
+            for line in _table_lines(payload):
+                print(line)
+        else:
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        failed = "error" in payload or not payload.get("report", {}).get("passed", True)
+        raise SystemExit(1 if failed else 0)
 
     def __call__(self):
         self.main()

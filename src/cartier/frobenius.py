@@ -226,17 +226,9 @@ def integrality_check(f: TruncSeries, level: int) -> IntegralityReport:
         raise BadParameters(f"level must be >= 1, got {level}")
     _require_unit_start(f)
     upto = min(_capped_power(f.ctx.prime, level, f.order) - 1, f.order - 1)
-    min_val = INF
-    first_failure = None
-    for j in range(1, upto + 1):
-        v = f[j].valuation()
-        if v < min_val:
-            min_val = v
-        if v < 0 and first_failure is None:
-            first_failure = j
-            break
+    first_failure = f.first_nonintegral(upto + 1)
     checked = upto if first_failure is None else first_failure
-    return IntegralityReport(level, max(checked, 0), min_val, first_failure)
+    return IntegralityReport(level, checked, f.min_valuation(checked + 1, 1), first_failure)
 
 
 def _require_period(h: int):

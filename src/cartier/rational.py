@@ -715,10 +715,9 @@ def canonical_lift(f: TruncSeries, m: int) -> TruncSeries:
     """
     if m < 1:
         raise BadParameters("level must be >= 1")
-    if f.min_valuation() < 0:
-        # the first prefix of negative valuation ends at the coefficient named
-        v = next(v for v in map(f.min_valuation, range(1, f.order + 1)) if v < 0)
-        raise NegativeValuation(f"valuation {v} < 0")
+    j = f.first_nonintegral(f.order)
+    if j is not None:
+        raise NegativeValuation(f"valuation {f.min_valuation(j + 1, j)} < 0")
     e, p = f.ctx.e, f.ctx.prime
     rows = []
     for t, row in enumerate(f.rows):

@@ -92,8 +92,9 @@ class IntegerRows:
         self._single()
         return _ring_inverse(self.den, [row[j] for row in self.rows], self.ctx.prime)
 
-    def min_valuation(self, upto=None):
-        """Smallest coefficient valuation on the window (INF if all zero).
+    def min_valuation(self, upto=None, start=0):
+        """Smallest coefficient valuation on the window start <= j < upto
+        (INF if all zero).
 
         The smallest p-adic order along a row is that of the row's gcd.
         """
@@ -101,7 +102,7 @@ class IntegerRows:
         k = _p_adic_order(self.den, p)
         best = INF
         for t, row in enumerate(self.rows):
-            g = math.gcd(*(row if upto is None else row[:upto]))
+            g = math.gcd(*row[start:upto])
             if g:
                 best = min(best, e * (_p_adic_order(g, p) - k) + t % e)
         return best
@@ -371,6 +372,10 @@ class TruncSeries(SeriesRows):
                 diff = map(lambda x, y: (ka * x - kb * y) % thr, ra[:found], rb[:found])
                 found = next((j for j, r in enumerate(diff) if r), found)
         return None if found == upto else found
+
+    def first_nonintegral(self, upto: int):
+        """Smallest j < upto with v(f_j) < 0, or None."""
+        return self.first_discrepancy(TruncSeries.zero(self.ctx, upto), 0, upto)
 
     def congruent_mod(self, other, m: int, upto: int) -> bool:
         return self.first_discrepancy(other, m, upto) is None

@@ -901,13 +901,15 @@ REQUIRED = {
 
 class TestRequestBlock:
     """A report's request block is the command followed by its declared
-    parameters but --table, in declaration order whatever the order of the
-    arguments."""
+    parameters, in declaration order whatever the order of the arguments;
+    --table is the runner's, declared by no command."""
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_keys_are_the_declared_parameters(self, runner, command):
         args = [command, "--series", "apery", "--prime", "4", *REQUIRED.get(command, [])]
-        declared = [dest for dest, _, _ in COMMANDS[command][1] if dest != "table"]
+        options = COMMANDS[command][1]
+        assert "--table" not in [flag for _, flag, _ in options]
+        declared = [dest for dest, _, _ in options]
         result, payload = run_json(runner, args)
         assert result.exit_code == 1
         assert payload["error"]["type"] == "BadParameters"
@@ -1055,7 +1057,8 @@ class TestFuzz:
         else:
             payload = json.loads(result.stdout)
             assert payload["request"]["command"] == command
-            assert ("error" in payload) <= (result.exit_code == 1)
+            failed = "error" in payload or payload.get("report", {}).get("passed") is False
+            assert failed == (result.exit_code == 1), args
 
 
 class TestRuntimeDependencies:

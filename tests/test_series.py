@@ -6,7 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartier import BadParameters, NotAUnit, PadicContext, Ramification, parse_coefficient
+from cartier import (
+    BadParameters,
+    IntegralityFailure,
+    IntegralityReport,
+    NegativeValuation,
+    NotAUnit,
+    PadicContext,
+    Ramification,
+    catalog,
+    integrality_check,
+    parse_coefficient,
+)
+from cartier.rational import canonical_lift
+from cartier.rings import INF
 from cartier.series import TruncSeries
 
 U3 = PadicContext.unramified(3)
@@ -392,6 +405,9 @@ class TestRowsAgainstCoefficientLoops:
                 window = f.coeffs if upto is None else f.coeffs[:upto]
                 want = min((c.valuation() for c in window), default=float("inf"))
                 assert f.min_valuation(upto) == want
+            for start in range(f.order + 1):
+                want = min((c.valuation() for c in f.coeffs[start:]), default=float("inf"))
+                assert f.min_valuation(None, start) == want
 
     def test_first_discrepancy(self, ctx, shape):
         for rng, f, g in self.pairs(ctx, shape, "disc"):
@@ -405,6 +421,53 @@ class TestRowsAgainstCoefficientLoops:
                         (j for j in range(upto) if (f[j] - other[j]).valuation() < m), None
                     )
                     assert f.first_discrepancy(other, m, upto) == want
+
+
+def integrality_series(ctx):
+    """Series of order 1 to 12 whose coefficient components have
+    denominators 1, 2, p or p^2, so that many are not integral."""
+    part = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, ctx.prime, ctx.prime**2)))
+    coeff = st.lists(part, min_size=ctx.e, max_size=ctx.e).map(ctx.coeff)
+    return st.lists(coeff, min_size=1, max_size=12).map(lambda cs: TruncSeries(tuple(cs), ctx))
+
+
+class TestIntegralityQueries:
+    """integrality_check, catalog._require_integral and canonical_lift find
+    the first non-integral coefficient on the rows; the reference loops over
+    the Coefficient view."""
+
+    @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_agree_with_a_coefficient_loop(self, ctx, data):
+        f = data.draw(integrality_series(ctx))
+        level = data.draw(st.integers(1, 3))
+        vals = [c.valuation() for c in f.coeffs]
+        bad = next((j for j, v in enumerate(vals) if v < 0), None)
+        if bad is None:
+            catalog._require_integral(f)
+            canonical_lift(f, 1)
+        else:
+            with pytest.raises(IntegralityFailure) as failure:
+                catalog._require_integral(f)
+            assert failure.value.index == bad
+            assert str(failure.value) == f"coefficient {bad} has negative valuation"
+            with pytest.raises(NegativeValuation) as negative:
+                canonical_lift(f, 1)
+            assert str(negative.value) == f"valuation {vals[bad]} < 0"
+
+        # integrality_check needs f_0 = 1 and reads f_1 .. f_upto
+        g = TruncSeries((ctx.one(),) + f.coeffs[1:], ctx)
+        upto = min(ctx.prime**level, g.order) - 1
+        min_val, first_failure = INF, None
+        for j in range(1, upto + 1):
+            min_val = min(min_val, vals[j])
+            if vals[j] < 0:
+                first_failure = j
+                break
+        checked = upto if first_failure is None else first_failure
+        want = IntegralityReport(level, checked, min_val, first_failure)
+        assert integrality_check(g, level) == want
 
 
 class TestRowStorageIdentity:
