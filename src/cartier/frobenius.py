@@ -8,9 +8,13 @@ together with a passage matrix H with H(0) = diag(1, p, .., p^(n-1)) and
     delta(H) = A H - p H A1(z^p).
 
 Iterating the step on L1, L2, .. and composing passages gives the level-m
-data. Every identity is re-verified on the truncations before anything is
-returned; a failure means the input operator lies outside the class the
-construction is valid for, and is reported with the first offending order.
+data; level k descends from L_(k-1)'s companion and the Cartier transform
+that level k - 1 verified. Every identity is re-verified on the truncations
+before anything is returned; a failure means the input operator lies
+outside the class the construction is valid for, and is reported with the
+first offending order. The passage identity is checked as lead times its
+residual, lead the series monicize divided L's raw terms by, in one integer
+pass; lead(0) != 0, so both vanish to the same order.
 
 Certificates are rational functions congruent, modulo a power of pi, to
 structured ratios of a series and its Cartier/Frobenius transforms. They are
@@ -21,6 +25,8 @@ defining congruence, coefficient by coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
+from operator import add, mul, sub
 
 from .diffops import DiffOp, SeriesMatrix, uniform_part
 from .errors import (
@@ -40,7 +46,7 @@ from .rational import (
     reconstruct_rational,
 )
 from .rings import INF, _capped_power, record
-from .series import TruncSeries, _diag
+from .series import TruncSeries, _coeff_rows, _diag, _matmul_ints
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -115,26 +121,60 @@ def antecedent_step(L: DiffOp, order: int, A=None, transformed=None) -> Antecede
     coeffs = tuple(last[n - k] * Fraction(-1, p ** (k - 1)) for k in range(1, n + 1))
     L1 = DiffOp(coeffs, ctx)
     A1 = L1.companion()
-    passage = (
-        Y.matmul(C_inv.subst_zpk(1))
-        .matmul_const(1, _diag([p**i for i in range(n)], ctx.e))
-        .truncate(order)
-    )
+    # H = Y C^(-1)(z^p) diag(1, p, .., p^(n-1)): column j of H is scaled by p^j
+    rows = _matmul_ints(Y.rows, C_inv.subst_zpk_truncated(1, order).rows, ctx, order)
+    scaled = [[x * p ** (at // ctx.e % n) for x in row] for at, row in enumerate(rows)]
+    passage = SeriesMatrix._of(ctx, Y.den * C_inv.den, scaled)
     return _verified_level(1, L, L1, A1, passage, A, transformed)
 
 
+def _lead(L: DiffOp, N: int):
+    """The rows of the delta^n coefficient of L's raw terms mod z^N, the
+    series monicize divided by, or None where multiplying by it would change
+    nothing or it vanishes at 0: no raw terms, or a constant."""
+    terms = [(z, poly[L.order]) for z, poly in L.raw_terms or () if z < N and len(poly) > L.order]
+    width = max((z for z, _ in terms), default=0) + 1
+    rows = [[0] * width for _ in range(L.ctx.e)]
+    for row, vals in zip(rows, _coeff_rows([c for _, c in terms], L.ctx.e)[1]):
+        for (z, _), x in zip(terms, vals):
+            row[z] += x
+    return rows if width > 1 and any(row[0] for row in rows) else None
+
+
 def _verified_level(level, L, Lk, Ak, passage, A, transformed) -> AntecedentLevel:
-    """Run every level invariant; raise VerificationFailed on the first miss."""
+    """Run every level invariant; raise VerificationFailed on the first miss.
+
+    The passage identity R = delta(H) - A H + p^k H A_k(z^(p^k)) = 0 mod z^N
+    is tested as lead R = 0, lead as _lead gives it, in one integer pass:
+    the terms' numerator rows over the product of the denominators, summed,
+    with no gcd. lead A is a polynomial matrix for an operator from
+    monicize, so (lead A) H costs its degree per coefficient. lead(0) != 0,
+    so lead R and R have the same first nonzero order, the one reported.
+    """
     ctx = L.ctx
     p = ctx.prime
     n = L.order
-    residual = (
-        passage.delta()
-        - A.matmul(passage)
-        + passage.matmul(Ak.subst_zpk(level)).scale(ctx.coeff(p**level))
+    pk = p**level
+    N = min(passage.order, A.order, Ak.order * pk)
+    H = passage.rows
+    B = Ak.subst_zpk_truncated(level, N)
+    HB = _matmul_ints(H, B.rows, ctx, N)
+    dH = [list(map(mul, row, range(N))) for row in H]
+    P = A.rows
+    lead = _lead(L, N)
+    if lead is not None:
+        dH, P, HB = (_matmul_ints(rows, lead, ctx, N) for rows in (dH, P, HB))
+    PH = _matmul_ints(P, H, ctx, N)
+    # over dl dh da db: lead delta(H) is over dl dh, (lead A) H over dl da dh
+    # and lead H B over dl dh db
+    da, db = A.den, B.den
+    u, w = da * db, pk * da
+    bad = min(
+        next(compress(count(), map(sub, map(add, map(u.__mul__, r1), map(w.__mul__, r3)),
+                                   map(db.__mul__, r2))), N)
+        for r1, r2, r3 in zip(dH, PH, HB)
     )
-    bad = residual.first_nonzero()
-    if bad is not None:
+    if bad < N:
         raise VerificationFailed(
             f"passage identity fails at level {level}", order=bad
         )
@@ -153,9 +193,8 @@ def _verified_level(level, L, Lk, Ak, passage, A, transformed) -> AntecedentLeve
             f"level-{level} operator does not annihilate the transformed solution",
             order=bad,
         )
-    return AntecedentLevel(
-        level, Lk, Ak, passage, residual, residual.order, min_val
-    )
+    residual = SeriesMatrix.zero(ctx, n, N)
+    return AntecedentLevel(level, Lk, Ak, passage, residual, N, min_val)
 
 
 def antecedent_chain(L: DiffOp, levels: int, order: int) -> list:
@@ -181,8 +220,13 @@ def antecedent_chain(L: DiffOp, levels: int, order: int) -> list:
     out = [antecedent_step(L, order, A, transformed)]
     for k in range(2, levels + 1):
         prev = out[-1]
-        step = antecedent_step(prev.operator, prev.operator.series_order)
-        passage = prev.passage.matmul(step.passage.subst_zpk(k - 1)).truncate(order)
+        # level k - 1 verified that its operator annihilates transformed, so
+        # (a MOM unit solution being unique) that is its unit solution
+        upto = prev.operator.series_order
+        step = antecedent_step(
+            prev.operator, upto, prev.companion, transformed.truncate(upto).cartier()
+        )
+        passage = prev.passage.matmul(step.passage.subst_zpk_truncated(k - 1, order))
         transformed = transformed.cartier()
         out.append(
             _verified_level(

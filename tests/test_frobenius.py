@@ -21,7 +21,7 @@ from cartier import (
 )
 from cartier import frobenius
 from cartier.catalog import _apery_numbers
-from cartier.diffops import SeriesMatrix, monicize, uniform_part
+from cartier.diffops import DiffOp, SeriesMatrix, monicize, raw_terms_from_json, uniform_part
 from cartier.frobenius import (
     antecedent_chain,
     antecedent_step,
@@ -193,6 +193,20 @@ class TestAntecedentChain:
         antecedent_chain(gauss_op(U5, 60), 1, 60)
         assert calls == [1]
 
+    def test_levels_share_one_unit_solution(self, monkeypatch):
+        # level 2 descends from level 1's companion and the Cartier
+        # transform level 1 verified, with no unit solution of its own
+        calls = []
+        original = DiffOp.unit_solution
+
+        def counting(self, order):
+            calls.append(order)
+            return original(self, order)
+
+        monkeypatch.setattr(DiffOp, "unit_solution", counting)
+        antecedent_chain(gauss_op(U5, 60), 2, 60)
+        assert calls == [60]
+
     def test_wrong_transformed_solution_is_caught(self):
         L = gauss_op(U5, 40)
         good = L.unit_solution(40).cartier()
@@ -322,6 +336,94 @@ class TestAntecedentChainProperty:
         assert [lv.level for lv in out] == [1, 2]
         for lv in out:
             recheck_level(L, lv, order)
+
+
+def plain_first_failure(level, A, Ak, H):
+    """First nonzero order of delta(H) - A H + p^k H A_k(z^(p^k)), formed as
+    SeriesMatrix values: the reference for the fused integer check."""
+    pk = H.ctx.coeff(H.ctx.prime**level)
+    return (H.delta() - A.matmul(H) + H.matmul(Ak.subst_zpk(level)).scale(pk)).first_nonzero()
+
+
+def bumped(H, i, c, j, value):
+    """H with value added to coefficient j of entry (i, c)."""
+    ctx, n = H.ctx, H.size
+    bump = TruncSeries(tuple(value if l == j else 0 for l in range(H.order)), ctx)
+    zero = TruncSeries.zero(ctx, H.order)
+    return H + SeriesMatrix.from_rows(
+        [[bump if (r, s) == (i, c) else zero for s in range(n)] for r in range(n)]
+    )
+
+
+def gauss_file_op(ctx, order):
+    """The Gauss operator as an operator file gives it, with a term at
+    z-degree order + 3 that changes nothing mod z^order."""
+    data = {"terms": [{"zdeg": 0, "deltapoly": [0, 0, 1]},
+                      {"zdeg": 1, "deltapoly": ["-1/4", -1, -1]},
+                      {"zdeg": order + 3, "deltapoly": [2, 0, 5]}]}
+    return monicize(list(raw_terms_from_json(data, ctx)), ctx, order)
+
+
+def hyp_op(ctx, order):
+    return build(SeriesSpec(SeriesKind.HYPERGEOMETRIC, ctx, order, alphas=(Fraction(1, 2),) * 2)).operator
+
+
+def bessel_op(ctx, order):
+    return build(SeriesSpec(SeriesKind.BESSEL, ctx, order)).operator
+
+
+def level_inputs(kind, ctx, make, order):
+    """(level, L, Lk, Ak, H, A, transformed): the arguments of one level
+    check of a passing chain. "chain" is level 2 of the chain on L, "step"
+    the single step on the derived level-1 operator, "first" level 1."""
+    L = make(ctx, order)
+    A = L.companion().truncate(order)
+    f = L.unit_solution(order)
+    if kind == "first":
+        lv = antecedent_step(L, order)
+        return 1, L, lv.operator, lv.companion, lv.passage, A, f.cartier()
+    lv1, lv2 = antecedent_chain(L, 2, order)
+    if kind == "chain":
+        return 2, L, lv2.operator, lv2.companion, lv2.passage, A, f.cartier().cartier()
+    L1, sub = lv1.operator, lv1.operator.series_order
+    lv = antecedent_step(L1, sub)
+    return 1, L1, lv.operator, lv.companion, lv.passage, L1.companion(), f.cartier().cartier()
+
+
+class TestFusedPassageCheck:
+    """The level check tests lead (delta(H) - A H + p^k H B) in one integer
+    pass. A passage tampered at coefficient j of one entry fails with order
+    j, the first nonzero order of the residual formed the plain way, for
+    every lead: a polynomial (2F1, Apery, an operator file), a constant
+    (Bessel) and none (a derived operator)."""
+
+    CASES = [
+        ("first", U5, hyp_op, 40, True),
+        ("first", U5, apery_op, 40, True),
+        ("first", D3, hyp_op, 30, True),
+        ("first", D5, hyp_op, 24, True),
+        ("first", U5, gauss_file_op, 40, True),
+        ("first", D3, bessel_op, 30, False),
+        ("chain", U5, hyp_op, 60, True),
+        ("chain", D3, bessel_op, 40, False),
+        ("step", U5, apery_op, 60, False),
+        ("step", D5, hyp_op, 40, False),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, ctx, make, order, polynomial_lead", CASES,
+        ids=[f"{k}-{m.__name__}-e{c.e}" for k, c, m, _, _ in CASES],
+    )
+    def test_tampered_passage_fails_at_the_plain_order(self, kind, ctx, make, order, polynomial_lead):
+        level, L, Lk, Ak, H, A, transformed = level_inputs(kind, ctx, make, order)
+        assert (frobenius._lead(L, H.order) is not None) == polynomial_lead
+        assert plain_first_failure(level, A, Ak, H) is None
+        for i, c, j in [(0, 0, 1), (H.size - 1, 0, H.order // 2), (0, H.size - 1, H.order - 1)]:
+            tampered = bumped(H, i, c, j, ctx.pi() ** (ctx.e - 1) * 3)
+            assert plain_first_failure(level, A, Ak, tampered) == j
+            with pytest.raises(VerificationFailed) as err:
+                frobenius._verified_level(level, L, Lk, Ak, tampered, A, transformed)
+            assert err.value.order == j
 
 
 COEFFICIENT_ARITHMETIC = (
