@@ -171,7 +171,7 @@ def _bessel(spec: SeriesSpec):
     if ctx.prime == 2:
         raise BadParameters("Bessel entry is defined for odd primes")
     series = _ratio_series(ctx, spec.order, 2, 2, lambda n: (-1, 4 * n * n))
-    return series, ((0, (0, 0, 1)), (2, (ctx.pi() ** 2,)))
+    return series, ((0, (0, 0, 1)), (2, ("pi^2",)))
 
 
 def _exponential(spec: SeriesSpec):
@@ -179,7 +179,7 @@ def _exponential(spec: SeriesSpec):
     if ctx.ramification is not Ramification.DWORK:
         raise BadContext("exponential entry needs the Eisenstein uniformizer")
     series = _ratio_series(ctx, spec.order, 1, 1, lambda j: (1, j))
-    return series, ((0, (0, 1)), (1, (-ctx.pi(),)))
+    return series, ((0, (0, 1)), (1, ("-pi",)))
 
 
 def _ffrak(spec: SeriesSpec):

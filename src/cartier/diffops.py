@@ -4,7 +4,8 @@ Operators enter in raw form, a list of (zdeg, deltapoly) terms meaning
 sum_t z^(zdeg_t) * Q_t(delta) with the z-power on the left, which is how the
 classical operators are written down. monicize divides by the leading series
 to get L = delta^n + a_1 delta^(n-1) + .. + a_n as series, keeping the raw
-terms for the banded unit-solution recursion.
+terms. monicize, the unit solution and the passage check in frobenius read
+an operator through its one polynomial form, DiffOp.polynomial_form.
 
 The MOM property (all a_i vanish at 0) is what makes the unit power-series
 solution recursion solvable: the z^j coefficient equation reads
@@ -14,7 +15,8 @@ j^n f_j = -(contributions of lower f's), and j^n never vanishes for j >= 1.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, zip_longest
+from operator import add
 
 from .errors import (
     BadParameters,
@@ -23,7 +25,7 @@ from .errors import (
     NotNilpotent,
     OrderExhausted,
 )
-from .rings import PadicContext, _int_parts, _ring_inverse, _ring_mul, record
+from .rings import PadicContext, _ring_inverse, _ring_mul, record
 from .series import (
     SeriesRows,
     TruncSeries,
@@ -134,41 +136,36 @@ class SeriesMatrix(SeriesRows):
 
 
 def _normalize_raw_terms(terms, ctx):
-    """Merge duplicate z-degrees, coerce coefficients, strip zero tails."""
+    """Coerce the coefficients, strip each term's zero tail and add the terms
+    of one z-degree, on their parts."""
     merged = {}
+    zero = (0,) * ctx.e
     for zdeg, deltapoly in terms:
         if zdeg < 0:
             raise BadParameters("z-degree must be >= 0")
-        poly = [ctx.coeff(c) for c in deltapoly]
-        while poly and poly[-1].is_zero():
+        poly = [ctx.coeff(c).parts for c in deltapoly]
+        while poly and not any(poly[-1]):
             poly.pop()
-        if not poly:
-            continue
-        if zdeg in merged:
-            old = merged[zdeg]
-            size = max(len(old), len(poly))
-            old += [ctx.zero()] * (size - len(old))
-            for i, c in enumerate(poly):
-                old[i] = old[i] + c
-            merged[zdeg] = old
-        else:
-            merged[zdeg] = poly
-    return tuple(sorted((z, tuple(p)) for z, p in merged.items()))
+        if poly:
+            old = merged.get(zdeg, ())
+            pairs = zip_longest(old, poly, fillvalue=zero)
+            merged[zdeg] = [tuple(map(add, a, b)) for a, b in pairs]
+    return tuple((z, tuple(map(ctx.coeff, poly))) for z, poly in sorted(merged.items()))
 
 
-def _json_int(x):
-    """x if it is a JSON integer; a float, a bool or a string is a TypeError."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"expected an integer z-degree, got {x!r}")
+def _json(x, kind, what):
+    """x if it is a JSON value of the type kind, else a TypeError; a bool is
+    not an int."""
+    if isinstance(x, bool) or not isinstance(x, kind):
+        raise TypeError(f"expected {what}, got {x!r}")
     return x
 
 
 def _json_coeff(x, ctx):
     """The coefficient x if it is a JSON integer, a coefficient text or a
-    list of those, one per pi-component; a float or a bool is a TypeError."""
+    list of those, one per pi-component."""
     for c in x if isinstance(x, list) else [x]:
-        if isinstance(c, bool) or not isinstance(c, (int, str)):
-            raise TypeError(f"expected an integer or text coefficient, got {c!r}")
+        _json(c, (int, str), "an integer or text coefficient")
     return ctx.coeff(x)
 
 
@@ -176,7 +173,8 @@ def raw_terms_from_json(data: dict, ctx: PadicContext):
     """Read the operator exchange format {"terms": [{zdeg, deltapoly}]}, else BadParameters."""
     try:
         terms = [
-            (_json_int(t["zdeg"]), [_json_coeff(c, ctx) for c in t["deltapoly"]])
+            (_json(t["zdeg"], int, "an integer z-degree"),
+             [_json_coeff(c, ctx) for c in _json(t["deltapoly"], list, "a list of coefficients")])
             for t in data["terms"]
         ]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
@@ -188,9 +186,8 @@ def raw_terms_from_json(data: dict, ctx: PadicContext):
 class DiffOp:
     """Monic operator delta^n + a_1 delta^(n-1) + .. + a_n.
 
-    coeffs holds a_1..a_n as truncated series. raw_terms is carried along
-    when the operator came from a raw term list; it enables the fast banded
-    recursion.
+    coeffs holds a_1..a_n as truncated series. raw_terms is the normalized
+    term list of an operator from monicize, and None for a derived one.
     """
 
     coeffs: tuple
@@ -209,6 +206,20 @@ class DiffOp:
     def is_mom(self) -> bool:
         """All coefficients vanish at z = 0."""
         return not any(row[0] for a in self.coeffs for row in a.rows)
+
+    def polynomial_form(self, order: int) -> list:
+        """P_0, .., P_n with L = sum_k P_k delta^k mod z^order, each as e
+        integer rows of one length over a common denominator that is left
+        out, as every reader is homogeneous in them: the raw terms'
+        polynomials, or a_n, .., a_1 and 1 for a derived operator."""
+        if self.raw_terms is not None:
+            return _raw_form(self.raw_terms, self.ctx, order)
+        if self.series_order < order:
+            raise OrderExhausted(
+                f"coefficients reliable to {self.series_order} < requested {order}"
+            )
+        one = TruncSeries.one(self.ctx, order)
+        return _align([a.truncate(order) for a in self.coeffs[::-1]] + [one])[1]
 
     def companion(self) -> SeriesMatrix:
         """Shift structure with last row (-a_n, .., -a_1)."""
@@ -238,61 +249,47 @@ class DiffOp:
         return out
 
     def unit_solution(self, order: int) -> TruncSeries:
-        """The solution with constant term 1, to the requested order.
-
-        Uses the banded recursion on raw terms when available (cost linear in
-        the order), otherwise the generic convolution against the a_i series.
-        """
+        """The solution with constant term 1, to the requested order (P_n(0)
+        is read at order 0 too)."""
         if not self.is_mom:
             raise NotMOM("coefficients do not all vanish at 0")
-        if self.raw_terms is not None:
-            return _unit_solution_raw(self.raw_terms, self.ctx, self.order, order)
-        if self.series_order < order:
-            raise OrderExhausted(
-                f"coefficients reliable to {self.series_order} < requested {order}"
-            )
-        # a_i carries delta^(n-i): the generic recursion has C_(n-i) = a_i
-        return _unit_solution_ints(self.coeffs[::-1], self.ctx.one(), self.order, order)
+        return _unit_solution_ints(self.polynomial_form(max(order, 1)), self.ctx, order)
 
 
-def _unit_solution_raw(raw_terms, ctx, n, order):
-    # zdeg-0 term must be c * delta^n with c a unit: that is exactly MOM
-    # plus leading-unit, both established by monicize; the z^l term Q_l(delta)
-    # gives C_k its z^l coefficient, the delta^k coefficient of Q_l
-    head = dict(raw_terms).get(0)
-    tail = {z: poly for z, poly in raw_terms if 0 < z < order}
-    width = max(tail, default=0) + 1
-    degree = max(map(len, tail.values()), default=0)
-    zero = ctx.zero()
-    cs = [
-        TruncSeries(
-            tuple(tail[l][k] if k < len(tail.get(l, ())) else zero for l in range(width)),
-            ctx,
-        )
-        for k in range(degree)
-    ]
-    return _unit_solution_ints(cs, head[-1], n, order)
+def _raw_form(raw, ctx, order):
+    """polynomial_form of normalized raw terms: z^zdeg Q(delta) puts Q's
+    delta^k coefficient in P_k at z^zdeg. The rows end at the last z-degree
+    below order; n is the top delta-power of all terms."""
+    low = [(z, poly) for z, poly in raw if z < order]
+    width = max((z for z, _ in low), default=0) + 1
+    den = math.lcm(*(x.denominator for _, poly in low for c in poly for x in c.parts))
+    form = [[[0] * width for _ in range(ctx.e)] for _ in range(max(len(poly) for _, poly in raw))]
+    for z, poly in low:
+        for rows, c in zip(form, poly):
+            for row, x in zip(rows, c.parts):
+                row[z] = x.numerator * (den // x.denominator)
+    return form
 
 
-def _unit_solution_ints(cs, lead, n, order):
-    """The series f with f_0 = 1 and, for j >= 1,
-    lead * j^n f_j = -sum_k (C_k * delta^k f)_j, where C_k = cs[k] vanishes
-    at 0: the unit-solution recursion of both the banded and the generic
-    form, in integers.
+def _unit_solution_ints(form, ctx, order):
+    """The series f with f_0 = 1 and (L f)_j = 0 for j >= 1, L MOM with
+    the polynomial form P_0, .., P_n: as P_k(0) = 0 for k < n, that is
+    P_n(0) j^n f_j = -sum_k ((P_k - P_k(0)) delta^k f)_j.
 
     It is series._recurrence on the column X = (f, delta f, ..,
-    delta^(K-1) f), K = len(cs), with C_0 .. C_(K-1) in row 0 of M and
-    every other row of M zero: row 0 of R_j is sum_k (C_k * delta^k f)_j,
-    from which solve reads f_j and returns j^k f_j in row k.
+    delta^(K-1) f), P_(K-1) the last P_k that is not constant, with
+    P_0 .. P_(K-1) in row 0 of M and every other row of M zero: as
+    _recurrence reads M from z^1 on, row 0 of R_j is the sum above, from
+    which solve reads f_j and returns j^k f_j in row k.
     """
-    ctx = lead.ctx
     e, p = ctx.e, ctx.prime
-    size = max(len(cs), 1)
-    dc, crows = _align(cs)
-    # row 0 of M holds C_0 .. C_(K-1); every other entry is zero
-    m = list(chain.from_iterable(crows)) or [[0]] * e
-    m += [[0]] * (size * (size - 1) * e)
-    dl, linv = _ring_inverse(*_int_parts(lead), p)
+    n = len(form) - 1
+    size = 1 + max(
+        (k for k, rows in enumerate(form) if any(any(row[1:]) for row in rows)), default=0
+    )
+    # row 0 of M holds P_0 .. P_(K-1); every other entry is zero
+    m = list(chain.from_iterable(form[:size])) + [[0]] * (size * (size - 1) * e)
+    dl, linv = _ring_inverse(1, [row[0] for row in form[n]], p)
 
     def solve(j, r, dr):
         f = [-v for v in _ring_mul(r[:e], linv, p)]
@@ -300,12 +297,13 @@ def _unit_solution_ints(cs, lead, n, order):
 
     # f_0 = 1, and (delta^k f)_0 = 0 for k >= 1
     x0 = [int(i == 0) for i in range(size * e)]
-    den, x = _recurrence(dc, m, x0, 1, order, solve, ctx)
+    den, x = _recurrence(1, m, x0, 1, order, solve, ctx)
     return TruncSeries._of(ctx, den, x[:e])
 
 
 def monicize(terms, ctx: PadicContext, order: int) -> DiffOp:
-    """Divide a raw term list by its leading series to get a monic operator.
+    """Divide a raw term list by its leading series to get a monic operator,
+    a_i = P_(n-i) / P_n.
 
     The leading delta^n series must be a unit at 0.
     """
@@ -314,26 +312,16 @@ def monicize(terms, ctx: PadicContext, order: int) -> DiffOp:
     raw = _normalize_raw_terms(terms, ctx)
     if not raw:
         raise BadParameters("empty operator")
-    n = max(len(poly) for _, poly in raw) - 1
+    form = _raw_form(raw, ctx, order)
+    n = len(form) - 1
     if n < 1:
         raise BadParameters("operator must have positive delta-order")
-    # a term at z-degree >= order changes nothing mod z^order
-    low = [(z, poly) for z, poly in raw if z < order]
-    width = max((z for z, _ in low), default=0) + 1
-    pad = [0] * (order - width)
-    numerators = []
-    for k in range(n + 1):
-        coeffs = [ctx.zero()] * width
-        for z, poly in low:
-            if k < len(poly):
-                coeffs[z] = coeffs[z] + poly[k]
-        f = TruncSeries(coeffs, ctx)
-        numerators.append(TruncSeries.from_rows(ctx, f.den, [row + pad for row in f.rows]))
-    if numerators[n].constant_term().is_zero():
+    if not any(row[0] for row in form[n]):
         raise LeadingNotUnit("leading delta coefficient vanishes at z = 0")
-    lead_inv = numerators[n].invert_unit()
-    series_coeffs = tuple(numerators[n - i] * lead_inv for i in range(1, n + 1))
-    return DiffOp(series_coeffs, ctx, raw)
+    pad = [0] * (order - len(form[n][0]))
+    P = [TruncSeries._of(ctx, 1, [row + pad for row in rows]) for rows in form]
+    lead_inv = P[n].invert_unit()
+    return DiffOp(tuple(P[n - i] * lead_inv for i in range(1, n + 1)), ctx, raw)
 
 
 def uniform_part(A: SeriesMatrix, order: int) -> SeriesMatrix:

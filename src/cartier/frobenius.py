@@ -13,8 +13,9 @@ that level k - 1 verified. Every identity is re-verified on the truncations
 before anything is returned; a failure means the input operator lies
 outside the class the construction is valid for, and is reported with the
 first offending order. The passage identity is checked as lead times its
-residual, lead the series monicize divided L's raw terms by, in one integer
-pass; lead(0) != 0, so both vanish to the same order.
+residual, in one integer pass, lead the delta^n coefficient of L's
+polynomial form (DiffOp.polynomial_form); lead(0) != 0, so both vanish to
+the same order.
 
 Certificates are rational functions congruent, modulo a power of pi, to
 structured ratios of a series and its Cartier/Frobenius transforms. They are
@@ -46,7 +47,7 @@ from .rational import (
     reconstruct_rational,
 )
 from .rings import INF, _capped_power, record
-from .series import TruncSeries, _coeff_rows, _diag, _matmul_ints
+from .series import TruncSeries, _diag, _matmul_ints
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -129,16 +130,11 @@ def antecedent_step(L: DiffOp, order: int, A=None, transformed=None) -> Antecede
 
 
 def _lead(L: DiffOp, N: int):
-    """The rows of the delta^n coefficient of L's raw terms mod z^N, the
-    series monicize divided by, or None where multiplying by it would change
-    nothing or it vanishes at 0: no raw terms, or a constant."""
-    terms = [(z, poly[L.order]) for z, poly in L.raw_terms or () if z < N and len(poly) > L.order]
-    width = max((z for z, _ in terms), default=0) + 1
-    rows = [[0] * width for _ in range(L.ctx.e)]
-    for row, vals in zip(rows, _coeff_rows([c for _, c in terms], L.ctx.e)[1]):
-        for (z, _), x in zip(terms, vals):
-            row[z] += x
-    return rows if width > 1 and any(row[0] for row in rows) else None
+    """The rows of P_n, the delta^n coefficient of L's polynomial form mod
+    z^N, or None where multiplying by it would change nothing: a constant,
+    as for a derived operator."""
+    lead = L.polynomial_form(N)[-1]
+    return lead if any(any(row[1:]) for row in lead) else None
 
 
 def _verified_level(level, L, Lk, Ak, passage, A, transformed) -> AntecedentLevel:
@@ -325,10 +321,14 @@ def ratio_certificate(f: TruncSeries, m: int, deg_bound: int) -> Certificate:
 
 def period_ratio_certificate(f: TruncSeries, h: int, k: int, deg_bound: int) -> Certificate:
     """Q with Q congruent to (Cartier^(kh) f) / f mod pi^(kh)."""
+    _require_period(h)
     _require_unit_start(f)
     kh = k * h
     lam = f
+    # below order 2 the Cartier transform keeps the order
     for _ in range(kh):
+        if lam.order < 2:
+            break
         lam = lam.cartier()
     if lam.order < 2:
         raise OrderExhausted(

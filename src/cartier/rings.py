@@ -396,8 +396,9 @@ _TERM_RE = re.compile(
 def parse_coefficient(text: str, ctx: PadicContext) -> Coefficient:
     """Parse the canonical text form back, bit-exactly.
 
-    Accepts any pi power (folded through pi^e = -p), so operator files may
-    write e.g. "pi^3" even though the canonical form would not.
+    Accepts any pi power, so operator files may write e.g. "pi^3" even
+    though the canonical form would not: pi^(qe + t) = (pi^e)^q pi^t, with
+    pi^e = p unramified and -p for Dwork (p = 2 included, where pi = -2).
     """
     compact = text.replace(" ", "")
     if not compact:
@@ -405,25 +406,22 @@ def parse_coefficient(text: str, ctx: PadicContext) -> Coefficient:
     terms = re.findall(r"[+-]?[^+-]+", compact)
     if "".join(terms) != compact:
         raise BadParameters(f"cannot parse coefficient {text!r}")
-    total = ctx.zero()
+    e = ctx.e
+    pi_e = ctx.prime if ctx.ramification is Ramification.UNRAMIFIED else -ctx.prime
+    parts = [Fraction(0)] * e
     for term in terms:
-        sign = Fraction(1)
-        if term[0] in "+-":
-            if term[0] == "-":
-                sign = Fraction(-1)
-            term = term[1:]
+        sign = -1 if term[0] == "-" else 1
+        term = term.lstrip("+-")
         m = _TERM_RE.match(term)
         if not m or (m.group("star") and not (m.group("coef") and m.group("pi"))):
             raise BadParameters(f"cannot parse coefficient term {term!r}")
         if not m.group("coef") and not m.group("pi"):
             raise BadParameters(f"cannot parse coefficient term {term!r}")
         coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        value = ctx.coeff(sign * coef)
-        if m.group("pi"):
-            power = int(m.group("pow")) if m.group("pow") else 1
-            value = value * ctx.pi() ** power
-        total = total + value
-    return total
+        power = int(m.group("pow") or 1) if m.group("pi") else 0
+        q, t = divmod(power, e)
+        parts[t] += sign * coef * pi_e**q
+    return Coefficient(tuple(parts), ctx)
 
 
 # -- integer rows ---------------------------------------------------------------

@@ -1,0 +1,24 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from cartier import Coefficient
+
+# the arithmetic of Coefficient: the tests use it as a reference oracle, and
+# the program runs none of it
+COEFFICIENT_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__pow__", "inverse",
+)
+
+
+@pytest.fixture
+def no_coefficient_arithmetic(monkeypatch):
+    """Every method of COEFFICIENT_ARITHMETIC raises AssertionError for the
+    rest of the test."""
+
+    def refuse(*args):
+        raise AssertionError("Coefficient arithmetic in the program")
+
+    for name in COEFFICIENT_ARITHMETIC:
+        monkeypatch.setattr(Coefficient, name, refuse)

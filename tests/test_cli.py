@@ -414,10 +414,14 @@ class TestAntecedent:
             GAUSS_TERMS_WITH % "true",
             GAUSS_TERMS_WITH % "[-0.25]",
             GAUSS_TERMS_WITH % "[false]",
+            # a deltapoly that is not a list: a text read character by
+            # character was delta^2, an object read by its keys was NotMOM
+            '{"terms": [{"zdeg": 0, "deltapoly": "001"}]}',
+            '{"terms": [{"zdeg": 0, "deltapoly": {"0": 5, "1": 7, "2": 9}}]}',
         ],
         ids=["not-json", "no-terms", "zero-denominator", "bad-zdeg", "top-level-list",
              "float-zdeg", "bool-zdeg", "string-zdeg", "float-coeff", "bool-coeff",
-             "float-component", "bool-component"],
+             "float-component", "bool-component", "text-deltapoly", "object-deltapoly"],
     )
     def test_malformed_operator_file_is_a_reported_error(self, runner, tmp_path, text):
         path = tmp_path / "op.json"
@@ -952,10 +956,12 @@ def _reference_jobs():
 
 class TestBenchReferences:
     """Every job of bench/references.json, run in-process the way
-    bench/run.py runs it, prints the recorded bytes and exit code."""
+    bench/run.py runs it, prints the recorded bytes and exit code, with
+    every arithmetic operation of Coefficient made to raise: no command does
+    Coefficient arithmetic."""
 
     @pytest.mark.parametrize("key,ref", _reference_jobs(), ids=lambda v: v if isinstance(v, str) else "")
-    def test_job_is_byte_identical(self, key, ref):
+    def test_job_is_byte_identical(self, key, ref, no_coefficient_arithmetic):
         buf = io.StringIO()
         code = 0
         try:

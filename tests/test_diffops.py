@@ -15,6 +15,7 @@ from cartier import (
     OrderExhausted,
     PadicContext,
 )
+from cartier import diffops
 from cartier.diffops import (
     DiffOp,
     SeriesMatrix,
@@ -123,25 +124,27 @@ class TestMonicize:
     @pytest.mark.parametrize("ctx", [U5, D3, PadicContext.dwork(5)], ids=["e1", "e2", "e4"])
     @pytest.mark.parametrize("far", [12, 10**6])
     def test_terms_at_or_above_the_order_build_nothing(self, ctx, far, monkeypatch):
-        """A term at z-degree >= order changes nothing mod z^order, so no
-        series longer than the order is built for it; one at order - 1 does
-        change the operator."""
+        """A term at z-degree >= order changes nothing mod z^order, so the
+        polynomial form read for it has no row longer than the order; one at
+        order - 1 does change the operator."""
         order = 12
         gauss = [(0, [0, 0, 1]), (1, ["-1/4", -1, -1])]
         term = [1, "1/3", 2]
-        init = TruncSeries.__init__
+        read = diffops._raw_form
+        lengths = []
 
-        def bounded_init(self, coeffs, ctx):
-            coeffs = tuple(coeffs)
-            assert len(coeffs) <= order, f"a series of {len(coeffs)} coefficients"
-            init(self, coeffs, ctx)
+        def bounded_read(raw, ctx, upto):
+            form = read(raw, ctx, upto)
+            lengths.extend(len(row) for rows in form for row in rows)
+            return form
 
-        monkeypatch.setattr(TruncSeries, "__init__", bounded_init)
+        monkeypatch.setattr(diffops, "_raw_form", bounded_read)
         plain = monicize(gauss, ctx, order)
         padded = monicize(gauss + [(far, term)], ctx, order)
         assert padded.coeffs == plain.coeffs
         assert padded.raw_terms[-1][0] == far
         assert padded.unit_solution(order) == plain.unit_solution(order)
+        assert lengths and max(lengths) <= order
         near = monicize(gauss + [(order - 1, term)], ctx, order)
         assert near.coeffs != plain.coeffs
         assert near.unit_solution(order) != plain.unit_solution(order)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cartier import (
     BadParameters,
     CartierError,
-    Coefficient,
     NotInK0,
     NotMOM,
     OrderExhausted,
@@ -426,43 +425,49 @@ class TestFusedPassageCheck:
             assert err.value.order == j
 
 
-COEFFICIENT_ARITHMETIC = (
-    "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
-    "__truediv__", "__rtruediv__", "__pow__", "inverse",
-)
-
-
 @pytest.mark.parametrize("ctx", [U5, D3, D5], ids=lambda c: f"e{c.e}")
+@pytest.mark.usefixtures("no_coefficient_arithmetic")
 class TestRowsOnly:
-    """The antecedent chain and the series-matrix inverse run on integer rows:
-    with every arithmetic operation of Coefficient made to raise, after the
-    operator is built, they still complete."""
+    """The operator build, the antecedent chain and the series-matrix inverse
+    run on integer rows: with every arithmetic operation of Coefficient made
+    to raise, they still complete."""
 
     ORDER = 30
+    HALF = (Fraction(1, 2),) * 2
 
     def operator(self, ctx):
-        spec = SeriesSpec(SeriesKind.HYPERGEOMETRIC, ctx, self.ORDER, alphas=(Fraction(1, 2),) * 2)
+        spec = SeriesSpec(SeriesKind.HYPERGEOMETRIC, ctx, self.ORDER, alphas=self.HALF)
         return build(spec).operator
 
-    def forbid_coefficient_arithmetic(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("Coefficient arithmetic in the integer kernel")
+    def test_catalog_operators(self, ctx):
+        """Each catalog operator's unit solution is the entry's series, which
+        the catalog builds from its closed form; Bessel and exp are Dwork
+        entries."""
+        kinds = [(SeriesKind.APERY, None), (SeriesKind.HYPERGEOMETRIC, self.HALF)]
+        if ctx.e > 1:
+            kinds += [(SeriesKind.BESSEL, None), (SeriesKind.EXPONENTIAL, None)]
+        for kind, alphas in kinds:
+            entry = build(SeriesSpec(kind, ctx, self.ORDER, alphas=alphas))
+            assert entry.operator.unit_solution(self.ORDER) == entry.series, kind
 
-        for name in COEFFICIENT_ARITHMETIC:
-            monkeypatch.setattr(Coefficient, name, refuse)
+    def test_operator_file_with_two_terms_at_one_zdeg(self, ctx):
+        # the Gauss operator, its z^1 term given in two parts that are added
+        data = {"terms": [{"zdeg": 1, "deltapoly": ["-1/4", -1]},
+                          {"zdeg": 0, "deltapoly": [0, 0, 1]},
+                          {"zdeg": 1, "deltapoly": [0, 0, -1]}]}
+        L = monicize(list(raw_terms_from_json(data, ctx)), ctx, self.ORDER)
+        assert L.coeffs == self.operator(ctx).coeffs
+        assert L.unit_solution(self.ORDER) == self.operator(ctx).unit_solution(self.ORDER)
 
-    def test_antecedent_chain(self, ctx, monkeypatch):
-        L = self.operator(ctx)
-        self.forbid_coefficient_arithmetic(monkeypatch)
-        levels = antecedent_chain(L, 2, self.ORDER)
+    def test_antecedent_chain(self, ctx):
+        levels = antecedent_chain(self.operator(ctx), 2, self.ORDER)
         assert [lv.to_json_dict()["level"] for lv in levels] == [1, 2]
 
-    def test_invert_series(self, ctx, monkeypatch):
+    def test_invert_series(self, ctx):
         a1, a2 = self.operator(ctx).coeffs
         one = TruncSeries.one(ctx, self.ORDER)
         # constant term [[0, 1], [pi, 0]]: a row swap, and pi in the inverse
         m = SeriesMatrix.from_rows([[a1, one + a2], [one * ctx.pi() + a2, a1]])
-        self.forbid_coefficient_arithmetic(monkeypatch)
         inv = m.invert_series()
         assert m.matmul(inv) == SeriesMatrix.identity(ctx, 2, self.ORDER)
 
@@ -564,6 +569,29 @@ class TestPeriodRatioCertificate:
     def test_order_exhausted(self):
         with pytest.raises(OrderExhausted):
             period_ratio_certificate(geometric(U5, 10), 1, 2, 4)
+
+    def test_transforms_stop_below_order_two(self, monkeypatch):
+        """Order 30 at p = 5 falls to 6, 2 and 1 in three transforms, and
+        the fourth on would keep it at 1: however large k h, the loop stops
+        there, with the message of the whole loop."""
+        cartier = TruncSeries.cartier
+        calls = []
+
+        def counted(self):
+            calls.append(self.order)
+            return cartier(self)
+
+        monkeypatch.setattr(TruncSeries, "cartier", counted)
+        f = build(SeriesSpec(SeriesKind.HYPERGEOMETRIC, U5, 30, alphas=(Fraction(1, 2),))).series
+        message = "^1000000-fold Cartier transform leaves order 1 < 2$"
+        with pytest.raises(OrderExhausted, match=message):
+            period_ratio_certificate(f, 1, 10**6, 4)
+        assert calls == [30, 6, 2]
+
+    @pytest.mark.parametrize("h", [0, -1])
+    def test_period_below_one(self, h):
+        with pytest.raises(BadParameters, match="period must be >= 1"):
+            period_ratio_certificate(geometric(U5, 40), h, 1, 4)
 
     def test_no_small_certificate(self):
         # frozen arbitrary digits with no low-degree structure; long enough

@@ -1,17 +1,20 @@
 """Every name a module of the package imports is used in that module, every
-private function or method the package defines is read in it, and no module
-imports dataclasses.
+private function or method the package defines is read in it, no module
+imports dataclasses, and only diffops reads an operator's raw terms. The CI
+workflow installs the test extra of pyproject.toml.
 
 __init__.py is left out of the import check: it imports names only to
 re-export them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cartier"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cartier"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
@@ -93,3 +96,42 @@ def test_the_check_sees_an_unread_private_function():
 def test_package_reads_every_private_function():
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
     assert unread_private_functions(sources) == []
+
+
+def attribute_readers(sources: dict, attr: str) -> list:
+    """The names of the sources (name -> source) that read attr off any
+    value, sorted."""
+    return sorted(
+        name
+        for name, source in sources.items()
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load)
+            for node in ast.walk(ast.parse(source))
+        )
+    )
+
+
+def test_the_check_sees_an_attribute_read():
+    sources = {"a.py": "x.raw_terms = 1\n", "b.py": "f(op.raw_terms)\n", "c.py": "raw_terms = 2\n"}
+    assert attribute_readers(sources, "raw_terms") == ["b.py"]
+
+
+def test_only_diffops_reads_the_raw_terms():
+    """Every other module reads an operator through its polynomial form."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert attribute_readers(sources, "raw_terms") == ["diffops.py"]
+
+
+def quoted(text: str) -> list:
+    """The double-quoted strings of text, sorted."""
+    return sorted(re.findall(r'"([^"]*)"', text))
+
+
+def test_ci_installs_the_test_extra():
+    """The workflow's pip install line names exactly pyproject's test extra.
+    Read with regexes: the workflow runs Pythons without tomllib."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    (extra,) = re.findall(r"^test = \[(.*)\]$", pyproject, re.MULTILINE)
+    (install,) = re.findall(r"^\s*run: python -m pip install (.*)$", workflow, re.MULTILINE)
+    assert quoted(extra) and quoted(install) == quoted(extra)

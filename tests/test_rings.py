@@ -1,5 +1,6 @@
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,29 @@ class TestTextForm:
         # high powers fold through the Eisenstein relation
         assert parse_coefficient("pi^2", D3) == D3.coeff(-3)
         assert parse_coefficient("pi", U5) == U5.coeff(5)
+
+    @pytest.mark.parametrize("ctx", [U5, D2, D3, D5], ids=["u5", "d2-e1", "d3-e2", "d5-e4"])
+    def test_parse_against_pi_power_products(self, ctx):
+        """c pi^k parses to the Coefficient product c * pi^k for every power
+        to 3e + 1, in each text form of a term, and a sum of terms to the
+        sum of the products; pi^e is p unramified and -p for Dwork."""
+        pi = ctx.pi()
+        values = [1, -1, 3, Fraction(-2, 7), Fraction(5, 3)]
+        for k in range(3 * ctx.e + 2):
+            for c in values:
+                texts = [f"{c}*pi^{k}"] + [f"{c}*pi"] * (k == 1) + [str(c)] * (k == 0)
+                if abs(c) == 1:
+                    sign = "-" if c < 0 else ""
+                    texts += [f"{sign}pi^{k}"] + [f"{sign}pi"] * (k == 1)
+                for text in texts:
+                    assert parse_coefficient(text, ctx) == c * pi**k, text
+        rng = random.Random(f"parse/{ctx.prime}/{ctx.e}")
+        for _ in range(40):
+            count = rng.randrange(1, 5)
+            terms = [(rng.choice(values), rng.randrange(3 * ctx.e + 2)) for _ in range(count)]
+            text = "".join(f"{'-' if c < 0 else '+'} {abs(c)}*pi^{k} " for c, k in terms)
+            want = sum((c * pi**k for c, k in terms), ctx.zero())
+            assert parse_coefficient(text, ctx) == want, text
 
     def test_parse_rejects_garbage(self):
         for bad in ("", "1 +", "pi*pi", "2**pi", "a/b", "1/0", "2 + 3/00*pi"):
