@@ -27,7 +27,7 @@ from .errors import (
 )
 from .rings import PadicContext, _ring_inverse, _ring_mul, record
 from .series import (
-    SeriesRows,
+    IntegerRows,
     TruncSeries,
     _align,
     _apply,
@@ -39,12 +39,12 @@ from .series import (
 )
 
 
-class SeriesMatrix(SeriesRows):
+class SeriesMatrix(IntegerRows):
     """Square n x n matrix of series known mod z^order, stored as a
     TruncSeries is: integer rows over one canonical denominator, the e rows
     of entry (i, j) starting at row (i n + j) e (the kernel's flat layout).
     Sums, scalar products, delta, the Cartier operator, substitution,
-    truncation and the valuations are the SeriesRows operations; entry(i, j)
+    truncation and the valuations are the IntegerRows operations; entry(i, j)
     reads one entry as a TruncSeries.
     """
 
@@ -136,21 +136,24 @@ class SeriesMatrix(SeriesRows):
 
 
 def _normalize_raw_terms(terms, ctx):
-    """Coerce the coefficients, strip each term's zero tail and add the terms
-    of one z-degree, on their parts."""
+    """Coerce the coefficients, add the terms of one z-degree on their parts,
+    then strip each sum's zero tail and drop the z-degrees whose terms
+    cancel."""
     merged = {}
     zero = (0,) * ctx.e
     for zdeg, deltapoly in terms:
         if zdeg < 0:
             raise BadParameters("z-degree must be >= 0")
-        poly = [ctx.coeff(c).parts for c in deltapoly]
+        pairs = zip_longest(merged.get(zdeg, ()), (ctx.coeff(c).parts for c in deltapoly),
+                            fillvalue=zero)
+        merged[zdeg] = [tuple(map(add, a, b)) for a, b in pairs]
+    out = []
+    for z, poly in sorted(merged.items()):
         while poly and not any(poly[-1]):
             poly.pop()
         if poly:
-            old = merged.get(zdeg, ())
-            pairs = zip_longest(old, poly, fillvalue=zero)
-            merged[zdeg] = [tuple(map(add, a, b)) for a, b in pairs]
-    return tuple((z, tuple(map(ctx.coeff, poly))) for z, poly in sorted(merged.items()))
+            out.append((z, tuple(map(ctx.coeff, poly))))
+    return tuple(out)
 
 
 def _json(x, kind, what):
@@ -249,8 +252,8 @@ class DiffOp:
         return out
 
     def unit_solution(self, order: int) -> TruncSeries:
-        """The solution with constant term 1, to the requested order (P_n(0)
-        is read at order 0 too)."""
+        """The solution with constant term 1, to order max(order, 1), as the
+        recursion starts from f_0 = 1 (P_n(0) is read at order 0 too)."""
         if not self.is_mom:
             raise NotMOM("coefficients do not all vanish at 0")
         return _unit_solution_ints(self.polynomial_form(max(order, 1)), self.ctx, order)

@@ -10,12 +10,13 @@ windows smallest first, so the least complex certificate wins
 deterministically; each one is re-verified against the full reliable
 window, never trusted.
 
-A Polynomial is stored as a TruncSeries is, as integer rows over one
-canonical denominator. One Euclid serves every context: the primitive
-pseudo-remainder sequence of rings._pseudo_step on integer pi-component
-rows of Z[pi]/(pi^e + p). It yields the Pade pairs (pade_pairs), reduces
-fractions from its terminal cofactors (RationalFunction.make), and inverts
-ring elements (rings._adjugate).
+A Polynomial shares its integer rows over one canonical denominator, and
+every row operation, with TruncSeries: both subclass series.IntegerRows,
+and no polynomial operation builds a series. One Euclid serves every
+context: the primitive pseudo-remainder sequence of rings._pseudo_step on
+integer pi-component rows of Z[pi]/(pi^e + p). It yields the Pade pairs
+(pade_pairs), reduces fractions from its terminal cofactors
+(RationalFunction.make), and inverts ring elements (rings._adjugate).
 
 One product decides every candidate r/t. A t without a root in the open
 unit disc is t(0) times a unit of O_K[[z]] mod z^upto, so r/t * mult =
@@ -41,43 +42,41 @@ from .errors import BadParameters, NegativeValuation, NotInK0, ReconstructionFai
 from .rings import INF, Coefficient, PadicContext, record
 from .rings import _adjugate, _component_digits, _p_adic_order, _primitive, _pseudo_step
 from .rings import _scale, _strip
-from .series import IntegerRows, TruncSeries, _fold, _mul_add, _unfolded
+from .series import IntegerRows, TruncSeries, _coeff_rows, _fold, _matmul_ints, _mul_add
+from .series import _unfolded
 
 
 class Polynomial(IntegerRows):
-    """A dense polynomial in the row form it shares with TruncSeries
-    (series.IntegerRows): coefficient j is sum_t rows[t][j] pi^t / den,
-    canonical, with a nonzero top column, so equal polynomials have equal
-    rows and the zero polynomial has empty rows. The base class holds the
-    Coefficient view, equality, hashing, negation and the valuations.
+    """A dense polynomial in the row form of series.IntegerRows: coefficient
+    j is sum_t rows[t][j] pi^t / den, canonical, with a nonzero top column,
+    so equal polynomials have equal rows and the zero polynomial has empty
+    rows. The row operations are the base class's, on rows as long as the
+    polynomial (its order is degree + 1); _canonical strips the zero top
+    columns they leave, and a sum has the longer operand's length.
 
-    Arithmetic pads the operands to the length of the result and runs the
-    series operation on them; a product of lengths la and lb is exact as a
-    series truncated to la + lb - 1. The coeffs view serves indexing and
-    rendering; no computation reads it.
+    A product of lengths la and lb is the series product of the rows to
+    la + lb - 1 coefficients, where it is exact. The coeffs view serves
+    indexing and rendering; no computation reads it.
     """
 
     __slots__ = ()
 
+    _sum_length = max
+
     @classmethod
-    def _of_series(cls, s: TruncSeries) -> "Polynomial":
-        """The polynomial with the coefficients of the series s."""
-        rows = s.rows
+    def _canonical(cls, ctx, den, rows):
+        """The polynomial of canonical rows over den, less their zero top
+        columns."""
         n = len(rows[0])
         while n and not any(row[n - 1] for row in rows):
             n -= 1
         if n < len(rows[0]):
             rows = [row[:n] for row in rows]
-        return cls._canonical(s.ctx, s.den if n else 1, rows)
-
-    @classmethod
-    def from_rows(cls, ctx: PadicContext, den: int, rows) -> "Polynomial":
-        """The polynomial with coefficient j = sum_t rows[t][j] pi^t / den."""
-        return cls._of_series(TruncSeries.from_rows(ctx, den, rows))
+        return super()._canonical(ctx, den, rows)
 
     @classmethod
     def from_coeffs(cls, ctx: PadicContext, values) -> "Polynomial":
-        return cls._of_series(TruncSeries.from_coeffs(ctx, values))
+        return cls._canonical(ctx, *_coeff_rows(tuple(map(ctx.coeff, values)), ctx.e))
 
     @classmethod
     def zero(cls, ctx: PadicContext) -> "Polynomial":
@@ -96,10 +95,7 @@ class Polynomial(IntegerRows):
     @property
     def degree(self) -> int:
         """-1 for the zero polynomial."""
-        return len(self.rows[0]) - 1
-
-    def is_zero(self) -> bool:
-        return not self.rows[0]
+        return self.order - 1
 
     def vanishes_at_zero(self) -> bool:
         return not any(row[0] for row in self.rows if row)
@@ -110,48 +106,23 @@ class Polynomial(IntegerRows):
     def constant_term(self) -> Coefficient:
         return self[0]
 
-    def _series(self, n=None) -> TruncSeries:
-        """The coefficients as a series, padded with zeros to the order n
-        when n is larger than their number."""
-        rows = self.rows
-        if n is not None and n > len(rows[0]):
-            rows = [row + [0] * (n - len(row)) for row in rows]
-        return TruncSeries._canonical(self.ctx, self.den, rows)
-
-    def __add__(self, other):
-        n = max(self.degree, other.degree) + 1
-        return Polynomial._of_series(self._series(n) + other._series(n))
-
-    def __sub__(self, other):
-        n = max(self.degree, other.degree) + 1
-        return Polynomial._of_series(self._series(n) - other._series(n))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Coefficient)):
             return self.scale(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        n = self.degree + other.degree + 1
-        return Polynomial._of_series(self._series(n) * other._series(n))
+        o = self._common(other)
+        rows = _matmul_ints(self.rows, o.rows, self.ctx, self.order + o.order - 1)
+        return Polynomial._of(self.ctx, self.den * o.den, rows)
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "Polynomial":
-        return Polynomial._of_series(self._series().scale(c))
-
-    def _times(self, den: int, c) -> "Polynomial":
-        """This polynomial times the ring element c / den (SeriesRows._times)."""
-        return Polynomial._of_series(self._series()._times(den, c))
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial._of_series(self._series().d_dz())
-
-    def subst_zpk(self, k: int) -> "Polynomial":
-        """Substitute z -> z^(p^k)."""
-        return Polynomial._of_series(self._series().subst_zpk(k))
+    derivative = IntegerRows.d_dz
 
     def to_series(self, order: int) -> TruncSeries:
-        return self._series(order).truncate(order)
+        """The coefficients mod z^order, padded with zeros."""
+        if order < self.order:
+            return TruncSeries._of(self.ctx, self.den, [row[:order] for row in self.rows])
+        pad = [0] * (order - self.order)
+        return TruncSeries._canonical(self.ctx, self.den, [row + pad for row in self.rows])
 
     def gauss_valuation(self):
         """min coefficient valuation; INF for the zero polynomial."""

@@ -10,22 +10,23 @@ bookkeeping without a separate precision field.
 A series is stored as integer numerator rows, one row per pi-component,
 over one common denominator: coefficient j is sum_t rows[t][j] pi^t / den.
 The form is canonical (den > 0 and the gcd of den and every numerator is 1),
-so equal values have equal rows; rational.Polynomial shares the form and
-its base class, IntegerRows. A diffops.SeriesMatrix is stored the same way,
-its n^2 entries' rows in the flat matrix layout of the kernel at the end of
-this module, and shares the row operations of SeriesRows with TruncSeries.
-Every operation runs on these rows; coeffs, the tuple of Coefficients, is a
-view built on first use and cached, for code that indexes or renders a
-value. The series-matrix product, inverse and uniform part in diffops and
-the unit solution of an operator are built on the same kernel, the last
-three on its one running-denominator recurrence (_recurrence).
+so equal values have equal rows. A diffops.SeriesMatrix is stored the same
+way, its n^2 entries' rows in the flat matrix layout of the kernel at the
+end of this module, and a rational.Polynomial as the rows of its
+coefficients without zero top columns. All three take their row form and
+row operations from one base class, IntegerRows. Every operation runs on
+these rows; coeffs, the tuple of Coefficients, is a view built on first use
+and cached, for code that indexes or renders a value. The series-matrix
+product, inverse and uniform part in diffops and the unit solution of an
+operator are built on the same kernel, the last three on its one
+running-denominator recurrence (_recurrence).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 from operator import add, mul
 
 from .errors import BadParameters, NotAUnit
@@ -34,15 +35,21 @@ from .rings import _capped_power, _primitive, _ring_inverse, _rowop, _scale
 
 
 class IntegerRows:
-    """The row form that TruncSeries, SeriesMatrix and rational.Polynomial
-    share: ctx, den and canonical integer rows as described above, e rows
-    for a single series or polynomial and e rows per entry for a matrix, so
-    that row t holds pi-component t % e. A value equals only values of its
-    own type. Instances are immutable, and their rows are never modified in
+    """The row form and the row operations that TruncSeries, SeriesMatrix
+    and rational.Polynomial share: ctx, den and canonical integer rows as
+    described above, e rows for a single series or polynomial and e rows per
+    entry for a matrix, so that row t holds pi-component t % e. Each
+    operation keeps the operand's type and shape and works on every entry at
+    once, over the one denominator. A value equals only values of its own
+    type. Instances are immutable, and their rows are never modified in
     place.
     """
 
     __slots__ = ("ctx", "den", "rows", "_view")
+
+    # the length of a sum: a series is known to the lesser order, while the
+    # coefficients a polynomial lacks are exact zeros
+    _sum_length = min
 
     @classmethod
     def _canonical(cls, ctx, den, rows):
@@ -53,6 +60,27 @@ class IntegerRows:
         self.rows = rows
         self._view = None
         return self
+
+    @classmethod
+    def _of(cls, ctx, den, rows):
+        """The value of integer rows over den > 0, brought to canonical form."""
+        g = math.gcd(den, *chain.from_iterable(rows))
+        if g > 1:
+            den //= g
+            rows = [[x // g for x in row] for row in rows]
+        return cls._canonical(ctx, den, rows)
+
+    @classmethod
+    def from_rows(cls, ctx: PadicContext, den: int, rows) -> "IntegerRows":
+        """The series or polynomial with coefficient j = sum_t rows[t][j]
+        pi^t / den; rows holds ctx.e integer rows of one length and den is a
+        nonzero int. (A SeriesMatrix is built from its entries instead.)"""
+        rows = [list(row) for row in rows]
+        if len(rows) != ctx.e or len({len(row) for row in rows}) > 1 or not den:
+            raise BadParameters("need e integer rows of one length over a nonzero denominator")
+        if den < 0:
+            den, rows = -den, [[-x for x in row] for row in rows]
+        return cls._of(ctx, den, rows)
 
     def _single(self):
         """BadParameters unless this is one series or polynomial."""
@@ -107,24 +135,6 @@ class IntegerRows:
                 best = min(best, e * (_p_adic_order(g, p) - k) + t % e)
         return best
 
-
-class SeriesRows(IntegerRows):
-    """The row operations of a value known mod z^order, a TruncSeries or a
-    SeriesMatrix: each keeps the operand's type and shape and works on every
-    entry at once, over the one denominator.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def _of(cls, ctx, den, rows):
-        """The value of integer rows over den > 0, brought to canonical form."""
-        g = math.gcd(den, *chain.from_iterable(rows))
-        if g > 1:
-            den //= g
-            rows = [[x // g for x in row] for row in rows]
-        return cls._canonical(ctx, den, rows)
-
     @property
     def order(self) -> int:
         """Number of reliable coefficients (the value is known mod z^order)."""
@@ -140,7 +150,7 @@ class SeriesRows(IntegerRows):
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
 
-    # -- ring operations (result order = what both operands support) --------
+    # -- ring operations (a sum has the _sum_length of its operands) --------
 
     def _common(self, other):
         """other, checked to be a value of this type, context and size."""
@@ -153,13 +163,13 @@ class SeriesRows(IntegerRows):
         return other
 
     def _lincomb(self, other, sign):
-        """self + sign * other on their common order."""
+        """self + sign * other on their common length (_sum_length)."""
         o = self._common(other)
-        n = min(self.order, o.order)
+        n = self._sum_length(self.order, o.order)
         den = math.lcm(self.den, o.den)
         ka, kb = den // self.den, sign * (den // o.den)
         rows = [
-            [ka * x + kb * y for x, y in zip(ra[:n], rb[:n])]
+            [ka * x + kb * y for x, y in zip_longest(ra[:n], rb[:n], fillvalue=0)]
             for ra, rb in zip(self.rows, o.rows)
         ]
         return self._of(self.ctx, den, rows)
@@ -234,11 +244,12 @@ class SeriesRows(IntegerRows):
             out = [0] * n
             out[::q] = row[:m]
             rows.append(out)
-        # only coefficients dropped past z^n can leave a common factor
+        # only coefficients dropped past z^n can leave a common factor (a
+        # Polynomial's _canonical strips the zero top columns left here)
         return (self._of if m < self.order else self._canonical)(self.ctx, self.den, rows)
 
 
-class TruncSeries(SeriesRows):
+class TruncSeries(IntegerRows):
     """A series known mod z^order, as integer rows over a denominator.
 
     TruncSeries(coeffs, ctx) builds one from a sequence of Coefficients;
@@ -254,17 +265,6 @@ class TruncSeries(SeriesRows):
         self._view = view
 
     # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, ctx: PadicContext, den: int, rows) -> "TruncSeries":
-        """The series with coefficient j = sum_t rows[t][j] pi^t / den; rows
-        holds ctx.e integer rows of one length and den is a nonzero int."""
-        rows = [list(row) for row in rows]
-        if len(rows) != ctx.e or len({len(row) for row in rows}) > 1 or not den:
-            raise BadParameters("need e integer rows of one length over a nonzero denominator")
-        if den < 0:
-            den, rows = -den, [[-x for x in row] for row in rows]
-        return cls._of(ctx, den, rows)
 
     @classmethod
     def from_coeffs(cls, ctx: PadicContext, values) -> "TruncSeries":

@@ -396,6 +396,20 @@ class TestAntecedent:
         assert result.exit_code == 0
         assert [lv["level"] for lv in payload["levels"]] == [1, 2]
 
+    def test_operator_file_with_cancelling_terms(self, runner, tmp_path):
+        path = tmp_path / "op.json"
+        args = ["antecedent", "--operator-file", str(path), "--prime", "5", "--levels", "2",
+                "--order", "40"]
+        path.write_text(GAUSS_TERMS_AT % "1")
+        want = runner.invoke(main, args)
+        terms = json.loads(GAUSS_TERMS_AT % "1")["terms"]
+        # z^2 delta^3 and its negative: the operator is still of order 2
+        terms += [{"zdeg": 2, "deltapoly": ["0", "0", "0", s]} for s in ("1", "-1")]
+        path.write_text(json.dumps({"terms": terms}))
+        got = runner.invoke(main, args)
+        assert want.exit_code == got.exit_code == 0
+        assert got.output == want.output
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -113,6 +113,18 @@ class TestMonicize:
         with pytest.raises(LeadingNotUnit):
             monicize([(1, [0, 0, 1]), (0, [1])], U5, 8)
 
+    def test_cancelling_terms_leave_no_delta_order(self):
+        # delta - z, with a z^2 delta^2 term and its negative
+        terms = [(0, [0, 1]), (1, [-1]), (2, [0, 0, 1]), (2, [0, 0, -1])]
+        L = monicize(terms, U5, 8)
+        assert L.order == 1
+        assert L.raw_terms == ((0, (U5.zero(), U5.one())), (1, (-U5.one(),)))
+        data = {"terms": [{"zdeg": z, "deltapoly": poly} for z, poly in terms]}
+        assert raw_terms_from_json(data, U5) == L.raw_terms
+        assert L.coeffs[0] == TruncSeries.from_coeffs(U5, [0, -1] + [0] * 6)
+        with pytest.raises(BadParameters, match="empty operator"):
+            monicize([(1, [0, 1]), (1, [0, -1])], U5, 8)
+
     def test_mom_flag_false_for_shifted_operator(self):
         assert not monicize([(0, [-1, 1])], U5, 8).is_mom
 

@@ -133,7 +133,8 @@ class TestPolynomial:
 
 @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
 class TestSharedRowForm:
-    """Polynomial and TruncSeries share series.IntegerRows."""
+    """Polynomial and TruncSeries share the row form and row operations of
+    series.IntegerRows."""
 
     def values(self, ctx):
         rng = random.Random(f"rowform/{ctx.e}")
@@ -668,6 +669,19 @@ class TestPolynomialRowsAgainstCoefficientLoops:
             for order in {0, 1, len(a) - 1, len(a), len(a) + 3} - {-1}:
                 want = (list(a) + [ctx.zero()] * order)[:order]
                 assert pa.to_series(order) == TruncSeries(tuple(want), ctx)
+            # the row operations Polynomial takes from series.IntegerRows, on
+            # rows as long as the polynomial
+            want = stripped(a)
+            for upto in range(len(want) + 1):
+                assert_poly(pa.truncate(upto), want[:upto])
+            assert_poly(pa.delta(), [c * j for j, c in enumerate(a)])
+            assert_poly(pa.cartier(), want[:: ctx.prime])
+            for k in (0, 1, 2):
+                q = ctx.prime**k
+                out = [ctx.zero()] * (len(want) * q)
+                out[::q] = want
+                for n in {0, min(1, len(out)), max(len(out) - 1, 0), len(out)}:
+                    assert_poly(pa.subst_zpk_truncated(k, n), out[:n])
 
     def test_valuations_and_indexing(self, ctx, shape):
         for _, a, _ in self.cases(ctx, shape, "val"):
@@ -686,7 +700,26 @@ class TestPolynomialRowsAgainstCoefficientLoops:
             before = copy.deepcopy((pa.den, pa.rows, pb.den, pb.rows))
             pa + pb, pa - pb, -pa, pa * pb, pa.scale(random_coeff(rng, ctx))
             pa.derivative(), pa.subst_zpk(1), pa.to_series(len(a) + 2), pa.to_series(1)
+            pa.truncate(0), pa.delta(), pa.cartier(), pa.subst_zpk_truncated(1, pa.order)
             assert (pa.den, pa.rows, pb.den, pb.rows) == before
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+def test_polynomial_arithmetic_builds_no_series(ctx, monkeypatch):
+    rng = random.Random(f"noseries/{ctx.e}")
+    a, b = (Polynomial.from_coeffs(ctx, poly_values(rng, ctx, 4, "dense")) for _ in range(2))
+    den = Polynomial.from_coeffs(ctx, [ctx.one()] + poly_values(rng, ctx, 3, "dense"))
+    r = RationalFunction.make(a, den)
+
+    def refuse(*args):
+        raise AssertionError("a TruncSeries built by polynomial arithmetic")
+
+    monkeypatch.setattr(TruncSeries, "_of", refuse)
+    monkeypatch.setattr(TruncSeries, "_canonical", refuse)
+    a + b, a - b, a * b, a.scale(ctx.pi()), a.derivative(), a.subst_zpk(1)
+    Polynomial.from_rows(ctx, -3, a.rows)
+    RationalFunction.make(a, b), RationalFunction.from_coprime(a, den)
+    r.derivative(), r.divide(RationalFunction.make(b, den)), r.subst_zpk(1)
 
 
 @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")

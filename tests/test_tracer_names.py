@@ -42,7 +42,7 @@ def unresolved_methods(table) -> list:
 
 def test_the_check_sees_a_missing_or_inherited_name():
     functions = {"x": [("cartier.series", "_align"), ("cartier.series", "_no_such")]}
-    # TruncSeries inherits __add__ from SeriesRows
+    # TruncSeries inherits __add__ from IntegerRows
     methods = {"y": [("cartier.series", "TruncSeries", "__mul__"),
                      ("cartier.series", "TruncSeries", "__add__")]}
     assert unresolved_functions(functions) == [("cartier.series", "_no_such")]
