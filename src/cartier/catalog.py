@@ -34,17 +34,6 @@ class SeriesSpec:
     order: int
     alphas: tuple = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "params": None
-            if self.alphas is None
-            else [str(a) for a in self.alphas],
-            "p": self.ctx.prime,
-            "ramification": self.ctx.ramification.value,
-            "N": self.order,
-        }
-
 
 @record
 class CatalogEntry:

@@ -79,7 +79,7 @@ def _load_operator(path: str, prime: int, dwork: bool, order: int):
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise BadParameters(f"operator file is not JSON: {exc}") from None
     ctx = PadicContext.dwork(prime) if dwork else PadicContext.unramified(prime)
-    return monicize(list(raw_terms_from_json(data, ctx)), ctx, order)
+    return monicize(raw_terms_from_json(data, ctx), ctx, order)
 
 
 def _table_lines(value, indent=0):

@@ -172,17 +172,18 @@ def _json_coeff(x, ctx):
     return ctx.coeff(x)
 
 
-def raw_terms_from_json(data: dict, ctx: PadicContext):
-    """Read the operator exchange format {"terms": [{zdeg, deltapoly}]}, else BadParameters."""
+def raw_terms_from_json(data: dict, ctx: PadicContext) -> list:
+    """Read the operator exchange format {"terms": [{zdeg, deltapoly}]} into
+    (zdeg, coefficients) pairs as written, else BadParameters; monicize
+    normalizes them."""
     try:
-        terms = [
+        return [
             (_json(t["zdeg"], int, "an integer z-degree"),
              [_json_coeff(c, ctx) for c in _json(t["deltapoly"], list, "a list of coefficients")])
             for t in data["terms"]
         ]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise BadParameters(f"malformed operator terms ({type(exc).__name__}: {exc})") from None
-    return _normalize_raw_terms(terms, ctx)
 
 
 @record
@@ -310,9 +311,9 @@ def monicize(terms, ctx: PadicContext, order: int) -> DiffOp:
 
     The leading delta^n series must be a unit at 0.
     """
+    raw = _normalize_raw_terms(terms, ctx)
     if order < 1:
         raise BadParameters("order must be at least 1")
-    raw = _normalize_raw_terms(terms, ctx)
     if not raw:
         raise BadParameters("empty operator")
     form = _raw_form(raw, ctx, order)

@@ -119,6 +119,8 @@ class Polynomial(IntegerRows):
 
     def to_series(self, order: int) -> TruncSeries:
         """The coefficients mod z^order, padded with zeros."""
+        if order < 0:
+            raise ValueError(f"negative order {order}")
         if order < self.order:
             return TruncSeries._of(self.ctx, self.den, [row[:order] for row in self.rows])
         pad = [0] * (order - self.order)
@@ -677,9 +679,9 @@ def product_congruence_outcome(cand, mult, target, m, upto, require_norm_one):
 
 
 def canonical_lift(f: TruncSeries, m: int) -> TruncSeries:
-    """Coefficientwise canonical residue representative mod pi^m, the one
-    Coefficient.reduce_mod gives: component t reduced into [0, p^k) with
-    k = ceil((m - t)/e).
+    """Coefficientwise canonical residue representative mod pi^m: component
+    t reduced into [0, p^k) with k = ceil((m - t)/e), so two integral
+    series have equal lifts exactly when they are congruent mod pi^m.
 
     Exposes rational structure that only exists modulo pi^m; used as the
     second Pade source. Requires integral coefficients.

@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 from operator import attrgetter
 
-from .errors import BadParameters, NegativeValuation
+from .errors import BadParameters
 
 INF = math.inf
 
@@ -311,7 +311,7 @@ class Coefficient:
     def is_zero(self) -> bool:
         return not any(self.parts)
 
-    # -- valuation and residues ---------------------------------------------
+    # -- valuation -----------------------------------------------------------
 
     def valuation(self):
         """pi-adic valuation as an integer, INF for zero."""
@@ -325,34 +325,6 @@ class Coefficient:
             if v < best:
                 best = v
         return best
-
-    def reduce_mod(self, m: int) -> "Coefficient":
-        """Canonical residue representative modulo pi^m.
-
-        Component i is reduced modulo p^ceil((m-i)/e); integrality of the
-        element makes every component p-integral, so denominators invert.
-        Two elements reduce equally iff their difference has valuation >= m.
-        """
-        if m < 1:
-            raise BadParameters("level must be >= 1")
-        if self.valuation() < 0:
-            raise NegativeValuation(f"valuation {self.valuation()} < 0")
-        p = self.ctx.prime
-        e = self.ctx.e
-        out = []
-        for i, c in enumerate(self.parts):
-            k = _component_digits(m, i, e)
-            if k <= 0:
-                out.append(Fraction(0))
-                continue
-            mod = p**k
-            num = c.numerator % mod
-            inv = pow(c.denominator, -1, mod)
-            out.append(Fraction(num * inv % mod))
-        return Coefficient(tuple(out), self.ctx)
-
-    def congruent_mod(self, other, m: int) -> bool:
-        return (self - other).valuation() >= m
 
     # -- text form -----------------------------------------------------------
 

@@ -141,6 +141,8 @@ class IntegerRows:
         return len(self.rows[0])
 
     def truncate(self, upto: int):
+        if upto < 0:
+            raise ValueError(f"negative order {upto}")
         if upto > self.order:
             raise ValueError(f"only {self.order} coefficients are reliable")
         if upto == self.order:
@@ -235,6 +237,8 @@ class IntegerRows:
         rings._capped_power caps it."""
         if k < 0:
             raise BadParameters("substitution exponent must be >= 0")
+        if n < 0:
+            raise ValueError(f"negative order {n}")
         q = _capped_power(self.ctx.prime, k, n)
         m = -(-n // q)  # the i with i * p^k < n
         if m > self.order:
@@ -297,9 +301,6 @@ class TruncSeries(IntegerRows):
         if self._view is not None:
             return self._view[j]
         return _coefficient(self.den, [row[j] for row in self.rows], self.ctx)
-
-    def constant_term(self) -> Coefficient:
-        return self.coefficient(0)
 
     # -- products ------------------------------------------------------------
 
@@ -376,9 +377,6 @@ class TruncSeries(IntegerRows):
     def first_nonintegral(self, upto: int):
         """Smallest j < upto with v(f_j) < 0, or None."""
         return self.first_discrepancy(TruncSeries.zero(self.ctx, upto), 0, upto)
-
-    def congruent_mod(self, other, m: int, upto: int) -> bool:
-        return self.first_discrepancy(other, m, upto) is None
 
     # -- serialization -------------------------------------------------------
 

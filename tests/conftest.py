@@ -4,8 +4,8 @@ import pytest
 
 from cartier import Coefficient
 
-# the arithmetic of Coefficient: the tests use it as a reference oracle, and
-# the program runs none of it
+# the arithmetic of Coefficient: the references of tests/oracle.py are
+# written in it, and the program runs none of it
 COEFFICIENT_ARITHMETIC = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
     "__truediv__", "__rtruediv__", "__pow__", "inverse",

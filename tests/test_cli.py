@@ -13,8 +13,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartier import LeadingNotUnit, catalog
-from cartier.cli import COMMANDS, main
+from cartier import LeadingNotUnit, catalog, diffops
+from cartier.cli import COMMANDS, _load_operator, main
 
 
 # delta^2 - z (delta + 1/2)^2 with its z-degree 1 written as given
@@ -410,6 +410,22 @@ class TestAntecedent:
         assert want.exit_code == got.exit_code == 0
         assert got.output == want.output
 
+    def test_operator_file_is_normalized_once(self, tmp_path, monkeypatch):
+        """raw_terms_from_json hands monicize the terms as written, and
+        monicize normalizes them."""
+        normalize, calls = diffops._normalize_raw_terms, []
+
+        def counted(terms, ctx):
+            calls.append(terms)
+            return normalize(terms, ctx)
+
+        monkeypatch.setattr(diffops, "_normalize_raw_terms", counted)
+        path = tmp_path / "gauss.json"
+        path.write_text(GAUSS_TERMS_AT % "1")
+        op = _load_operator(str(path), 5, False, 20)
+        assert len(calls) == 1
+        assert [z for z, _ in op.raw_terms] == [0, 1]
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -422,6 +438,7 @@ class TestAntecedent:
             GAUSS_TERMS_AT % "1.5",
             GAUSS_TERMS_AT % "true",
             GAUSS_TERMS_AT % '"1"',
+            GAUSS_TERMS_AT % "-1",
             # coefficients that are not an int or a text: -0.25 is exact in
             # binary, so each of these read as a valid operator before
             GAUSS_TERMS_WITH % "-0.25",
@@ -434,7 +451,7 @@ class TestAntecedent:
             '{"terms": [{"zdeg": 0, "deltapoly": {"0": 5, "1": 7, "2": 9}}]}',
         ],
         ids=["not-json", "no-terms", "zero-denominator", "bad-zdeg", "top-level-list",
-             "float-zdeg", "bool-zdeg", "string-zdeg", "float-coeff", "bool-coeff",
+             "float-zdeg", "bool-zdeg", "string-zdeg", "negative-zdeg", "float-coeff", "bool-coeff",
              "float-component", "bool-component", "text-deltapoly", "object-deltapoly"],
     )
     def test_malformed_operator_file_is_a_reported_error(self, runner, tmp_path, text):

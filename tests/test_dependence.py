@@ -1,3 +1,6 @@
+"""Product powers and the dependence scan; product_power is checked against
+the repeated products of tests/oracle.py."""
+
 import hashlib
 import json
 import math
@@ -19,30 +22,10 @@ from cartier.dependence import (
 )
 from cartier.rational import Polynomial, RationalFunction, VERIFY_OK, congruence_outcome
 from cartier.series import TruncSeries
+from oracle import apery_series, geometric, half_series, ref_product
 
 U5 = PadicContext.unramified(5)
 U7 = PadicContext.unramified(7)
-
-
-def geometric(ctx, order):
-    return TruncSeries.from_coeffs(ctx, [1] * order)
-
-
-def half_series(ctx, order):
-    # (1-z)^(-1/2) = sum C(2n,n)/4^n z^n
-    return TruncSeries.from_coeffs(
-        ctx, [Fraction(math.comb(2 * n, n), 4**n) for n in range(order)]
-    )
-
-
-def apery_series(ctx, order):
-    return TruncSeries.from_coeffs(
-        ctx,
-        [
-            sum(math.comb(n, k) ** 2 * math.comb(n + k, k) ** 2 for k in range(n + 1))
-            for n in range(order)
-        ],
-    )
 
 
 def gauss_series(ctx, order):
@@ -108,20 +91,6 @@ class TestProductPower:
         forward = product_power(fs, exps)
         backward = product_power(fs, tuple(-a for a in exps))
         assert forward * backward == TruncSeries.one(U5, 7)
-
-
-def ref_product(fs, exps):
-    """prod f_i^(a_i) by repeated products with f_i or its inverse."""
-    order = min(f.order for f in fs)
-    acc = TruncSeries.one(fs[0].ctx, order)
-    for f, a in zip(fs, exps):
-        if a == 0:
-            continue
-        f = f.truncate(order)
-        factor = f if a > 0 else f.invert_unit()
-        for _ in range(abs(a)):
-            acc = acc * factor
-    return acc
 
 
 class TestProductPowerAgainstReference:

@@ -1,10 +1,11 @@
+"""Series matrices and monic operators, against the matrix and recursion
+references of tests/oracle.py."""
+
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cartier import (
     BadParameters,
@@ -25,24 +26,31 @@ from cartier.diffops import (
 )
 from cartier.rational import Polynomial, RationalFunction
 from cartier.series import TruncSeries, _apply, _const_inverse, _const_map
-from test_series import KERNEL_CONTEXTS, SHAPES, random_coeff, ref_mul, shaped_series
+from oracle import (
+    KERNEL_CONTEXTS,
+    SHAPES,
+    apery_numbers,
+    const_ints,
+    const_product,
+    random_coeff,
+    ref_apply,
+    ref_invert_series,
+    ref_matmul,
+    ref_matmul_const,
+    ref_solve,
+    ref_uniform_part,
+    ref_unit_solution_banded,
+    ref_unit_solution_generic,
+    shaped_series,
+)
 
 U5 = PadicContext.unramified(5)
 U7 = PadicContext.unramified(7)
 D3 = PadicContext.dwork(3)
 
 
-# Independent oracles, straight from the defining formulas.
-
-def apery_numbers(count):
-    return [
-        sum(
-            math.comb(n, k) ** 2 * math.comb(n + k, k) ** 2
-            for k in range(n + 1)
-        )
-        for n in range(count)
-    ]
-
+# Independent oracles, straight from the defining formulas; apery_numbers is
+# the oracle's.
 
 def pochhammer_squared_series(count):
     # ((1/2)_j)^2 / (j!)^2
@@ -120,7 +128,8 @@ class TestMonicize:
         assert L.order == 1
         assert L.raw_terms == ((0, (U5.zero(), U5.one())), (1, (-U5.one(),)))
         data = {"terms": [{"zdeg": z, "deltapoly": poly} for z, poly in terms]}
-        assert raw_terms_from_json(data, U5) == L.raw_terms
+        assert raw_terms_from_json(data, U5) == [(z, [U5.coeff(c) for c in poly]) for z, poly in terms]
+        assert monicize(raw_terms_from_json(data, U5), U5, 8).raw_terms == L.raw_terms
         assert L.coeffs[0] == TruncSeries.from_coeffs(U5, [0, -1] + [0] * 6)
         with pytest.raises(BadParameters, match="empty operator"):
             monicize([(1, [0, 1]), (1, [0, -1])], U5, 8)
@@ -359,112 +368,8 @@ class TestUniformPart:
             uniform_part(A, 2)
 
 
-# Plain Coefficient-loop references for the matrix operations on the
-# integer kernel; uniform_part is checked against a dense n^2 x n^2 solve of
-# its Sylvester equation, independent of the Neumann sum it uses.
-
-def ref_matmul(a, b):
-    n = a.size
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ref_mul(a.entry(i, 0), b.entry(0, j))
-            for k in range(1, n):
-                acc = acc + ref_mul(a.entry(i, k), b.entry(k, j))
-            row.append(acc)
-        rows.append(row)
-    return SeriesMatrix.from_rows(rows)
-
-
-def ref_matmul_const(a, c):
-    n = a.size
-    return SeriesMatrix.from_rows(
-        [[sum((a.entry(i, k) * c[k][j] for k in range(1, n)), a.entry(i, 0) * c[0][j])
-          for j in range(n)] for i in range(n)]
-    )
-
-
-def const_ints(c, ctx):
-    """(den, vec) of a constant Coefficient matrix, as constant_ints gives it."""
-    return SeriesMatrix.from_rows([[TruncSeries((x,), ctx) for x in row] for row in c]).constant_ints()
-
-
-def const_product(a, b, ctx):
-    n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), ctx.zero()) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def ref_solve(matrix, rhs):
-    """Gauss-Jordan over Coefficients."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if not a[r][col].is_zero())
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [inv * x for x in a[col]]
-        for r in range(n):
-            if r != col:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
-def series_matrix_from_coefficients(xs, ctx):
-    n = len(xs[0])
-    return SeriesMatrix.from_rows(
-        [[TruncSeries(tuple(x[i][c] for x in xs), ctx) for c in range(n)] for i in range(n)]
-    )
-
-
-def ref_invert_series(m):
-    n, ctx = m.size, m.ctx
-    unit = lambda j: [ctx.coeff(int(i == j)) for i in range(n)]
-    cols = [ref_solve(m.constant_matrix(), unit(j)) for j in range(n)]
-    inv0 = [[cols[j][i] for j in range(n)] for i in range(n)]
-    xs = [inv0]
-    for j in range(1, m.order):
-        acc = [[ctx.zero()] * n for _ in range(n)]
-        for l in range(1, j + 1):
-            prod = const_product(m.coefficient_matrix(l), xs[j - l], ctx)
-            acc = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, prod)]
-        xs.append([[-c for c in row] for row in const_product(inv0, acc, ctx)])
-    return series_matrix_from_coefficients(xs, ctx)
-
-
-def ref_uniform_part(A, order):
-    """j Y_j + Y_j A0 - A0 Y_j = sum_(l=1..j) A_l Y_(j-l), solved as a dense
-    n^2 x n^2 system per coefficient."""
-    n, ctx = A.size, A.ctx
-    a0 = A.constant_matrix()
-    xs = [[[ctx.coeff(int(i == c)) for c in range(n)] for i in range(n)]]
-    for j in range(1, order):
-        rhs = [[ctx.zero()] * n for _ in range(n)]
-        for l in range(1, j + 1):
-            prod = const_product(A.coefficient_matrix(l), xs[j - l], ctx)
-            rhs = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(rhs, prod)]
-        system = []
-        for a in range(n):
-            for b in range(n):
-                row = []
-                for u in range(n):
-                    for v in range(n):
-                        # coefficient of Y[u][v] in entry (a, b) of j Y + Y A0 - A0 Y
-                        c = ctx.coeff(j) if (a, b) == (u, v) else ctx.zero()
-                        if a == u:
-                            c = c + a0[v][b]
-                        if b == v:
-                            c = c - a0[a][u]
-                        row.append(c)
-                system.append(row)
-        flat = ref_solve(system, [rhs[a][b] for a in range(n) for b in range(n)])
-        xs.append([[flat[a * n + b] for b in range(n)] for a in range(n)])
-    return series_matrix_from_coefficients(xs, ctx)
-
+# The matrix operations on the integer kernel against the oracle's plain
+# Coefficient loops, and uniform_part against its dense Sylvester solve.
 
 def shaped_matrix(rng, ctx, n, order, const=None):
     """Entries of the given shapes; const(i, j), when given, sets the
@@ -580,49 +485,6 @@ class TestMatrixKernelAgainstCoefficientLoops:
                 const = consts[a0]
             A = shaped_matrix(rng, ctx, n, order, const)
             assert uniform_part(A, order) == ref_uniform_part(A, order)
-
-
-def ref_unit_solution_generic(L, order):
-    """The generic recursion on Coefficients:
-    j^n f_j = -sum_i sum_(l=1..j) a_i[l] (j-l)^(n-i) f_(j-l)."""
-    n, ctx = L.order, L.ctx
-    f = [ctx.one()]
-    for j in range(1, order):
-        s = ctx.zero()
-        for i, a in enumerate(L.coeffs, start=1):
-            for l in range(1, j + 1):
-                s = s + a[l] * Fraction(j - l) ** (n - i) * f[j - l]
-        f.append(-s * Fraction(1, j**n))
-    return TruncSeries(tuple(f), ctx)
-
-
-def ref_unit_solution_banded(raw_terms, ctx, n, order):
-    """The banded recursion on Coefficients:
-    lead j^n f_j = -sum_(zdeg > 0) Q_zdeg(j - zdeg) f_(j - zdeg)."""
-    lead = dict(raw_terms)[0][-1]
-    f = [ctx.one()]
-    for j in range(1, order):
-        s = ctx.zero()
-        for zdeg, poly in raw_terms:
-            if 0 < zdeg <= j:
-                q = sum((c * Fraction(j - zdeg) ** k for k, c in enumerate(poly)), ctx.zero())
-                s = s + q * f[j - zdeg]
-        f.append(-s / (lead * Fraction(j) ** n))
-    return TruncSeries(tuple(f), ctx)
-
-
-def ref_apply(L, f):
-    """delta^n f + sum_i a_i delta^(n-i) f, coefficient by coefficient."""
-    n = L.order
-    order = min(f.order, L.series_order)
-    out = []
-    for j in range(order):
-        s = f[j] * j**n
-        for i, a in enumerate(L.coeffs, start=1):
-            for l in range(j + 1):
-                s = s + a[l] * (j - l) ** (n - i) * f[j - l]
-        out.append(s)
-    return TruncSeries(tuple(out), L.ctx)
 
 
 def random_mom_operator(rng, ctx, n, order):

@@ -1,3 +1,6 @@
+"""Antecedent chains, integrality reports and certificates; the certificate
+searches are checked against the unscreened sweep of tests/oracle.py."""
+
 import math
 from fractions import Fraction
 
@@ -35,17 +38,13 @@ from cartier.frobenius import (
 from cartier.rational import (
     Polynomial,
     RationalFunction,
-    VERIFY_NOT_K0,
     VERIFY_OK,
-    canonical_lift,
     congruence_outcome,
-    pade_pairs,
-    product_congruence_outcome,
     reconstruct_rational,
 )
 from cartier.rings import INF
 from cartier.series import TruncSeries
-from test_diffops import const_ints
+from oracle import apery_series, const_ints, digit_sum, geometric, half_series, reference_search
 
 U2 = PadicContext.unramified(2)
 U5 = PadicContext.unramified(5)
@@ -54,28 +53,8 @@ D3 = PadicContext.dwork(3)
 D5 = PadicContext.dwork(5)
 
 
-# Series built straight from their closed forms, independent of any operator.
-
-def geometric(ctx, order):
-    return TruncSeries.from_coeffs(ctx, [1] * order)
-
-
-def apery_series(ctx, order):
-    return TruncSeries.from_coeffs(
-        ctx,
-        [
-            sum(math.comb(n, k) ** 2 * math.comb(n + k, k) ** 2 for k in range(n + 1))
-            for n in range(order)
-        ],
-    )
-
-
-def half_series(ctx, order):
-    # (1-z)^(-1/2) = sum C(2n,n)/4^n z^n
-    return TruncSeries.from_coeffs(
-        ctx, [Fraction(math.comb(2 * n, n), 4**n) for n in range(order)]
-    )
-
+# Series built straight from their closed forms, independent of any operator;
+# geometric, apery_series and half_series are the oracle's.
 
 def exp_pi_series(ctx, order):
     pi = ctx.pi()
@@ -360,7 +339,7 @@ def gauss_file_op(ctx, order):
     data = {"terms": [{"zdeg": 0, "deltapoly": [0, 0, 1]},
                       {"zdeg": 1, "deltapoly": ["-1/4", -1, -1]},
                       {"zdeg": order + 3, "deltapoly": [2, 0, 5]}]}
-    return monicize(list(raw_terms_from_json(data, ctx)), ctx, order)
+    return monicize(raw_terms_from_json(data, ctx), ctx, order)
 
 
 def hyp_op(ctx, order):
@@ -455,7 +434,7 @@ class TestRowsOnly:
         data = {"terms": [{"zdeg": 1, "deltapoly": ["-1/4", -1]},
                           {"zdeg": 0, "deltapoly": [0, 0, 1]},
                           {"zdeg": 1, "deltapoly": [0, 0, -1]}]}
-        L = monicize(list(raw_terms_from_json(data, ctx)), ctx, self.ORDER)
+        L = monicize(raw_terms_from_json(data, ctx), ctx, self.ORDER)
         assert L.coeffs == self.operator(ctx).coeffs
         assert L.unit_solution(self.ORDER) == self.operator(ctx).unit_solution(self.ORDER)
 
@@ -477,12 +456,7 @@ class TestIntegralityCheck:
         f = bessel_series(D3, 19)
         # v(coefficient of z^(2n)) is twice the base-3 digit sum of n
         for n in range(1, 9):
-            digits = 0
-            k = n
-            while k:
-                digits += k % 3
-                k //= 3
-            assert f[2 * n].valuation() == 2 * digits
+            assert f[2 * n].valuation() == 2 * digit_sum(n, 3)
         report = integrality_check(f, 2)
         assert report.passed
         assert report.checked_upto == 8
@@ -540,7 +514,7 @@ class TestRatioCertificate:
         # independent re-check of the defining congruence
         u = f.cartier().subst_zpk(1).truncate(60)
         prod = cert.rational.to_series(60) * u
-        assert prod.congruent_mod(f, 1, 60)
+        assert prod.first_discrepancy(f, 1, 60) is None
         assert cert.rational.has_gauss_norm_one()
         assert cert.rational.denominator_unit_disc_free()
 
@@ -722,47 +696,10 @@ class TestDerivedCertificatesAreVerified:
 
 # -- the one certificate search against the unscreened callback sweep ---------
 #
-# callback_sweep is the certificate search without the residue screen: the
-# Pade windows of each source, every candidate handed to a verify callback.
-# Each certificate is rebuilt on it from its own target, mult and Gauss-norm
-# requirement, and reconstruct_rational must give the same rational, or fail
-# with the same NotInK0 or ReconstructionFailed.
-
-
-def callback_sweep(sources, deg_bound, verify):
-    seen, saw_k0_reject = set(), False
-    for src in sources:
-        for window in range(1, min(2 * deg_bound + 1, src.order) + 1):
-            for r, t in pade_pairs(src, window):
-                if t.degree > deg_bound:
-                    break
-                if r.degree > deg_bound or t.vanishes_at_zero():
-                    continue
-                cand = RationalFunction.from_coprime(r, t)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                verdict = verify(cand)
-                if verdict == VERIFY_OK:
-                    return cand
-                saw_k0_reject |= verdict == VERIFY_NOT_K0
-    if saw_k0_reject:
-        raise NotInK0("reference")
-    raise ReconstructionFailed("reference", deg_bound=deg_bound)
-
-
-def reference_search(target, m, deg_bound, mult=None, require_norm_one=False):
-    upto = target.order
-    g = target if mult is None else target * mult.invert_unit()
-    sources = [g, canonical_lift(g, m)] if g.min_valuation() >= 0 else [g]
-
-    def verify(cand):
-        if mult is None:
-            return congruence_outcome(cand, target, m, upto, require_norm_one)[0]
-        return product_congruence_outcome(cand, mult, target, m, upto, require_norm_one)[0]
-
-    return callback_sweep(sources, deg_bound, verify)
-
+# Each certificate is rebuilt on the oracle's callback_sweep, the search
+# without the residue screen, from its own target, mult and Gauss-norm
+# requirement (reference_search), and reconstruct_rational must give the same
+# rational, or fail with the same NotInK0 or ReconstructionFailed.
 
 def outcome(search):
     """The rational a search returns, or the type of its failure."""

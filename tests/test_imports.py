@@ -1,7 +1,9 @@
 """Every name a module of the package imports is used in that module, every
 private function or method the package defines is read in it, no module
-imports dataclasses, and only diffops reads an operator's raw terms. The CI
-workflow installs the test extra of pyproject.toml.
+imports dataclasses, and only diffops reads an operator's raw terms. No test
+module imports another, and the test modules read every name that
+tests/oracle.py defines. The CI workflow installs the test extra of
+pyproject.toml.
 
 __init__.py is left out of the import check: it imports names only to
 re-export them.
@@ -17,6 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cartier"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = ROOT / "tests"
+TEST_MODULES = sorted(TESTS.glob("test_*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -120,6 +124,62 @@ def test_only_diffops_reads_the_raw_terms():
     """Every other module reads an operator through its polynomial form."""
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert attribute_readers(sources, "raw_terms") == ["diffops.py"]
+
+
+def imported_test_modules(source: str) -> list:
+    """The test modules (test_*) that source imports, sorted."""
+    return sorted(m for m in imported_modules(source) if m.startswith("test_"))
+
+
+def test_the_check_sees_a_test_module_import():
+    source = "import oracle\nfrom test_series import f\nimport test_diffops.x\nfrom testing import y\n"
+    assert imported_test_modules(source) == ["test_diffops", "test_series"]
+
+
+def test_no_test_module_imports_another():
+    """What more than one test module uses lives in tests/oracle.py."""
+    found = {p.name: imported_test_modules(p.read_text(encoding="utf-8")) for p in TEST_MODULES}
+    assert {name: modules for name, modules in found.items() if modules} == {}
+
+
+def read_names(tree) -> set:
+    """The names that tree reads."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def unreached_definitions(module: str, readers) -> list:
+    """The top-level names that module defines and no reader reaches, sorted.
+    A name is reached when a reader reads it, or when the definition of a
+    reached name does."""
+    reads = {}
+    for node in ast.parse(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            reads[node.name] = read_names(node)
+        elif isinstance(node, ast.Assign):
+            reads.update((t.id, read_names(node)) for t in node.targets if isinstance(t, ast.Name))
+    todo = [name for source in readers for name in read_names(ast.parse(source)) if name in reads]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for n in reads[name] if n in reads]
+    return sorted(set(reads) - reached)
+
+
+def test_the_check_sees_an_unreached_definition():
+    module = (
+        "A = 1\n\ndef used():\n    return helper()\n\ndef helper():\n    pass\n\n"
+        "def orphan():\n    return A\n"
+    )
+    readers = ["from oracle import used\nused()\n"]
+    assert unreached_definitions(module, readers) == ["A", "orphan"]
+
+
+def test_the_test_modules_read_every_oracle_name():
+    """A helper of the oracle counts through the references that read it."""
+    readers = [path.read_text(encoding="utf-8") for path in TEST_MODULES]
+    assert unreached_definitions((TESTS / "oracle.py").read_text(encoding="utf-8"), readers) == []
 
 
 def quoted(text: str) -> list:

@@ -1,3 +1,7 @@
+"""Polynomials, rational functions and the Pade reconstruction engine, against
+the field Euclid, quotient stream and enumeration references of
+tests/oracle.py."""
+
 import copy
 import itertools
 import math
@@ -16,7 +20,6 @@ from cartier.rational import (
     RationalFunction,
     ResidueTarget,
     VERIFY_FAIL,
-    VERIFY_NOT_K0,
     VERIFY_OK,
     canonical_lift,
     congruence_outcome,
@@ -29,7 +32,21 @@ from cartier.rational import (
 )
 from cartier.rings import INF
 from cartier.series import TruncSeries
-from test_series import KERNEL_CONTEXTS, random_coeff
+from oracle import (
+    KERNEL_CONTEXTS,
+    brute_force_feasible,
+    euclid_pairs,
+    exact_congruent,
+    make_oracle,
+    poly_divmod,
+    poly_gcd,
+    prefix_poly,
+    random_coeff,
+    ref_gauss_valuation,
+    ref_no_roots,
+    ref_outcome,
+    ref_stream,
+)
 
 U5 = PadicContext.unramified(5)
 U7 = PadicContext.unramified(7)
@@ -38,49 +55,6 @@ D3 = PadicContext.dwork(3)
 
 def poly(ctx, *values):
     return Polynomial.from_coeffs(ctx, values)
-
-
-# -- field Euclid oracles: plain division of Coefficient polynomials ----------
-
-
-def poly_divmod(a, b):
-    """Euclidean division of a by b over the field."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    lead_inv = b.coeffs[-1].inverse()
-    dq = len(rem) - len(b.coeffs)
-    if dq < 0:
-        return Polynomial.zero(a.ctx), a
-    quot = [a.ctx.zero()] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[k + b.degree] * lead_inv
-        if not c.is_zero():
-            quot[k] = c
-            for j, x in enumerate(b.coeffs):
-                rem[k + j] = rem[k + j] - c * x
-    return Polynomial.from_coeffs(a.ctx, quot), Polynomial.from_coeffs(a.ctx, rem)
-
-
-def poly_gcd(a, b):
-    """Monic gcd by Euclid over the field."""
-    while not b.is_zero():
-        a, b = b, poly_divmod(a, b)[1]
-    if a.is_zero():
-        return a
-    return a.scale(a.coeffs[-1].inverse())
-
-
-def make_oracle(num, den):
-    """RationalFunction.make by the field Euclid: divide out the monic gcd."""
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    if not num.is_zero():
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
-    c = next(x for x in den.coeffs if not x.is_zero()).inverse()
-    return RationalFunction(num.scale(c), den.scale(c))
 
 
 def polynomials(ctx, max_deg=6):
@@ -371,33 +345,13 @@ class TestLiftOnDemand:
 
 # -- differential tests of the fraction-free Pade path ------------------------
 #
-# The references below are the plain field algorithms: extended Euclid with
-# exact division of Coefficient polynomials, and the exact quotient stream.
+# The references are the oracle's plain field algorithms: extended Euclid
+# with exact division of Coefficient polynomials, and the exact quotient
+# stream.
 
 D5 = PadicContext.dwork(5)
 DIFF_ORDER = 12
 DIFF_WINDOWS = range(1, 11)
-
-
-def prefix_poly(f, upto):
-    """The polynomial of f's first upto coefficients."""
-    return Polynomial.from_rows(f.ctx, f.den, [row[:upto] for row in f.rows])
-
-
-def euclid_pairs(f, window):
-    """Extended Euclid on (z^window, f mod z^window) over the field."""
-    ctx = f.ctx
-    r_prev = Polynomial.monomial(ctx, window)
-    r_cur = prefix_poly(f, window)
-    t_prev, t_cur = Polynomial.zero(ctx), Polynomial.one(ctx)
-    if r_cur.is_zero():
-        yield r_cur, t_cur
-        return
-    while not r_cur.is_zero():
-        yield r_cur, t_cur
-        q, rem = poly_divmod(r_prev, r_cur)
-        r_prev, r_cur = r_cur, rem
-        t_prev, t_cur = t_cur, t_prev - q * t_cur
 
 
 def normalized(r, t):
@@ -405,20 +359,6 @@ def normalized(r, t):
     c = next(x for x in t.coeffs if not x.is_zero())
     inv = c.inverse()
     return r.scale(inv), t.scale(inv)
-
-
-def exact_congruent(num, den, target, m, upto):
-    """num/den expanded exactly and compared with target mod pi^m."""
-    inv = den.constant_term().inverse()
-    out = []
-    for n in range(upto):
-        s = num[n]
-        for k in range(1, min(n, den.degree) + 1):
-            s = s - den[k] * out[n - k]
-        out.append(inv * s)
-        if (out[n] - target[n]).valuation() < m:
-            return False
-    return True
 
 
 def diff_sources(ctx):
@@ -520,7 +460,7 @@ class TestFractionFreePade:
 
 # -- Polynomial and RationalFunction on rows, against Coefficient loops --------
 #
-# The references spell each operation out as a plain loop over the
+# The oracle's references spell each operation out as a plain loop over the
 # Coefficient view.
 
 POLY_SHAPES = ("dense", "zero", "trailing-zeros", "pi-divisible")
@@ -560,52 +500,6 @@ def assert_poly(result, values):
         assert any(row[-1] for row in result.rows)
     else:
         assert result.den == 1 and result.is_zero()
-
-
-def ref_gauss_valuation(poly):
-    return min((c.valuation() for c in poly.coeffs), default=INF)
-
-
-def ref_no_roots(b):
-    if b.is_zero() or b[0].is_zero():
-        return False
-    return all(c.valuation() >= b[0].valuation() for c in b.coeffs)
-
-
-def ref_stream(num, den, upto):
-    """The first upto Taylor coefficients of num/den from den * S = num."""
-    inv = den[0].inverse()
-    out = []
-    for n in range(upto):
-        s = num[n]
-        for k in range(1, min(n, den.degree) + 1):
-            s = s - den[k] * out[n - k]
-        out.append(inv * s)
-    return out
-
-
-def ref_outcome(cand, mult, target, m, upto, require_norm_one):
-    """congruence_outcome (mult None) and product_congruence_outcome as
-    Coefficient streams: the outcome, and the least valuation of the
-    residual coefficients (None for a pole at 0)."""
-    ctx = cand.den.ctx
-    if cand.den[0].is_zero():
-        return VERIFY_FAIL, None
-    head = ref_stream(cand.num, cand.den, upto)
-    vals = []
-    for j in range(upto):
-        s = head[j]
-        if mult is not None:
-            s = sum((head[i] * mult[j - i] for i in range(j + 1)), ctx.zero())
-        vals.append((s - target[j]).valuation())
-    resid = min(vals, default=INF)
-    if any(v < m for v in vals):
-        return VERIFY_FAIL, resid
-    if require_norm_one and ref_gauss_valuation(cand.num) - ref_gauss_valuation(cand.den) != 0:
-        return VERIFY_FAIL, resid
-    if not ref_no_roots(cand.den):
-        return VERIFY_NOT_K0, resid
-    return VERIFY_OK, resid
 
 
 @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
@@ -859,21 +753,6 @@ def least_by(feasible, deg):
     """1 + min(a + b) over a, b <= deg with feasible(a, b), or None."""
     sums = [a + b for a in range(deg + 1) for b in range(deg + 1) if feasible(a, b)]
     return 1 + min(sums) if sums else None
-
-
-def brute_force_feasible(g, m, a, b):
-    """Enumerate t_1..t_b over O_K/pi^m (component i mod p^ceil((m-i)/e)) and
-    test coefficients a+1 .. upto-1 of t*g."""
-    ctx, upto = g.ctx, g.order
-    e, p = ctx.e, ctx.prime
-    digits = [range(p ** max(0, -((i - m) // e))) for i in range(e)]
-    elements = list(itertools.product(*digits))
-    for ts in itertools.product(elements, repeat=b):
-        rows = [[int(i == 0)] + [t[i] for t in ts] + [0] * (upto - b - 1) for i in range(e)]
-        s = TruncSeries.from_rows(ctx, 1, rows) * g
-        if all(s.coefficient(n).valuation() >= m for n in range(a + 1, upto)):
-            return True
-    return False
 
 
 def solvable(rows, rhs, p, mod):

@@ -1,3 +1,6 @@
+"""TruncSeries and its integer row kernel, against the plain Coefficient loops
+of tests/oracle.py."""
+
 import math
 import random
 from fractions import Fraction
@@ -18,17 +21,23 @@ from cartier import (
     integrality_check,
     parse_coefficient,
 )
-from cartier.rational import canonical_lift
+from cartier.diffops import SeriesMatrix
+from cartier.rational import Polynomial, canonical_lift
 from cartier.rings import INF
 from cartier.series import TruncSeries
+from oracle import (
+    KERNEL_CONTEXTS,
+    SHAPES,
+    geometric,
+    random_coeff,
+    ref_invert_unit,
+    ref_mul,
+    shaped_series,
+)
 
 U3 = PadicContext.unramified(3)
 U5 = PadicContext.unramified(5)
 D3 = PadicContext.dwork(3)
-
-
-def geometric(ctx, order):
-    return TruncSeries.from_coeffs(ctx, [1] * order)
 
 
 def series_strategy(ctx, order=12, max_num=30):
@@ -149,61 +158,8 @@ class TestUnits:
         assert lhs == rhs
 
 
-# Plain Coefficient-loop references for the integer kernel: every product
-# below is spelled out on Coefficients, whose arithmetic is tested on its own.
-
-def ref_mul(f, g):
-    n = min(f.order, g.order)
-    out = [f.ctx.zero()] * n
-    for i in range(n):
-        for j in range(n - i):
-            out[i + j] = out[i + j] + f[i] * g[j]
-    return TruncSeries(tuple(out), f.ctx)
-
-
-def ref_invert_unit(f):
-    inv0 = f[0].inverse()
-    out = [inv0]
-    for n in range(1, f.order):
-        s = f.ctx.zero()
-        for k in range(1, n + 1):
-            s = s + f[k] * out[n - k]
-        out.append(-inv0 * s)
-    return TruncSeries(tuple(out), f.ctx)
-
-
-# e = 1, 2 and 4
-KERNEL_CONTEXTS = [PadicContext.unramified(5), PadicContext.dwork(3), PadicContext.dwork(5)]
-SHAPES = ("dense", "zero-run", "zero-component", "pi-divisible")
-
-
-def random_coeff(rng, ctx):
-    """Nonzero in most draws; denominators include p, so not all integral."""
-    if rng.random() < 0.2:
-        return ctx.zero()
-    dens = (1, 1, 2, 3, ctx.prime, ctx.prime**2)
-    return ctx.coeff([Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(ctx.e)])
-
-
-def shaped_series(rng, ctx, order, shape):
-    """A random series with one of the features the kernel must get right:
-    a run of zero coefficients, a pi-component that vanishes throughout
-    (the last one; at e = 1 that is the whole series, so there it is the
-    odd coefficients), or every coefficient divisible by pi."""
-    coeffs = [random_coeff(rng, ctx) for _ in range(order)]
-    if shape == "zero-run" and order > 2:
-        lo = rng.randrange(order - 1)
-        hi = rng.randrange(lo + 1, order + 1)
-        coeffs[lo:hi] = [ctx.zero()] * (hi - lo)
-    elif shape == "zero-component":
-        if ctx.e == 1:
-            coeffs[1::2] = [ctx.zero()] * len(coeffs[1::2])
-        else:
-            coeffs = [ctx.coeff(c.parts[:-1]) for c in coeffs]
-    elif shape == "pi-divisible":
-        coeffs = [c * ctx.pi() for c in coeffs]
-    return TruncSeries(tuple(coeffs), ctx)
-
+# The integer kernel against the plain Coefficient loops of the oracle, whose
+# arithmetic is tested on its own.
 
 def with_unit_constant(rng, f):
     c = random_coeff(rng, f.ctx)
@@ -287,21 +243,20 @@ class TestPowInt:
 class TestCongruence:
     def test_reflexive(self):
         f = geometric(U5, 6)
-        assert f.congruent_mod(f, 3, upto=6)
+        assert f.first_discrepancy(f, 3, upto=6) is None
 
     def test_detects_p_multiples(self):
         one = TruncSeries.one(U5, 4)
         g = TruncSeries.from_coeffs(U5, [1, 5, 0, 0])
         h = TruncSeries.from_coeffs(U5, [1, 1, 0, 0])
-        assert one.congruent_mod(g, 1, upto=4)
-        assert not one.congruent_mod(g, 2, upto=4)
-        assert not one.congruent_mod(h, 1, upto=4)
+        assert one.first_discrepancy(g, 1, upto=4) is None
+        assert one.first_discrepancy(g, 2, upto=4) == 1
         assert one.first_discrepancy(h, 1, upto=4) == 1
 
     def test_window_must_be_reliable(self):
         f = geometric(U5, 6)
         with pytest.raises(ValueError):
-            f.congruent_mod(f.truncate(3), 1, upto=5)
+            f.first_discrepancy(f.truncate(3), 1, upto=5)
 
 
 def series_from_json(data):
@@ -548,3 +503,19 @@ class TestSubstTruncated:
         with pytest.raises(BadParameters):
             f.subst_zpk_truncated(-1, 2)
 
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        lambda: geometric(U5, 4).truncate(-1),
+        lambda: SeriesMatrix.identity(U5, 2, 4).truncate(-2),
+        lambda: geometric(U5, 4).subst_zpk_truncated(1, -3),
+        lambda: Polynomial.from_coeffs(U5, [1, 2, 3]).to_series(-1),
+    ],
+    ids=["series-truncate", "matrix-truncate", "subst-zpk-truncated", "polynomial-to-series"],
+)
+def test_a_negative_order_is_rejected(cut):
+    """A negative order is an error, not a slice from the end."""
+    with pytest.raises(ValueError, match="^negative order"):
+        cut()
