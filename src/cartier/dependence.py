@@ -2,14 +2,16 @@
 
 A tuple (a_1, .., a_m) is a candidate relation when prod f_i^(a_i) is
 congruent, modulo pi^M, to a rational function with no poles in the open
-unit disc. The scan walks primitive sign-normalized rays of the box and
-reports the smallest certified multiple on each ray. A tuple is a finding
-only when both of its certificates exist within the degree bound D: the
-screen, for the linear combination sum a_i f_i'/f_i, which is searched
-first, and then the one for the product itself. stats["screened_out"]
-counts the tuples whose screen search failed; their products are never
-searched. That is not a proof that the product has no certificate within
-D: the log-derivative of a degree-D certificate can need degree 2D.
+unit disc. kolchin_scan walks the primitive sign-normalized rays of the box
+with one scan object (_Scan), which reports the least certified multiple on
+each ray. A tuple is a finding only when both of its certificates exist
+within the degree bound D: the screen, for the linear combination
+sum a_i f_i'/f_i, which is searched first, and then the one for the product
+itself. Both are one _certificate call, which holds the scan's one
+integrality gate. stats["screened_out"] counts the tuples whose screen
+search failed; their products are never searched. That is not a proof that
+the product has no certificate within D: the log-derivative of a degree-D
+certificate can need degree 2D.
 
 The screen of a multiple d*u of a ray is d times that of u, so a ray's
 screen is searched at d = 1 and at multiples of p only: a d prime to p
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import reduce
-from operator import add, mul
+from operator import add, attrgetter, mul
 
 from .errors import BadParameters, NotAUnit, NotInK0, OrderExhausted, ReconstructionFailed
 from .frobenius import Certificate
@@ -52,6 +54,8 @@ class _Powers:
     def __init__(self, fs):
         if not fs:
             raise ValueError("empty product has no context to live in")
+        if any(f.ctx != fs[0].ctx for f in fs):
+            raise BadParameters("mixed contexts")
         order = min(f.order for f in fs)
         self.one = TruncSeries.one(fs[0].ctx, order)
         self.tables = [{1: f.truncate(order)} for f in fs]
@@ -74,23 +78,6 @@ class _Powers:
         return reduce(mul, factors) if factors else self.one
 
 
-def _combiner(logs):
-    """The map a -> sum a_i logs[i] for series of one order. The logs are
-    aligned on one denominator once, so that each combination is one integer
-    pass and one gcd."""
-    den, rows = _align(logs)
-    ctx, order = logs[0].ctx, logs[0].order
-
-    def combine(a):
-        acc = [[0] * order for _ in range(ctx.e)]
-        for c, lrows in zip(a, rows):
-            if c:
-                acc = [list(map(add, x, map(c.__mul__, y))) for x, y in zip(acc, lrows)]
-        return TruncSeries._of(ctx, den, acc)
-
-    return combine
-
-
 def _certificate(g: TruncSeries, level: int, deg_bound: int, kind: str):
     """Certified rational congruent to g mod pi^level, or None; and whether
     that outcome carries over to d * g for every integer d prime to p.
@@ -109,9 +96,13 @@ def _certificate(g: TruncSeries, level: int, deg_bound: int, kind: str):
     verdict and valuation as it was. The canonical lift of d * g is not d
     times that of g, so the outcome carries over when the search ends at
     least_window or with a certificate from g itself, and not otherwise.
+    The scan's one integrality gate is here: a g that is not integral (its
+    residue rows are None) has no certificate, and neither has d * g.
     """
+    if deg_bound < 0:
+        raise BadParameters(f"degree bound must be >= 0, got {deg_bound}")
     residues = ResidueTarget(g, level, g.order)
-    first = least_window(residues, deg_bound)
+    first = None if residues.rows is None else least_window(residues, deg_bound)
     if first is None:
         return None, True
     found_in = []
@@ -212,6 +203,56 @@ def _normalized_derivative(f: TruncSeries, r: int) -> TruncSeries:
     return tail._times(*tail._inverse_of(0))
 
 
+class _Scan:
+    """The per-tuple search of a scan of gs: their power table, and their
+    log-derivatives g_i'/g_i at the common order - 1, from the table's g_i
+    and 1/g_i, aligned on one denominator once, so that each screen target
+    is one integer pass and one gcd. Screen and product targets reach
+    _certificate by one call (search). tested and screened_out count the
+    tuples of the rays walked so far."""
+
+    def __init__(self, gs, exp_bound: int, level: int, deg_bound: int):
+        self.powers = _Powers(gs)
+        logs = [self.powers.power(i, 1).d_dz() * self.powers.power(i, -1) for i in range(len(gs))]
+        self.den, self.logs = _align(logs)
+        self.ctx, self.order = logs[0].ctx, logs[0].order
+        self.exp_bound, self.level, self.deg_bound = exp_bound, level, deg_bound
+        self.tested = self.screened_out = 0
+
+    def screen_target(self, a) -> TruncSeries:
+        """sum a_i g_i'/g_i."""
+        acc = [[0] * self.order for _ in range(self.ctx.e)]
+        for c, rows in zip(a, self.logs):
+            if c:
+                acc = [list(map(add, x, map(c.__mul__, y))) for x, y in zip(acc, rows)]
+        return TruncSeries._of(self.ctx, self.den, acc)
+
+    def search(self, target: TruncSeries, kind: str):
+        return _certificate(target, self.level, self.deg_bound, kind)
+
+    def ray(self, u):
+        """The Finding of the least multiple d*u in the box whose screen and
+        product both certify, or None. A multiple prime to p takes the
+        d = 1 screen, scaled by d, wherever _certificate says it may."""
+        p = self.ctx.prime
+        for d in range(1, self.exp_bound // max(map(abs, u)) + 1):
+            a = tuple(d * x for x in u)
+            self.tested += 1
+            if d > 1 and d % p and carries:
+                screen = unit_screen and _scaled(unit_screen, d)
+            else:
+                screen, scales = self.search(self.screen_target(a), "logderiv-screen")
+                if d == 1:
+                    unit_screen, carries = screen, scales
+            if screen is None:
+                self.screened_out += 1
+                continue
+            product, _ = self.search(self.powers.product(a), "product")
+            if product is not None:
+                return Finding(a, product, screen)
+        return None
+
+
 def kolchin_scan(
     fs,
     exp_bound: int,
@@ -254,58 +295,13 @@ def kolchin_scan(
             if f.order == 0 or f.coefficient(0) != 1:
                 raise NotAUnit("scan needs constant term 1 (or derivative orders)")
         gs = fs
-    powers = _Powers(gs)
-    # g'/g at the common order - 1, from the table's g and 1/g
-    combination = _combiner(
-        [powers.power(i, 1).d_dz() * powers.power(i, -1) for i in range(m)]
-    )
+    scan = _Scan(gs, exp_bound, level, deg_bound)
     rays = _primitive_rays(m, exp_bound)
-
-    p = gs[0].ctx.prime
-
-    def search_screen(a):
-        combo = combination(a)
-        if combo.min_valuation() < 0:
-            return None, True
-        return _certificate(combo, level, deg_bound, "logderiv-screen")
-
-    def eval_ray(u):
-        tested = 0
-        screened_out = 0
-        d = 1
-        while d * max(abs(x) for x in u) <= exp_bound:
-            a = tuple(d * x for x in u)
-            tested += 1
-            # a multiple prime to p takes the d = 1 screen (see _certificate)
-            if d > 1 and d % p and carries:
-                screen = unit_screen and _scaled(unit_screen, d)
-            else:
-                screen, scales = search_screen(a)
-                if d == 1:
-                    unit_screen, carries = screen, scales
-            if screen is None:
-                screened_out += 1
-                d += 1
-                continue
-            prod = powers.product(a)
-            product = None
-            if prod.min_valuation() >= 0:
-                product, _ = _certificate(prod, level, deg_bound, "product")
-            if product is None:
-                d += 1
-                continue
-            return Finding(a, product, screen), tested, screened_out
-        return None, tested, screened_out
-
-    results = [eval_ray(u) for u in rays]
-
-    findings = sorted(
-        (r[0] for r in results if r[0] is not None), key=lambda f: f.exponents
-    )
+    findings = sorted(filter(None, map(scan.ray, rays)), key=attrgetter("exponents"))
     stats = {
         "rays": len(rays),
-        "tuples_tested": sum(r[1] for r in results),
-        "screened_out": sum(r[2] for r in results),
+        "tuples_tested": scan.tested,
+        "screened_out": scan.screened_out,
         "findings": len(findings),
     }
     return DependenceReport(

@@ -309,18 +309,24 @@ class ResidueTarget:
     thresholds[i] = p^ceil((m - i)/e). rows holds the target's first upto
     coefficients component-major, or is None when one of them is not
     integral (the screen then never applies). Built once per target, it
-    serves every pair screened against it.
+    serves every pair screened against it, and the target's canonical lift.
     """
 
-    __slots__ = ("prime", "digits", "thresholds", "rows")
+    __slots__ = ("ctx", "digits", "thresholds", "rows")
 
     def __init__(self, target: TruncSeries, m: int, upto: int):
         e, p = target.ctx.e, target.ctx.prime
-        self.prime = p
+        self.ctx = target.ctx
         self.digits = max(0, _component_digits(m, 0, e))
         self.thresholds = tuple(p ** max(0, _component_digits(m, i, e)) for i in range(e))
         rows = [row[:upto] for row in target.rows]
         self.rows = _residue_rows(target.den, rows, p, p**self.digits)
+
+    def lift(self) -> TruncSeries:
+        """canonical_lift of the integral target, to upto coefficients:
+        component i of each residue reduced mod thresholds[i]."""
+        rows = [[x % thr for x in row] for row, thr in zip(self.rows, self.thresholds)]
+        return TruncSeries.from_rows(self.ctx, 1, rows)
 
 
 def _residue_rows(den, rows, p, mod):
@@ -371,7 +377,7 @@ def least_window(res: ResidueTarget, deg_bound: int):
     want = res.rows
     if want is None:
         return 1
-    p, thresholds = res.prime, res.thresholds
+    p, thresholds = res.ctx.prime, res.thresholds
     e = len(thresholds)
     mod = p**res.digits
     upto = len(want[0])
@@ -474,7 +480,7 @@ def _residue_screen(num, den, res: ResidueTarget, upto):
     a unit exactly when its pi^0 component is prime to p. Returns None (the
     caller falls back to the exact check) in every other case.
     """
-    p, want = res.prime, res.rows
+    p, want = res.ctx.prime, res.rows
     if want is None:
         return None
     mod = p**res.digits
@@ -531,8 +537,9 @@ def reconstruct_rational(
     require_norm_one, for m >= 1 and deg_bound >= 0. Returns R and the least
     valuation of R * mult - target on the window.
 
-    The Pade sweep runs on g = target / mult, then on canonical_lift(g, m),
-    built only when g is integral and its sweep returns nothing; the first
+    The Pade sweep runs on g = target / mult, then on the canonical lift of
+    g mod pi^m, built from g's ResidueTarget (the screen's, when it runs)
+    only when g is integral and its sweep returns nothing; the first
     candidate to verify is returned. A pair is screened in the residue ring
     (raw_congruence_check) when the screen decides the congruence exactly: g
     integral and mult either None or integral with a unit constant term, so
@@ -546,7 +553,7 @@ def reconstruct_rational(
     Raises NotInK0 if one of them matched the congruence, else
     ReconstructionFailed. residues is ResidueTarget(target, m, target.order)
     with mult None, passed by a caller that has reduced the target already;
-    it is read only when the screen runs.
+    the screen and the lift read it.
 
     Both sources are swept from window first_window. The scan passes
     least_window(residues, deg_bound) there (mult None): no window below it
@@ -581,7 +588,7 @@ def reconstruct_rational(
     def sources():
         yield g
         if integral:
-            yield canonical_lift(g, m)
+            yield (ResidueTarget(g, m, upto) if residues is None else residues).lift()
 
     seen = set()
     poles = []
@@ -683,17 +690,12 @@ def canonical_lift(f: TruncSeries, m: int) -> TruncSeries:
     t reduced into [0, p^k) with k = ceil((m - t)/e), so two integral
     series have equal lifts exactly when they are congruent mod pi^m.
 
-    Exposes rational structure that only exists modulo pi^m; used as the
-    second Pade source. Requires integral coefficients.
+    Exposes rational structure that only exists modulo pi^m: it is the
+    second Pade source (ResidueTarget.lift). Requires integral coefficients.
     """
     if m < 1:
         raise BadParameters("level must be >= 1")
     j = f.first_nonintegral(f.order)
     if j is not None:
         raise NegativeValuation(f"valuation {f.min_valuation(j + 1, j)} < 0")
-    e, p = f.ctx.e, f.ctx.prime
-    rows = []
-    for t, row in enumerate(f.rows):
-        k = _component_digits(m, t, e)
-        rows.append(_residue_rows(f.den, [row], p, p**k)[0] if k > 0 else [0] * len(row))
-    return TruncSeries.from_rows(f.ctx, 1, rows)
+    return ResidueTarget(f, m, f.order).lift()

@@ -42,6 +42,11 @@ def half_series(ctx, order):
     )
 
 
+def gauss_coefficients(count):
+    # 2F1(1/2,1/2;1;z) = sum ((1/2)_n / n!)^2 z^n = sum (C(2n,n)/4^n)^2 z^n
+    return [Fraction(math.comb(2 * n, n), 4**n) ** 2 for n in range(count)]
+
+
 def apery_numbers(count):
     return [
         sum(
@@ -199,20 +204,6 @@ def euclid_pairs(f, window):
         t_prev, t_cur = t_cur, t_prev - q * t_cur
 
 
-def exact_congruent(num, den, target, m, upto):
-    """num/den expanded exactly and compared with target mod pi^m."""
-    inv = den.constant_term().inverse()
-    out = []
-    for n in range(upto):
-        s = num[n]
-        for k in range(1, min(n, den.degree) + 1):
-            s = s - den[k] * out[n - k]
-        out.append(inv * s)
-        if (out[n] - target[n]).valuation() < m:
-            return False
-    return True
-
-
 def ref_gauss_valuation(poly):
     return min((c.valuation() for c in poly.coeffs), default=INF)
 
@@ -233,6 +224,12 @@ def ref_stream(num, den, upto):
             s = s - den[k] * out[n - k]
         out.append(inv * s)
     return out
+
+
+def exact_congruent(num, den, target, m, upto):
+    """num/den expanded exactly and compared with target mod pi^m."""
+    head = ref_stream(num, den, upto)
+    return all((x - target[n]).valuation() >= m for n, x in enumerate(head))
 
 
 def ref_outcome(cand, mult, target, m, upto, require_norm_one):

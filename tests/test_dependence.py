@@ -3,7 +3,6 @@ the repeated products of tests/oracle.py."""
 
 import hashlib
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -22,17 +21,12 @@ from cartier.dependence import (
 )
 from cartier.rational import Polynomial, RationalFunction, VERIFY_OK, congruence_outcome
 from cartier.series import TruncSeries
-from oracle import apery_series, geometric, half_series, ref_product
+from oracle import apery_series, gauss_coefficients, geometric, half_series, ref_product
 
+U3 = PadicContext.unramified(3)
 U5 = PadicContext.unramified(5)
 U7 = PadicContext.unramified(7)
-
-
-def gauss_series(ctx, order):
-    # 2F1(1/2,1/2;1;z) = sum (C(2n,n)/4^n)^2 z^n
-    return TruncSeries.from_coeffs(
-        ctx, [Fraction(math.comb(2 * n, n), 4**n) ** 2 for n in range(order)]
-    )
+D5 = PadicContext.dwork(5)
 
 
 def rat(ctx, num, den):
@@ -66,6 +60,12 @@ class TestProductPower:
     def test_empty_product(self):
         with pytest.raises(ValueError):
             product_power([], ())
+
+    def test_mixed_contexts(self):
+        # a zero exponent does not hide its factor's context
+        fs = [apery_series(U5, 20), TruncSeries.from_coeffs(U3, gauss_coefficients(20))]
+        with pytest.raises(BadParameters, match="^mixed contexts$"):
+            product_power(fs, (0, 1))
 
     def test_negative_power_needs_a_unit(self):
         f = TruncSeries.from_coeffs(U7, [0, 1, 1, 1])
@@ -125,6 +125,10 @@ class TestAnalyticElementCertificate:
     def test_geometric_series(self):
         r = analytic_element_certificate(geometric(U7, 10), 2, 5)
         assert r == rat(U7, [1], [1, -1])
+
+    def test_negative_degree_bound(self):
+        with pytest.raises(BadParameters, match="^degree bound must be >= 0, got -1$"):
+            analytic_element_certificate(geometric(U7, 10), 2, -1)
 
     def test_polynomial_comes_back_as_itself(self):
         g = TruncSeries.from_coeffs(U7, [1, 3, 1] + [0] * 17)
@@ -207,7 +211,7 @@ class TestKolchinScan:
 
     def test_negative_control_screens_everything_out(self):
         rep = kolchin_scan(
-            [apery_series(U5, 32), gauss_series(U5, 32)], 1, 2, 8
+            [apery_series(U5, 32), TruncSeries.from_coeffs(U5, gauss_coefficients(32))], 1, 2, 8
         )
         assert rep.findings == ()
         assert rep.stats["tuples_tested"] == 4
@@ -221,14 +225,28 @@ class TestKolchinScan:
         with pytest.raises(NotAUnit):
             kolchin_scan([f], 1, 1, 2)
 
+    @pytest.mark.parametrize(
+        "fs, exp_bound, level, deg_bound",
+        [
+            # Q_5 and Q_3: one e, so rows of both would add up
+            ([apery_series(U5, 20), TruncSeries.from_coeffs(U3, gauss_coefficients(20))], 1, 3, 1),
+            # Q_5(pi) and then Q_5: e = 4 rows against e = 1 rows
+            ([half_series(D5, 20), half_series(U5, 20)], 2, 2, 4),
+        ],
+        ids=["unramified", "ramified-first"],
+    )
+    def test_mixed_contexts(self, fs, exp_bound, level, deg_bound):
+        with pytest.raises(BadParameters, match="^mixed contexts$"):
+            kolchin_scan(fs, exp_bound, level, deg_bound)
+
     def test_negative_derivative_order(self):
         with pytest.raises(BadParameters):
             kolchin_scan([half_series(U7, 12)], 1, 1, 2, derivative_orders=(-1,))
 
     @pytest.mark.parametrize("level", [0, -1])
     def test_level_below_one(self, monkeypatch, level):
-        # no tuple of a series with 1/7 in it gives an integral target, so
-        # no search would reach the level: it is checked before any search
+        # every target of a series with 1/7 in it is non-integral, so no
+        # search would read the level: it is checked before any search
         def no_search(*args):
             raise AssertionError("a certificate search ran")
 
@@ -540,7 +558,8 @@ class TestNoExpansionPerCertificate:
 
 class TestLogCombination:
     """Each tuple's screen target sum a_i g_i'/g_i is formed in one integer
-    pass over logs aligned once per scan, and equals the term-by-term sum."""
+    pass over the logs the scan object aligns once, and equals the
+    term-by-term sum."""
 
     @pytest.mark.parametrize(
         "ctx", [U5, PadicContext.dwork(3), PadicContext.dwork(5)], ids=lambda c: f"e{c.e}"
@@ -556,7 +575,7 @@ class TestLogCombination:
                     row[0] = 7 * int(t == 0)
                 fs.append(TruncSeries.from_rows(ctx, rng.choice([1, 7, 12, 49]), rows))
             logs = [f.log_derivative() for f in fs]
-            combine = dependence._combiner(logs)
+            combine = dependence._Scan(fs, 1, 1, 0).screen_target
             for _ in range(5):
                 a = [rng.randrange(-4, 5) for _ in range(m)]
                 want = TruncSeries.zero(ctx, order - 1)
@@ -665,21 +684,21 @@ class TestScreenOfUnitMultiples:
         # comes from the canonical lift
         lifted = [False]
         real_pairs = rational.pade_pairs
-        real_lift = rational.canonical_lift
+        real_lift = rational.ResidueTarget.lift
 
         def pade_pairs(f, window):
             return real_pairs(f, window) if lifted[0] else iter(())
 
-        def canonical_lift(f, m):
+        def lift(res):
             lifted[0] = True
-            return real_lift(f, m)
+            return real_lift(res)
 
         def reset(*args, **kwargs):
             lifted[0] = False
             return real_search(*args, **kwargs)
 
         monkeypatch.setattr(rational, "pade_pairs", pade_pairs)
-        monkeypatch.setattr(rational, "canonical_lift", canonical_lift)
+        monkeypatch.setattr(rational.ResidueTarget, "lift", lift)
         real_search = dependence.reconstruct_rational
         monkeypatch.setattr(dependence, "reconstruct_rational", reset)
         kinds = self.count_searches(monkeypatch)

@@ -32,6 +32,7 @@ from oracle import (
     apery_numbers,
     const_ints,
     const_product,
+    gauss_coefficients,
     random_coeff,
     ref_apply,
     ref_invert_series,
@@ -49,16 +50,8 @@ U7 = PadicContext.unramified(7)
 D3 = PadicContext.dwork(3)
 
 
-# Independent oracles, straight from the defining formulas; apery_numbers is
-# the oracle's.
-
-def pochhammer_squared_series(count):
-    # ((1/2)_j)^2 / (j!)^2
-    out = [Fraction(1)]
-    for j in range(1, count):
-        out.append(out[-1] * (Fraction(1, 2) + j - 1) ** 2 / j**2)
-    return out
-
+# Independent oracles, straight from the defining formulas; apery_numbers and
+# gauss_coefficients are the oracle's.
 
 def apery_raw_terms(ctx):
     # delta^3 - z*(2 delta + 1)(17 delta^2 + 17 delta + 5) + z^2*(delta + 1)^3;
@@ -209,7 +202,7 @@ class TestUnitSolution:
     def test_gauss_matches_pochhammer_oracle(self):
         L = monicize(gauss_half_half_terms(), U5, 14)
         f = L.unit_solution(14)
-        oracle = pochhammer_squared_series(14)
+        oracle = gauss_coefficients(14)
         assert oracle[:3] == [1, Fraction(1, 4), Fraction(9, 64)]
         assert f == TruncSeries.from_coeffs(U5, oracle)
 

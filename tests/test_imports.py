@@ -1,4 +1,5 @@
 """Every name a module of the package imports is used in that module, every
+module imports only the standard library and the package itself, every
 private function or method the package defines is read in it, no module
 imports dataclasses, and only diffops reads an operator's raw terms. No test
 module imports another, and the test modules read every name that
@@ -11,6 +12,7 @@ re-export them.
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,27 @@ def imported_modules(source: str) -> set:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             out.add(node.module.split(".")[0])
     return out
+
+
+def foreign_imports(source: str) -> list:
+    """The modules that source imports absolutely from outside the standard
+    library and the package, sorted."""
+    return sorted(imported_modules(source) - set(sys.stdlib_module_names) - {"cartier"})
+
+
+def test_the_check_sees_a_third_party_import():
+    source = (
+        "import os.path\nimport numpy.linalg\nfrom click import echo\n"
+        "from . import rings\nfrom cartier.series import TruncSeries\n"
+    )
+    assert foreign_imports(source) == ["click", "numpy"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    """The program has no runtime dependency: click, pytest and hypothesis
+    are the test extra's."""
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_the_check_sees_a_dataclasses_import():

@@ -317,13 +317,13 @@ class TestLiftOnDemand:
 
     def count_lifts(self, monkeypatch):
         built = []
-        real_lift = rational.canonical_lift
+        real_lift = rational.ResidueTarget.lift
 
-        def lift(f, m):
-            built.append(f)
-            return real_lift(f, m)
+        def lift(res):
+            built.append(real_lift(res))
+            return built[-1]
 
-        monkeypatch.setattr(rational, "canonical_lift", lift)
+        monkeypatch.setattr(rational.ResidueTarget, "lift", lift)
         return built
 
     def test_not_built_when_the_target_certifies(self, monkeypatch):
@@ -340,7 +340,8 @@ class TestLiftOnDemand:
         )
         with pytest.raises(ReconstructionFailed):
             reconstruct_rational(g, 2, 3, "half power")
-        assert built == [g]
+        (lift,) = built
+        assert lift == canonical_lift(g, 2)
 
 
 # -- differential tests of the fraction-free Pade path ------------------------
@@ -792,8 +793,8 @@ def eliminated_feasible(res, a, b):
     """Feasibility of (a, b) by one elimination of its own system over Z/p^k:
     the unknowns are the e pi-components of t_1..t_b, and the equation for
     component i of coefficient n > a is scaled by p^k / thresholds[i]."""
-    want, p, thresholds = res.rows, res.prime, res.thresholds
-    e, mod = len(thresholds), res.prime**res.digits
+    want, p, thresholds = res.rows, res.ctx.prime, res.thresholds
+    e, mod = len(thresholds), p**res.digits
     rows, rhs = [], []
     for n in range(a + 1, len(want[0])):
         cols = [[w[n - j] if j <= n else 0 for w in want] for j in range(1, b + 1)]
