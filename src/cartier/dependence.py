@@ -292,7 +292,7 @@ def kolchin_scan(
         derivative_orders = tuple(derivative_orders)
     else:
         for f in fs:
-            if f.order == 0 or f.coefficient(0) != 1:
+            if f.order == 0 or f.truncate(1) != TruncSeries.one(f.ctx, 1):
                 raise NotAUnit("scan needs constant term 1 (or derivative orders)")
         gs = fs
     scan = _Scan(gs, exp_bound, level, deg_bound)

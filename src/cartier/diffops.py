@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, zip_longest
-from operator import add
+from operator import add, mul
 
 from .errors import (
     BadParameters,
@@ -94,24 +94,6 @@ class SeriesMatrix(IntegerRows):
         o = self._common(other)
         rows = _matmul_ints(self.rows, o.rows, self.ctx, min(self.order, o.order))
         return SeriesMatrix._of(self.ctx, self.den * o.den, rows)
-
-    def row_matmul(self, i: int, other: "SeriesMatrix") -> list:
-        """Row i of self.matmul(other) as a list of TruncSeries, with the
-        series products of that row only."""
-        o = self._common(other)
-        e, n = self.ctx.e, self.size
-        block = self.rows[i * n * e : (i + 1) * n * e]
-        rows = _matmul_ints(block, o.rows, self.ctx, min(self.order, o.order))
-        den = self.den * o.den
-        return [TruncSeries._of(self.ctx, den, rows[at : at + e]) for at in range(0, n * e, e)]
-
-    def matmul_const(self, den, vec) -> "SeriesMatrix":
-        """Right-multiply by the constant matrix vec / den, vec a flat vector
-        of integers as constant_ints gives it."""
-        if len(vec) != len(self.rows):
-            raise BadParameters("operands of different sizes")
-        rows = _matmul_ints(self.rows, [[v] for v in vec], self.ctx, self.order)
-        return SeriesMatrix._of(self.ctx, self.den * den, rows)
 
     def constant_matrix(self):
         return self.coefficient_matrix(0)
@@ -226,31 +208,34 @@ class DiffOp:
         return _align([a.truncate(order) for a in self.coeffs[::-1]] + [one])[1]
 
     def companion(self) -> SeriesMatrix:
-        """Shift structure with last row (-a_n, .., -a_1)."""
-        n = self.order
+        """Shift structure with last row (-a_n, .., -a_1), built on the
+        rows of the a_i over their common denominator."""
+        n, e = self.order, self.ctx.e
         order = self.series_order
+        den, aligned = _align([a.truncate(order) for a in self.coeffs])
+        zero = [[0] * order] * e
+        one = [[den, *zero[0][1:]][:order], *zero[1:]]
         rows = []
         for i in range(n - 1):
-            rows.append(
-                [
-                    TruncSeries.one(self.ctx, order)
-                    if j == i + 1
-                    else TruncSeries.zero(self.ctx, order)
-                    for j in range(n)
-                ]
-            )
-        rows.append([-self.coeffs[n - 1 - j].truncate(order) for j in range(n)])
-        return SeriesMatrix.from_rows(rows)
+            for j in range(n):
+                rows += one if j == i + 1 else zero
+        rows += [[-x for x in row] for a in reversed(aligned) for row in a]
+        return SeriesMatrix._of(self.ctx, den, rows)
 
     def apply(self, f: TruncSeries) -> TruncSeries:
-        """delta^n f + sum a_i delta^(n-i) f, to the common reliable order."""
-        powers = [f]
-        for _ in range(self.order):
-            powers.append(powers[-1].delta())
-        out = powers[self.order]
-        for i, a in enumerate(self.coeffs, start=1):
-            out = out + a * powers[self.order - i]
-        return out
+        """delta^n f + sum a_i delta^(n-i) f, to the common reliable order,
+        summed on f's rows and those of the a_i over their common
+        denominator da."""
+        n, ctx = self.order, self.ctx
+        order = min(f.order, self.series_order) if n else f.order
+        da, aligned = _align([a.truncate(order) for a in self.coeffs])
+        powers = [[row[:order] for row in f.rows]]
+        for _ in range(n):
+            powers.append([list(map(mul, row, range(order))) for row in powers[-1]])
+        out = [[da * x for x in row] for row in powers[n]]
+        for a, power in zip(aligned, powers[n - 1 :: -1]):
+            out = [list(map(add, u, v)) for u, v in zip(out, _matmul_ints(a, power, ctx, order))]
+        return TruncSeries._of(ctx, da * f.den, out)
 
     def unit_solution(self, order: int) -> TruncSeries:
         """The solution with constant term 1, to order max(order, 1), as the

@@ -13,9 +13,12 @@ that level k - 1 verified. Every identity is re-verified on the truncations
 before anything is returned; a failure means the input operator lies
 outside the class the construction is valid for, and is reported with the
 first offending order. The passage identity is checked as lead times its
-residual, in one integer pass, lead the delta^n coefficient of L's
-polynomial form (DiffOp.polynomial_form); lead(0) != 0, so both vanish to
-the same order.
+residual, in one integer pass, with lead, the delta^n coefficient, and
+lead A both read off L's polynomial form (DiffOp.polynomial_form), so that
+a check forms one product with lead; lead(0) != 0, so both vanish to the
+same order. Each step checks once that its operator annihilates the
+Cartier transform it descends to; the composite check of level k does not
+repeat it.
 
 Certificates are rational functions congruent, modulo a power of pi, to
 structured ratios of a series and its Cartier/Frobenius transforms. They are
@@ -25,8 +28,7 @@ defining congruence, coefficient by coefficient.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress
 from operator import add, mul, sub
 
 from .diffops import DiffOp, SeriesMatrix, uniform_part
@@ -117,59 +119,75 @@ def antecedent_step(L: DiffOp, order: int, A=None, transformed=None) -> Antecede
     d0, a0 = A.constant_ints()
     C_inv = C.invert_series()
     # monic coefficient of delta^(n-k) is -(1/p^(k-1)) * F[n, n-k+1]: only
-    # the last row of F is formed
-    last = (C.delta() + C.matmul_const(p * d0, a0)).row_matmul(n - 1, C_inv)
-    coeffs = tuple(last[n - k] * Fraction(-1, p ** (k - 1)) for k in range(1, n + 1))
-    L1 = DiffOp(coeffs, ctx)
+    # the last row of F is formed, from row n - 1 of C, negated, as
+    # -(p d0 delta(C) + C a0) C^(-1) over C.den p d0 C_inv.den
+    e, pd0 = ctx.e, p * d0
+    c_last = C.rows[(n - 1) * n * e :]
+    ca0 = _matmul_ints(c_last, [[-v] for v in a0], ctx, C.order)
+    # range(0, -pd0 len, -pd0) multiplies coefficient j by -j p d0
+    g = [list(map(add, map(mul, r, range(0, -pd0 * len(r), -pd0)), s)) for r, s in zip(c_last, ca0)]
+    f_last = _matmul_ints(g, C_inv.rows, ctx, C.order)
+    den = C.den * pd0 * C_inv.den
+    L1 = DiffOp(
+        tuple(
+            TruncSeries._of(ctx, den * p ** (k - 1), f_last[(n - k) * e : (n - k + 1) * e])
+            for k in range(1, n + 1)
+        ),
+        ctx,
+    )
     A1 = L1.companion()
     # H = Y C^(-1)(z^p) diag(1, p, .., p^(n-1)): column j of H is scaled by p^j
     rows = _matmul_ints(Y.rows, C_inv.subst_zpk_truncated(1, order).rows, ctx, order)
-    scaled = [[x * p ** (at // ctx.e % n) for x in row] for at, row in enumerate(rows)]
+    scaled = [[x * p ** (at // e % n) for x in row] for at, row in enumerate(rows)]
     passage = SeriesMatrix._of(ctx, Y.den * C_inv.den, scaled)
-    return _verified_level(1, L, L1, A1, passage, A, transformed)
+    out = _verified_level(1, L, L1, A1, passage)
+    bad = L1.apply(transformed.truncate(L1.series_order)).first_nonzero()
+    if bad is not None:
+        raise VerificationFailed(
+            "level-1 operator does not annihilate the transformed solution", order=bad
+        )
+    return out
 
 
-def _lead(L: DiffOp, N: int):
-    """The rows of P_n, the delta^n coefficient of L's polynomial form mod
-    z^N, or None where multiplying by it would change nothing: a constant,
-    as for a derived operator."""
-    lead = L.polynomial_form(N)[-1]
-    return lead if any(any(row[1:]) for row in lead) else None
+def _verified_level(level, L, Lk, Ak, passage) -> AntecedentLevel:
+    """Check the level-k passage H from L to Lk (companion Ak): the passage
+    identity, H(0) and the integrality of H; raise VerificationFailed on the
+    first miss.
 
-
-def _verified_level(level, L, Lk, Ak, passage, A, transformed) -> AntecedentLevel:
-    """Run every level invariant; raise VerificationFailed on the first miss.
-
-    The passage identity R = delta(H) - A H + p^k H A_k(z^(p^k)) = 0 mod z^N
-    is tested as lead R = 0, lead as _lead gives it, in one integer pass:
-    the terms' numerator rows over the product of the denominators, summed,
-    with no gcd. lead A is a polynomial matrix for an operator from
-    monicize, so (lead A) H costs its degree per coefficient. lead(0) != 0,
-    so lead R and R have the same first nonzero order, the one reported.
+    The identity R = delta(H) - A H + p^k H B = 0 mod z^N, A the companion
+    of L and B = A_k(z^(p^k)) over db, is tested as lead R = 0 in one
+    integer pass, with lead = P_n and lead A read off L.polynomial_form(N):
+    lead A has lead on the superdiagonal and -P_0, .., -P_(n-1) in its last
+    row. On H's rows (its denominator cancels) lead R is
+    lead S - db (lead A) H, S = db delta(H) + p^k H B. In rows 0 .. n-2
+    that is lead (S_i - db H_(i+1)), tested without the factor lead; the
+    last row, lead S_(n-1) + db sum_j P_j H_j, is the one product with
+    lead. lead(0) != 0, so lead R and R have the same first nonzero order,
+    the one reported. S is formed one matrix row at a time.
     """
     ctx = L.ctx
-    p = ctx.prime
+    e, p = ctx.e, ctx.prime
     n = L.order
     pk = p**level
-    N = min(passage.order, A.order, Ak.order * pk)
+    N = min(passage.order, Ak.order * pk)
     H = passage.rows
     B = Ak.subst_zpk_truncated(level, N)
-    HB = _matmul_ints(H, B.rows, ctx, N)
-    dH = [list(map(mul, row, range(N))) for row in H]
-    P = A.rows
-    lead = _lead(L, N)
-    if lead is not None:
-        dH, P, HB = (_matmul_ints(rows, lead, ctx, N) for rows in (dH, P, HB))
-    PH = _matmul_ints(P, H, ctx, N)
-    # over dl dh da db: lead delta(H) is over dl dh, (lead A) H over dl da dh
-    # and lead H B over dl dh db
-    da, db = A.den, B.den
-    u, w = da * db, pk * da
-    bad = min(
-        next(compress(count(), map(sub, map(add, map(u.__mul__, r1), map(w.__mul__, r3)),
-                                   map(db.__mul__, r2))), N)
-        for r1, r2, r3 in zip(dH, PH, HB)
-    )
+    db, width = B.den, n * e
+    P = L.polynomial_form(N)
+    bad = N
+    for at in range(0, len(H), width):
+        block = H[at : at + width]
+        S = [list(map(add, map(mul, h, range(0, db * N, db)), map(pk.__mul__, hb)))
+             for h, hb in zip(block, _matmul_ints(block, B.rows, ctx, N))]
+        if at + width < len(H):
+            below = H[at + width : at + 2 * width]
+            resid = (map(sub, s, map(db.__mul__, h)) for s, h in zip(S, below))
+        else:
+            PH = _matmul_ints(list(chain.from_iterable(P[:n])), H, ctx, N)
+            resid = (map(add, s, map(db.__mul__, ph))
+                     for s, ph in zip(_matmul_ints(S, P[n], ctx, N), PH))
+        for r in resid:
+            bad = next(compress(range(bad), r), bad)
     if bad < N:
         raise VerificationFailed(
             f"passage identity fails at level {level}", order=bad
@@ -182,12 +200,6 @@ def _verified_level(level, L, Lk, Ak, passage, A, transformed) -> AntecedentLeve
     if min_val < 0:
         raise VerificationFailed(
             f"passage matrix at level {level} has a negative-valuation entry"
-        )
-    bad = Lk.apply(transformed.truncate(Lk.series_order)).first_nonzero()
-    if bad is not None:
-        raise VerificationFailed(
-            f"level-{level} operator does not annihilate the transformed solution",
-            order=bad,
         )
     residual = SeriesMatrix.zero(ctx, n, N)
     return AntecedentLevel(level, Lk, Ak, passage, residual, N, min_val)
@@ -219,16 +231,11 @@ def antecedent_chain(L: DiffOp, levels: int, order: int) -> list:
         # level k - 1 verified that its operator annihilates transformed, so
         # (a MOM unit solution being unique) that is its unit solution
         upto = prev.operator.series_order
-        step = antecedent_step(
-            prev.operator, upto, prev.companion, transformed.truncate(upto).cartier()
-        )
+        transformed = transformed.truncate(upto).cartier()
+        step = antecedent_step(prev.operator, upto, prev.companion, transformed)
         passage = prev.passage.matmul(step.passage.subst_zpk_truncated(k - 1, order))
-        transformed = transformed.cartier()
-        out.append(
-            _verified_level(
-                k, L, step.operator, step.companion, passage, A, transformed
-            )
-        )
+        # the step checked that step.operator annihilates transformed
+        out.append(_verified_level(k, L, step.operator, step.companion, passage))
     return out
 
 
@@ -277,7 +284,7 @@ def _require_period(h: int):
 
 
 def _require_unit_start(f: TruncSeries):
-    if f.order == 0 or f.coefficient(0) != 1:
+    if f.order == 0 or f.truncate(1) != TruncSeries.one(f.ctx, 1):
         raise ValueError("series must have constant term 1")
 
 

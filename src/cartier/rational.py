@@ -56,7 +56,7 @@ class Polynomial(IntegerRows):
 
     A product of lengths la and lb is the series product of the rows to
     la + lb - 1 coefficients, where it is exact. The coeffs view serves
-    indexing and rendering; no computation reads it.
+    indexing; no computation or rendering reads it.
     """
 
     __slots__ = ()
@@ -130,9 +130,6 @@ class Polynomial(IntegerRows):
         """min coefficient valuation; INF for the zero polynomial."""
         return self.min_valuation()
 
-    def render(self) -> list:
-        return [c.render() for c in self.coeffs]
-
     def __repr__(self):
         return f"Polynomial(coeffs={self.coeffs!r}, ctx={self.ctx!r})"
 
@@ -140,10 +137,9 @@ class Polynomial(IntegerRows):
         if self.is_zero():
             return "0"
         parts = []
-        for j, c in enumerate(self.coeffs):
-            if c.is_zero():
+        for j, body in enumerate(self.render()):
+            if body == "0":
                 continue
-            body = c.render()
             if ("+" in body[1:]) or ("-" in body[1:]):
                 body = f"({body})"
             parts.append(body if j == 0 else f"{body}*z^{j}" if j > 1 else f"{body}*z")
@@ -349,8 +345,9 @@ def least_window(res: ResidueTarget, deg_bound: int):
     """The least Pade window s = 1 + min(a + b) over the degree bounds
     0 <= a, b <= D = deg_bound for which some t = 1 + t_1 z + .. + t_b z^b
     over O_K makes coefficients a+1 .. upto-1 of t*g vanish mod pi^m, for
-    the target g and the level m of res (upto = len(res.rows[0])); None
-    when no such (a, b) exists, and 1 for a non-integral target.
+    the target g and the level m of res (upto = len(res.rows[0])), or None
+    when no such (a, b) exists. The target must be integral (res.rows is
+    not None): dependence._certificate, its one caller, tests that first.
 
     A certificate r/t that reconstruct_rational accepts against g has
     t(0) = 1 and no root of t in the open unit disc, so t is integral and
@@ -375,8 +372,6 @@ def least_window(res: ResidueTarget, deg_bound: int):
     smaller a can give a smaller window.
     """
     want = res.rows
-    if want is None:
-        return 1
     p, thresholds = res.ctx.prime, res.thresholds
     e = len(thresholds)
     mod = p**res.digits

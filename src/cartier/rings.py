@@ -329,35 +329,35 @@ class Coefficient:
     # -- text form -----------------------------------------------------------
 
     def render(self) -> str:
-        """Canonical text: "a/b" terms joined with signs, pi powers marked.
-
-        Examples: "3", "-1/2", "2 + 1/3*pi", "1 - pi^2".
-        """
-        pieces = []
-        for i, c in enumerate(self.parts):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            elif i == 1:
-                body = "pi" if mag == 1 else f"{mag}*pi"
-            else:
-                body = f"pi^{i}" if mag == 1 else f"{mag}*pi^{i}"
-            pieces.append(("-" if c < 0 else "+", body))
-        if not pieces:
-            return "0"
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        """Canonical text, as _render gives it."""
+        return _render(*_int_parts(self))
 
     def __str__(self):
         return self.render()
 
     def __repr__(self):
         return f"Coefficient({self.render()!r}, p={self.ctx.prime}, {self.ctx.ramification.value})"
+
+
+def _render(den, column):
+    """Canonical text of sum_t column[t] pi^t / den, for integers column[t]
+    and den > 0: "a/b" terms joined with signs, pi powers marked.
+
+    Examples: "3", "-1/2", "2 + 1/3*pi", "1 - pi^2".
+    """
+    text = ""
+    for t, x in enumerate(column):
+        if x:
+            g = math.gcd(x, den)
+            body = str(abs(x) // g) if g == den else f"{abs(x) // g}/{den // g}"
+            if t:
+                power = "pi" if t == 1 else f"pi^{t}"
+                body = power if body == "1" else f"{body}*{power}"
+            if text:
+                text += f" - {body}" if x < 0 else f" + {body}"
+            else:
+                text = f"-{body}" if x < 0 else body
+    return text or "0"
 
 
 _TERM_RE = re.compile(

@@ -15,11 +15,12 @@ way, its n^2 entries' rows in the flat matrix layout of the kernel at the
 end of this module, and a rational.Polynomial as the rows of its
 coefficients without zero top columns. All three take their row form and
 row operations from one base class, IntegerRows. Every operation runs on
-these rows; coeffs, the tuple of Coefficients, is a view built on first use
-and cached, for code that indexes or renders a value. The series-matrix
-product, inverse and uniform part in diffops and the unit solution of an
-operator are built on the same kernel, the last three on its one
-running-denominator recurrence (_recurrence).
+these rows, and so does render, the text of each coefficient in a report;
+coeffs, the tuple of Coefficients, is a view built on first use and cached,
+for code that indexes a value. The series-matrix product, inverse and
+uniform part in diffops and the unit solution of an operator are built on
+the same kernel, the last three on its one running-denominator recurrence
+(_recurrence).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from operator import add, mul
 
 from .errors import BadParameters, NotAUnit
 from .rings import INF, Coefficient, PadicContext, _component_digits, _p_adic_order
-from .rings import _capped_power, _primitive, _ring_inverse, _rowop, _scale
+from .rings import _capped_power, _primitive, _render, _ring_inverse, _rowop, _scale
 
 
 class IntegerRows:
@@ -97,6 +98,13 @@ class IntegerRows:
                 _coefficient(self.den, col, self.ctx) for col in zip(*self.rows)
             )
         return view
+
+    def render(self) -> list:
+        """The canonical text of each coefficient (rings._render), read off
+        the rows."""
+        self._single()
+        den = self.den
+        return [_render(den, col) for col in zip(*self.rows)]
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -385,14 +393,14 @@ class TruncSeries(IntegerRows):
             "p": self.ctx.prime,
             "ramification": self.ctx.ramification.value,
             "N": self.order,
-            "coeffs": [c.render() for c in self.coeffs],
+            "coeffs": self.render(),
         }
 
     def __repr__(self):
         return f"TruncSeries(coeffs={self.coeffs!r}, ctx={self.ctx!r})"
 
     def __str__(self):
-        shown = ", ".join(self.coefficient(j).render() for j in range(min(self.order, 6)))
+        shown = ", ".join(self.truncate(min(self.order, 6)).render())
         tail = ", .." if self.order > 6 else ""
         return f"[{shown}{tail}] mod z^{self.order}"
 

@@ -3,6 +3,7 @@
 import pytest
 
 from cartier import Coefficient
+from cartier import series
 
 # the arithmetic of Coefficient: the references of tests/oracle.py are
 # written in it, and the program runs none of it
@@ -22,3 +23,15 @@ def no_coefficient_arithmetic(monkeypatch):
 
     for name in COEFFICIENT_ARITHMETIC:
         monkeypatch.setattr(Coefficient, name, refuse)
+
+
+@pytest.fixture
+def no_coefficient_view(monkeypatch):
+    """series._coefficient, which builds every Coefficient of a series's or
+    polynomial's coeffs view and of coefficient(j), raises AssertionError
+    for the rest of the test."""
+
+    def refuse(*args):
+        raise AssertionError("Coefficient view built in the program")
+
+    monkeypatch.setattr(series, "_coefficient", refuse)

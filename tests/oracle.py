@@ -69,6 +69,32 @@ def digit_sum(n, base):
     return s
 
 
+# -- Text: the canonical rendering on Fractions.
+
+def ref_render(parts):
+    """The canonical text of sum_i parts[i] pi^i, parts Fractions, written
+    term by term on the Fractions."""
+    pieces = []
+    for i, c in enumerate(parts):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        elif i == 1:
+            body = "pi" if mag == 1 else f"{mag}*pi"
+        else:
+            body = f"pi^{i}" if mag == 1 else f"{mag}*pi^{i}"
+        pieces.append(("-" if c < 0 else "+", body))
+    if not pieces:
+        return "0"
+    sign, body = pieces[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in pieces[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
 # -- Random inputs with the features the row kernels must get right.
 
 # e = 1, 2 and 4
@@ -286,6 +312,19 @@ def ref_matmul(a, b):
                 acc = acc + ref_mul(a.entry(i, k), b.entry(k, j))
             row.append(acc)
         rows.append(row)
+    return SeriesMatrix.from_rows(rows)
+
+
+def ref_companion(L):
+    """The companion of L built entry by entry from TruncSeries: ones on
+    the superdiagonal, (-a_n, .., -a_1) in the last row."""
+    n, ctx, order = L.order, L.ctx, L.series_order
+    rows = [
+        [TruncSeries.one(ctx, order) if j == i + 1 else TruncSeries.zero(ctx, order)
+         for j in range(n)]
+        for i in range(n - 1)
+    ]
+    rows.append([-L.coeffs[n - 1 - j].truncate(order) for j in range(n)])
     return SeriesMatrix.from_rows(rows)
 
 

@@ -988,11 +988,12 @@ def _reference_jobs():
 class TestBenchReferences:
     """Every job of bench/references.json, run in-process the way
     bench/run.py runs it, prints the recorded bytes and exit code, with
-    every arithmetic operation of Coefficient made to raise: no command does
-    Coefficient arithmetic."""
+    every arithmetic operation of Coefficient and the Coefficient view of
+    series and polynomials made to raise: no command does Coefficient
+    arithmetic, and every report is rendered from integer rows."""
 
     @pytest.mark.parametrize("key,ref", _reference_jobs(), ids=lambda v: v if isinstance(v, str) else "")
-    def test_job_is_byte_identical(self, key, ref, no_coefficient_arithmetic):
+    def test_job_is_byte_identical(self, key, ref, no_coefficient_arithmetic, no_coefficient_view):
         buf = io.StringIO()
         code = 0
         try:

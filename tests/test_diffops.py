@@ -25,7 +25,7 @@ from cartier.diffops import (
     uniform_part,
 )
 from cartier.rational import Polynomial, RationalFunction
-from cartier.series import TruncSeries, _apply, _const_inverse, _const_map
+from cartier.series import TruncSeries, _apply, _const_inverse, _const_map, _matmul_ints
 from oracle import (
     KERNEL_CONTEXTS,
     SHAPES,
@@ -35,6 +35,7 @@ from oracle import (
     gauss_coefficients,
     random_coeff,
     ref_apply,
+    ref_companion,
     ref_invert_series,
     ref_matmul,
     ref_matmul_const,
@@ -276,8 +277,6 @@ class TestSeriesMatrix:
         for op in (lambda: a + b, lambda: a - b, lambda: b.matmul(a), lambda: a.matmul(b)):
             with pytest.raises(BadParameters, match="different sizes"):
                 op()
-        with pytest.raises(BadParameters, match="different sizes"):
-            a.matmul_const(*b.constant_ints())
         with pytest.raises(BadParameters, match="mixed contexts"):
             a + SeriesMatrix.identity(U7, 2, 4)
         with pytest.raises(BadParameters, match="mixed contexts"):
@@ -341,7 +340,7 @@ class TestUniformPart:
         L = monicize(gauss_half_half_terms(), U7, 12)
         A = L.companion()
         Y = uniform_part(A, 12)
-        residual = Y.delta() - A.matmul(Y) + Y.matmul_const(*A.constant_ints())
+        residual = Y.delta() - A.matmul(Y) + ref_matmul_const(Y, A.constant_matrix())
         assert residual.is_zero()
         assert Y.constant_matrix() == SeriesMatrix.identity(U7, 2, 1).constant_matrix()
 
@@ -413,7 +412,10 @@ class TestMatrixKernelAgainstCoefficientLoops:
             b = shaped_matrix(rng, ctx, n, order + rng.randrange(2))
             assert a.matmul(b) == ref_matmul(a, b)
             c = [[random_coeff(rng, ctx) for _ in range(n)] for _ in range(n)]
-            assert a.matmul_const(*const_ints(c, ctx)) == ref_matmul_const(a, c)
+            # times a constant matrix, as the antecedent step forms C A(0)
+            d, vec = const_ints(c, ctx)
+            rows = _matmul_ints(a.rows, [[v] for v in vec], ctx, order)
+            assert SeriesMatrix._of(ctx, a.den * d, rows) == ref_matmul_const(a, c)
             # a substituted matrix B(z^p) on either side, as in the
             # antecedent step's products
             strided = shaped_matrix(rng, ctx, n, order).subst_zpk(1)
@@ -515,6 +517,19 @@ class TestOperatorRowsAgainstCoefficientLoops:
                 L = DiffOp(coeffs, ctx)
                 for order in self.ORDERS:
                     assert L.unit_solution(order) == ref_unit_solution_generic(L, order)
+
+    def test_companion(self, ctx):
+        """The companion built on rows equals the one built entry by entry,
+        for operators with raw terms and for derived ones (coefficients of
+        every shape, over denominators)."""
+        rng = random.Random(f"companion/{ctx.e}")
+        for n in (1, 2, 3):
+            L = random_mom_operator(rng, ctx, n, 13)
+            assert L.companion() == ref_companion(L)
+            for shape in SHAPES:
+                coeffs = tuple(shaped_series(rng, ctx, 11 + i, shape) for i in range(n))
+                derived = DiffOp(coeffs, ctx)
+                assert derived.companion() == ref_companion(derived)
 
     def test_unit_solution_of_delta_power_is_one(self, ctx):
         L = DiffOp((TruncSeries.zero(ctx, 13),) * 2, ctx)

@@ -44,7 +44,14 @@ from cartier.rational import (
 )
 from cartier.rings import INF
 from cartier.series import TruncSeries
-from oracle import apery_series, const_ints, digit_sum, geometric, half_series, reference_search
+from oracle import (
+    apery_series,
+    digit_sum,
+    geometric,
+    half_series,
+    ref_matmul_const,
+    reference_search,
+)
 
 U2 = PadicContext.unramified(2)
 U5 = PadicContext.unramified(5)
@@ -171,6 +178,21 @@ class TestAntecedentChain:
         antecedent_chain(gauss_op(U5, 60), 1, 60)
         assert calls == [1]
 
+    def test_each_level_checks_annihilation_once(self, monkeypatch):
+        # level 2's step checks that its operator annihilates the Cartier
+        # transform it descends to; the composite level-2 check does not
+        # apply the operator again
+        calls = []
+        original = DiffOp.apply
+
+        def counting(self, f):
+            calls.append(f.order)
+            return original(self, f)
+
+        monkeypatch.setattr(DiffOp, "apply", counting)
+        antecedent_chain(gauss_op(U5, 60), 2, 60)
+        assert len(calls) == 2
+
     def test_levels_share_one_unit_solution(self, monkeypatch):
         # level 2 descends from level 1's companion and the Cartier
         # transform level 1 verified, with no unit solution of its own
@@ -211,9 +233,8 @@ class TestAntecedentChain:
         L = gauss_op(U5, 60)
         levels = antecedent_chain(L, 2, 60)
         Y = uniform_part(L.companion(), 60)
-        direct = (
-            Y.matmul(Y.cartier().cartier().subst_zpk(2).invert_series())
-            .matmul_const(*const_ints(diag_const(U5, [1, 25]), U5))
+        direct = ref_matmul_const(
+            Y.matmul(Y.cartier().cartier().subst_zpk(2).invert_series()), diag_const(U5, [1, 25])
         )
         assert direct == levels[1].passage
 
@@ -351,29 +372,30 @@ def bessel_op(ctx, order):
 
 
 def level_inputs(kind, ctx, make, order):
-    """(level, L, Lk, Ak, H, A, transformed): the arguments of one level
-    check of a passing chain. "chain" is level 2 of the chain on L, "step"
-    the single step on the derived level-1 operator, "first" level 1."""
+    """(level, L, Lk, Ak, H, A): the arguments of one level check of a
+    passing chain, and the companion A of L. "chain" is level 2 of the chain
+    on L, "step" the single step on the derived level-1 operator, "first"
+    level 1."""
     L = make(ctx, order)
     A = L.companion().truncate(order)
-    f = L.unit_solution(order)
     if kind == "first":
         lv = antecedent_step(L, order)
-        return 1, L, lv.operator, lv.companion, lv.passage, A, f.cartier()
+        return 1, L, lv.operator, lv.companion, lv.passage, A
     lv1, lv2 = antecedent_chain(L, 2, order)
     if kind == "chain":
-        return 2, L, lv2.operator, lv2.companion, lv2.passage, A, f.cartier().cartier()
+        return 2, L, lv2.operator, lv2.companion, lv2.passage, A
     L1, sub = lv1.operator, lv1.operator.series_order
     lv = antecedent_step(L1, sub)
-    return 1, L1, lv.operator, lv.companion, lv.passage, L1.companion(), f.cartier().cartier()
+    return 1, L1, lv.operator, lv.companion, lv.passage, L1.companion()
 
 
 class TestFusedPassageCheck:
     """The level check tests lead (delta(H) - A H + p^k H B) in one integer
-    pass. A passage tampered at coefficient j of one entry fails with order
-    j, the first nonzero order of the residual formed the plain way, for
-    every lead: a polynomial (2F1, Apery, an operator file), a constant
-    (Bessel) and none (a derived operator)."""
+    pass, lead the delta^n coefficient of L's polynomial form. A passage
+    tampered at coefficient j of one entry fails with order j, the first
+    nonzero order of the residual formed the plain way, for every lead: a
+    polynomial (2F1, Apery, an operator file) and a constant (Bessel, and
+    a derived operator)."""
 
     CASES = [
         ("first", U5, hyp_op, 40, True),
@@ -393,14 +415,15 @@ class TestFusedPassageCheck:
         ids=[f"{k}-{m.__name__}-e{c.e}" for k, c, m, _, _ in CASES],
     )
     def test_tampered_passage_fails_at_the_plain_order(self, kind, ctx, make, order, polynomial_lead):
-        level, L, Lk, Ak, H, A, transformed = level_inputs(kind, ctx, make, order)
-        assert (frobenius._lead(L, H.order) is not None) == polynomial_lead
+        level, L, Lk, Ak, H, A = level_inputs(kind, ctx, make, order)
+        lead = L.polynomial_form(H.order)[-1]
+        assert any(any(row[1:]) for row in lead) == polynomial_lead
         assert plain_first_failure(level, A, Ak, H) is None
         for i, c, j in [(0, 0, 1), (H.size - 1, 0, H.order // 2), (0, H.size - 1, H.order - 1)]:
             tampered = bumped(H, i, c, j, ctx.pi() ** (ctx.e - 1) * 3)
             assert plain_first_failure(level, A, Ak, tampered) == j
             with pytest.raises(VerificationFailed) as err:
-                frobenius._verified_level(level, L, Lk, Ak, tampered, A, transformed)
+                frobenius._verified_level(level, L, Lk, Ak, tampered)
             assert err.value.order == j
 
 

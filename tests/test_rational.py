@@ -850,10 +850,6 @@ class TestCertificateFilter:
                         windows.add(want)
         assert None in windows and len(windows) >= 4
 
-    def test_non_integral_target_starts_at_window_one(self):
-        g = TruncSeries.from_coeffs(U5, [1, Fraction(1, 5), 3, 4, 1, 2])
-        assert least_window(ResidueTarget(g, 2, g.order), 1) == 1
-
 
 class TestLeastWindow:
     @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")

@@ -14,8 +14,10 @@ from cartier import (
     PadicContext,
     parse_coefficient,
 )
-from cartier.rational import canonical_lift
+from cartier.rational import Polynomial, canonical_lift
+from cartier.rings import _render
 from cartier.series import TruncSeries
+from oracle import KERNEL_CONTEXTS, SHAPES, ref_render, shaped_series
 
 U5 = PadicContext.unramified(5)
 U3 = PadicContext.unramified(3)
@@ -201,6 +203,40 @@ class TestCanonicalResidue:
             return
         same = residue(a, m) == residue(b, m)
         assert same == ((a - b).valuation() >= m)
+
+
+@st.composite
+def rendered_columns(draw):
+    """(ctx, den, column): e in {1, 2, 4}, a den > 0, and e integers over it
+    with zero, +-1 and negative parts."""
+    ctx = draw(st.sampled_from([U5, D3, D5]))
+    den = draw(st.integers(1, 12))
+    part = st.one_of(st.integers(-2, 2).map(den.__mul__), st.integers(-60, 60))
+    return ctx, den, draw(st.lists(part, min_size=ctx.e, max_size=ctx.e))
+
+
+class TestRowRenderer:
+    """rings._render, which renders every series, polynomial and Coefficient
+    of a report, against the rendering on Fractions."""
+
+    @given(rendered_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_rendering(self, case):
+        ctx, den, column = case
+        parts = tuple(Fraction(x, den) for x in column)
+        assert _render(den, column) == ref_render(parts)
+        assert Coefficient(parts, ctx).render() == ref_render(parts)
+
+    @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+    def test_series_and_polynomials_render_each_coefficient(self, ctx):
+        rng = random.Random(f"render/{ctx.e}")
+        for shape in SHAPES:
+            f = shaped_series(rng, ctx, 9, shape)
+            want = [ref_render(c.parts) for c in f.coeffs]
+            assert f.render() == want
+            assert f.to_json_dict()["coeffs"] == want
+            poly = Polynomial.from_coeffs(ctx, f.coeffs)
+            assert poly.render() == [ref_render(c.parts) for c in poly.coeffs]
 
 
 class TestTextForm:
