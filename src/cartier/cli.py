@@ -381,7 +381,17 @@ class _Program:
         raise SystemExit(1 if failed else 0)
 
     def __call__(self):
-        self.main()
+        """The console and `python -m` entry. A reader that closes stdout
+        early (`| head`) ends the program with exit code 1, stderr empty."""
+        try:
+            try:
+                self.main()
+            finally:
+                sys.stdout.flush()
+        except BrokenPipeError:
+            # Python flushes stdout again at exit: point it at devnull first
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SystemExit(1)
 
 
 main = _Program()

@@ -36,14 +36,11 @@ that no window can serve.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import BadParameters, NegativeValuation, NotInK0, ReconstructionFailed
 from .rings import INF, Coefficient, PadicContext, record
 from .rings import _adjugate, _component_digits, _p_adic_order, _primitive, _pseudo_step
 from .rings import _scale, _strip
-from .series import IntegerRows, TruncSeries, _coeff_rows, _fold, _matmul_ints, _mul_add
-from .series import _unfolded
+from .series import IntegerRows, TruncSeries, _fold, _mul_add, _unfolded
 
 
 class Polynomial(IntegerRows):
@@ -52,16 +49,17 @@ class Polynomial(IntegerRows):
     so equal polynomials have equal rows and the zero polynomial has empty
     rows. The row operations are the base class's, on rows as long as the
     polynomial (its order is degree + 1); _canonical strips the zero top
-    columns they leave, and a sum has the longer operand's length.
-
-    A product of lengths la and lb is the series product of the rows to
-    la + lb - 1 coefficients, where it is exact. The coeffs view serves
-    indexing; no computation or rendering reads it.
+    columns they leave. A sum has the longer operand's length, and a product
+    of lengths la and lb is the series product of the rows to la + lb - 1
+    coefficients, where it is exact. The coeffs view serves indexing; no
+    computation or rendering reads it.
     """
 
     __slots__ = ()
 
     _sum_length = max
+
+    _product_length = staticmethod(lambda la, lb: la + lb - 1)
 
     @classmethod
     def _canonical(cls, ctx, den, rows):
@@ -73,10 +71,6 @@ class Polynomial(IntegerRows):
         if n < len(rows[0]):
             rows = [row[:n] for row in rows]
         return super()._canonical(ctx, den, rows)
-
-    @classmethod
-    def from_coeffs(cls, ctx: PadicContext, values) -> "Polynomial":
-        return cls._canonical(ctx, *_coeff_rows(tuple(map(ctx.coeff, values)), ctx.e))
 
     @classmethod
     def zero(cls, ctx: PadicContext) -> "Polynomial":
@@ -106,15 +100,6 @@ class Polynomial(IntegerRows):
     def constant_term(self) -> Coefficient:
         return self[0]
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Coefficient)):
-            return self.scale(other)
-        o = self._common(other)
-        rows = _matmul_ints(self.rows, o.rows, self.ctx, self.order + o.order - 1)
-        return Polynomial._of(self.ctx, self.den * o.den, rows)
-
-    __rmul__ = __mul__
-
     derivative = IntegerRows.d_dz
 
     def to_series(self, order: int) -> TruncSeries:
@@ -126,24 +111,7 @@ class Polynomial(IntegerRows):
         pad = [0] * (order - self.order)
         return TruncSeries._canonical(self.ctx, self.den, [row + pad for row in self.rows])
 
-    def gauss_valuation(self):
-        """min coefficient valuation; INF for the zero polynomial."""
-        return self.min_valuation()
-
-    def __repr__(self):
-        return f"Polynomial(coeffs={self.coeffs!r}, ctx={self.ctx!r})"
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for j, body in enumerate(self.render()):
-            if body == "0":
-                continue
-            if ("+" in body[1:]) or ("-" in body[1:]):
-                body = f"({body})"
-            parts.append(body if j == 0 else f"{body}*z^{j}" if j > 1 else f"{body}*z")
-        return " + ".join(parts)
+    gauss_valuation = IntegerRows.min_valuation
 
 
 def no_roots_in_open_unit_disc(b: Polynomial) -> bool:
@@ -216,8 +184,6 @@ class RationalFunction:
         return self.den.ctx
 
     def gauss_valuation(self):
-        if self.num.is_zero():
-            return float("inf")
         return self.num.gauss_valuation() - self.den.gauss_valuation()
 
     def has_gauss_norm_one(self) -> bool:
@@ -243,18 +209,10 @@ class RationalFunction:
         return RationalFunction.make(self.num.subst_zpk(k), self.den.subst_zpk(k))
 
     def key(self):
-        return (
-            tuple(c.parts for c in self.num.coeffs),
-            tuple(c.parts for c in self.den.coeffs),
-        )
+        return tuple(tuple(c.parts for c in poly.coeffs) for poly in (self.num, self.den))
 
     def render(self) -> dict:
         return {"num": self.num.render(), "den": self.den.render()}
-
-    def __str__(self):
-        if self.den.degree <= 0:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
 
 
 # -- Pade reconstruction -----------------------------------------------------

@@ -19,6 +19,7 @@ import enum
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 from operator import attrgetter
 
@@ -343,13 +344,18 @@ def _render(den, column):
     """Canonical text of sum_t column[t] pi^t / den, for integers column[t]
     and den > 0: "a/b" terms joined with signs, pi powers marked.
 
-    Examples: "3", "-1/2", "2 + 1/3*pi", "1 - pi^2".
+    Examples: "3", "-1/2", "2 + 1/3*pi", "1 - pi^2". BadParameters when an
+    integer is longer than Python prints (sys.get_int_max_str_digits).
     """
     text = ""
     for t, x in enumerate(column):
         if x:
             g = math.gcd(x, den)
-            body = str(abs(x) // g) if g == den else f"{abs(x) // g}/{den // g}"
+            try:
+                body = str(abs(x) // g) if g == den else f"{abs(x) // g}/{den // g}"
+            except ValueError:  # past Python's int to str limit, sys.get_int_max_str_digits
+                limit = f"the limit of {sys.get_int_max_str_digits()} digits"
+                raise BadParameters(f"a coefficient is longer than {limit}") from None
             if t:
                 power = "pi" if t == 1 else f"pi^{t}"
                 body = power if body == "1" else f"{body}*{power}"

@@ -48,9 +48,10 @@ class IntegerRows:
 
     __slots__ = ("ctx", "den", "rows", "_view")
 
-    # the length of a sum: a series is known to the lesser order, while the
-    # coefficients a polynomial lacks are exact zeros
+    # the lengths of a sum and a product: a series or matrix is known to the
+    # lesser order; a polynomial lacks only exact zeros (rational.Polynomial)
     _sum_length = min
+    _product_length = min
 
     @classmethod
     def _canonical(cls, ctx, den, rows):
@@ -83,6 +84,16 @@ class IntegerRows:
             den, rows = -den, [[-x for x in row] for row in rows]
         return cls._of(ctx, den, rows)
 
+    @classmethod
+    def from_coeffs(cls, ctx: PadicContext, values) -> "IntegerRows":
+        """The series or polynomial of coefficient values that ctx.coeff reads."""
+        values = list(values)
+        if all(isinstance(v, (int, Fraction)) for v in values):
+            den = math.lcm(*(v.denominator for v in values))
+            row = [v.numerator * (den // v.denominator) for v in values]
+            return cls._canonical(ctx, den, [row] + [[0] * len(row)] * (ctx.e - 1))
+        return cls._canonical(ctx, *_coeff_rows(tuple(map(ctx.coeff, values)), ctx.e))
+
     def _single(self):
         """BadParameters unless this is one series or polynomial."""
         if len(self.rows) != self.ctx.e:
@@ -105,6 +116,9 @@ class IntegerRows:
         self._single()
         den = self.den
         return [_render(den, col) for col in zip(*self.rows)]
+
+    def __repr__(self):
+        return f"{type(self).__name__}(coeffs={self.coeffs!r}, ctx={self.ctx!r})"
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -160,7 +174,7 @@ class IntegerRows:
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
 
-    # -- ring operations (a sum has the _sum_length of its operands) --------
+    # -- ring operations, to the _sum_length or _product_length of operands -
 
     def _common(self, other):
         """other, checked to be a value of this type, context and size."""
@@ -189,6 +203,17 @@ class IntegerRows:
 
     def __sub__(self, other):
         return self._lincomb(other, -1)
+
+    def __mul__(self, other):
+        """The product by a scalar (scale) or by a value of this type."""
+        if isinstance(other, (int, Fraction, Coefficient)):
+            return self.scale(other)
+        o = self._common(other)
+        rows = _matmul_ints(self.rows, o.rows, self.ctx, self._product_length(self.order, o.order))
+        return self._of(self.ctx, self.den * o.den, rows)
+
+    def __rmul__(self, other):
+        return self * other if isinstance(other, (int, Fraction, Coefficient)) else NotImplemented
 
     def scale(self, c):
         """This value times the scalar c (an int, Fraction or Coefficient)."""
@@ -270,6 +295,9 @@ class TruncSeries(IntegerRows):
 
     __slots__ = ()
 
+    # named here, where the benchmark's tracer wraps it
+    __mul__ = IntegerRows.__mul__
+
     def __init__(self, coeffs, ctx: PadicContext):
         view = tuple(c if isinstance(c, Coefficient) else ctx.coeff(c) for c in coeffs)
         self.ctx = ctx
@@ -277,16 +305,6 @@ class TruncSeries(IntegerRows):
         self._view = view
 
     # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_coeffs(cls, ctx: PadicContext, values) -> "TruncSeries":
-        values = list(values)
-        if all(isinstance(v, (int, Fraction)) for v in values):
-            den = math.lcm(*(v.denominator for v in values))
-            row = [v.numerator * (den // v.denominator) for v in values]
-            zero = [0] * len(row)
-            return cls._canonical(ctx, den, [row] + [zero] * (ctx.e - 1))
-        return cls(tuple(ctx.coeff(v) for v in values), ctx)
 
     @classmethod
     def zero(cls, ctx: PadicContext, order: int) -> "TruncSeries":
@@ -310,20 +328,7 @@ class TruncSeries(IntegerRows):
             return self._view[j]
         return _coefficient(self.den, [row[j] for row in self.rows], self.ctx)
 
-    # -- products ------------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Coefficient)):
-            return self.scale(other)
-        o = self._common(other)
-        n = min(self.order, o.order)
-        rows = _matmul_ints(self.rows, o.rows, self.ctx, n)
-        return TruncSeries._of(self.ctx, self.den * o.den, rows)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Coefficient)):
-            return self * other
-        return NotImplemented
+    # -- powers --------------------------------------------------------------
 
     def pow_int(self, n: int) -> "TruncSeries":
         """Integer power; negative exponents go through invert_unit.
@@ -395,14 +400,6 @@ class TruncSeries(IntegerRows):
             "N": self.order,
             "coeffs": self.render(),
         }
-
-    def __repr__(self):
-        return f"TruncSeries(coeffs={self.coeffs!r}, ctx={self.ctx!r})"
-
-    def __str__(self):
-        shown = ", ".join(self.truncate(min(self.order, 6)).render())
-        tail = ", .." if self.order > 6 else ""
-        return f"[{shown}{tail}] mod z^{self.order}"
 
 
 def _coeff_rows(coeffs, e):

@@ -131,6 +131,29 @@ class TestGen:
         assert "frobenius_period: 1" in result.output
         assert not result.output.startswith("{")
 
+    def test_order_zero_is_a_reported_error(self, runner):
+        result, payload = run_json(runner, ["gen", "--series", "apery", "--prime", "5", "--order", "0"])
+        assert result.exit_code == 1
+        assert payload["error"] == {"message": "order must be at least 1", "type": "BadParameters"}
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no limit on integer string conversion",
+    )
+    def test_a_coefficient_past_the_digit_limit_is_a_reported_error(self, runner):
+        limit = sys.get_int_max_str_digits()
+        # the Apery numbers grow, so the longest order gen can print is the
+        # count of those with at most limit digits (no decimal text needed)
+        longest = sum(u < 10**limit for u in catalog._apery_numbers(limit))
+        args = ["gen", "--series", "apery", "--prime", "5", "--order"]
+        result, payload = run_json(runner, args + [str(longest)])
+        assert result.exit_code == 0
+        assert len(payload["series"]["coeffs"][-1]) <= limit
+        result, payload = run_json(runner, args + [str(longest + 1)])
+        assert result.exit_code == 1
+        assert payload["error"]["type"] == "BadParameters"
+        assert f"limit of {limit} digits" in payload["error"]["message"]
+
 
 HYP_WARNING = "p = 3 divides d_alpha = 3; integrality claims are off"
 
@@ -395,6 +418,33 @@ class TestAntecedent:
         )
         assert result.exit_code == 0
         assert [lv["level"] for lv in payload["levels"]] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"terms": [{"zdeg": 0, "deltapoly": ["1"]}, {"zdeg": 1, "deltapoly": ["-1"]}]}',
+             "operator must have positive delta-order"),
+            (GAUSS_TERMS_WITH % '["-1/4", "1"]', "too many pi-components for this context"),
+        ],
+        ids=["delta-order-0", "two-pi-components-at-e1"],
+    )
+    def test_rejected_operator_file_names_its_fault(self, runner, tmp_path, text, message):
+        path = tmp_path / "op.json"
+        path.write_text(text)
+        args = ["antecedent", "--operator-file", str(path), "--prime", "5", "--order", "20"]
+        result, payload = run_json(runner, args)
+        assert result.exit_code == 1
+        assert payload["error"]["type"] == "BadParameters"
+        assert message in payload["error"]["message"]
+
+    def test_table_prints_one_block_per_level(self, runner):
+        args = ["antecedent", "--series", "apery", "--prime", "5", "--levels", "2", "--order", "30"]
+        result = runner.invoke(main, args + ["--table"])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        at = lines.index("levels:")
+        assert lines[at + 1] == "  [0]" and lines[at + 2] == "    level: 1"
+        assert "  [1]" in lines[at + 2 :] and "    level: 2" in lines[at + 2 :]
 
     def test_operator_file_with_cancelling_terms(self, runner, tmp_path):
         path = tmp_path / "op.json"
@@ -675,6 +725,16 @@ class TestScan:
         )
         assert result.exit_code == 0
         assert payload["report"]["findings"] == []
+
+    def test_zero_derivative_orders_are_reported(self, runner):
+        args = ["scan", "--series", "hyp:1/2", "--series", "hyp:1/2,1/2", "--prime", "7",
+                "--exp-bound", "2", "--level", "2", "--deg-bound", "8", "--order", "40"]
+        result, payload = run_json(runner, args + ["--derivative", "0", "--derivative", "0"])
+        assert result.exit_code == 0
+        report = payload["report"]
+        assert report["derivative_orders"] == [0, 0]
+        _, plain = run_json(runner, args)
+        assert report == {**plain["report"], "derivative_orders": [0, 0]}
 
     def test_derivative_count_mismatch(self, runner):
         result = runner.invoke(
@@ -1030,6 +1090,19 @@ class TestProcessEntry:
         )
         assert done.returncode == ref["exit"], done.stderr
         assert hashlib.sha256(done.stdout).hexdigest() == ref["sha256"]
+
+    @pytest.mark.parametrize("entry", [["-m", "cartier.cli"], ["-c", CONSOLE_SCRIPT]], ids=["module", "script"])
+    def test_a_closed_stdout_exits_1_without_a_traceback(self, entry):
+        env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
+        args = ["gen", "--series", "apery", "--prime", "5", "--order", "2000"]
+        proc = subprocess.Popen(
+            [sys.executable, *entry, *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        # the reader is gone before the first byte, as `| head -c 0` leaves it
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert err == b""
 
 
 # -- fuzzing: every invocation is a JSON report (exit 0 or 1) or a usage

@@ -38,6 +38,7 @@ from cartier.frobenius import (
 from cartier.rational import (
     Polynomial,
     RationalFunction,
+    VERIFY_NOT_K0,
     VERIFY_OK,
     congruence_outcome,
     reconstruct_rational,
@@ -715,6 +716,14 @@ class TestDerivedCertificatesAreVerified:
             successive_frobenius_quotient(f, 1, 1, 4)
         with pytest.raises(VerificationFailed, match="^differentiated certificate misses the congruence$"):
             logderiv_from_frobenius(f, 1, 1, 4)
+
+    def test_a_derived_pole_in_the_disc_is_not_in_k0(self):
+        # 1/(1 - z/5) has its pole at z = 5, inside the open unit disc
+        cand = RationalFunction.make(Polynomial.one(U5), Polynomial.from_coeffs(U5, [1, Fraction(-1, 5)]))
+        outcome = congruence_outcome(cand, cand.to_series(8), 1, 8, require_norm_one=False)
+        assert outcome == (VERIFY_NOT_K0, INF)
+        with pytest.raises(NotInK0, match="^log-derivative denominator has a root in the open unit disc$"):
+            frobenius._derived("logderiv", 1, cand, 8, outcome, "log-derivative", "misses")
 
 
 # -- the one certificate search against the unscreened callback sweep ---------

@@ -21,6 +21,7 @@ from cartier.rational import (
     ResidueTarget,
     VERIFY_FAIL,
     VERIFY_OK,
+    _residual,
     canonical_lift,
     congruence_outcome,
     least_window,
@@ -199,6 +200,33 @@ class TestRationalFunction:
         a = RationalFunction.make(poly(U5, 1, 0, -1), Polynomial.one(U5))
         b = RationalFunction.make(poly(U5, 1, -1), Polynomial.one(U5))
         assert a.divide(b).num == poly(U5, 1, 1)
+
+
+class TestVerificationEdges:
+    def test_a_pole_at_zero_fails_without_a_residual(self):
+        cand = RationalFunction(poly(U5, 1, 2), poly(U5, 0, 1))
+        target = TruncSeries.from_coeffs(U5, [1, 2, 3, 4])
+        want = ref_outcome(cand, None, target, 1, 4, False)
+        assert want == (VERIFY_FAIL, None)
+        assert congruence_outcome(cand, target, 1, 4, False) == want
+        mult = TruncSeries.one(U5, 4)
+        assert product_congruence_outcome(cand, mult, target, 1, 4, False) == want
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_screen_below_a_later_denominator_agrees_with_the_exact_check(self, m):
+        # p divides the target's denominator only through its last
+        # coefficient, which lies past the window
+        target = TruncSeries.from_coeffs(U5, [1, 6, 31, Fraction(1, 5)])
+        upto = 3
+        residues = ResidueTarget(target, m, upto)
+        assert residues.rows is not None
+        pairs = [(poly(U5, 1), poly(U5, 1, -6)), (poly(U5, 1, 1), poly(U5, 1, -5)),
+                 (poly(U5, 1, 6, 31), Polynomial.one(U5)), (poly(U5, 2), poly(U5, 2, 3))]
+        for num, den in pairs:
+            assert rational._residue_screen(num, den, residues, upto) is not None
+            want = _residual(RationalFunction(num, den), target, upto) >= m
+            assert raw_congruence_check(num, den, target, m, upto) is want
+            assert raw_congruence_check(num, den, target, m, upto, residues) is want
 
 
 class TestPade:

@@ -22,9 +22,9 @@ from cartier import (
     parse_coefficient,
 )
 from cartier.diffops import SeriesMatrix
-from cartier.rational import Polynomial, canonical_lift
+from cartier.rational import Polynomial, RationalFunction, canonical_lift
 from cartier.rings import INF
-from cartier.series import TruncSeries
+from cartier.series import IntegerRows, TruncSeries
 from oracle import (
     KERNEL_CONTEXTS,
     SHAPES,
@@ -474,6 +474,47 @@ class TestRowStorageIdentity:
         f = TruncSeries.from_coeffs(U5, [1, 2, 3]) * 2
         assert f.coeffs is f.coeffs
         assert f.coefficient(2) == U5.coeff(6)
+
+
+class TestOneProduct:
+    """The product, from_coeffs and repr are written once, on IntegerRows.
+    The benchmark's tracer wraps TruncSeries.__mul__ and SeriesMatrix.matmul
+    in their own class's __dict__, so those names stay there, bound to the
+    one product."""
+
+    def test_the_product_is_written_once(self):
+        assert TruncSeries.__dict__["__mul__"] is IntegerRows.__mul__
+        assert SeriesMatrix.__dict__["matmul"] is IntegerRows.__mul__
+        assert not {"__mul__", "__rmul__", "from_coeffs", "__repr__"} & set(vars(Polynomial))
+
+    @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+    def test_product_lengths(self, ctx):
+        rng = random.Random(f"product/{ctx.e}")
+        f, g = (shaped_series(rng, ctx, n, "dense") for n in (7, 4))
+        assert (f * g).order == (g * f).order == 4
+        m, n = (SeriesMatrix.from_rows([[x, -x], [x, x]]) for x in (f, g))
+        assert (m * n).order == (n * m).order == 4
+        assert m * n == m.matmul(n)
+        a, b = (Polynomial.from_rows(ctx, x.den, x.rows) for x in (f, g))
+        assert (a * b).order == (b * a).order == a.order + b.order - 1
+        assert (a * Polynomial.zero(ctx)).is_zero()
+
+    @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
+    def test_a_scalar_multiplies_from_either_side(self, ctx):
+        f = shaped_series(random.Random(f"scalar/{ctx.e}"), ctx, 5, "dense")
+        values = (f, Polynomial.from_rows(ctx, f.den, f.rows), SeriesMatrix.from_rows([[f] * 2] * 2))
+        for x in values:
+            for c in (3, Fraction(2, 5), ctx.coeff("1 + pi") if ctx.e > 1 else ctx.coeff(7)):
+                assert c * x == x * c == x.scale(c)
+                assert type(c * x) is type(x)
+
+    def test_str_is_the_repr(self):
+        s = TruncSeries.from_coeffs(D3, [1, "pi", Fraction(1, 3)])
+        a = Polynomial.from_coeffs(D3, [1, "pi", Fraction(1, 3)])
+        assert repr(s) == f"TruncSeries(coeffs={s.coeffs!r}, ctx={D3!r})"
+        assert repr(a) == f"Polynomial(coeffs={a.coeffs!r}, ctx={D3!r})"
+        for x in (s, a, RationalFunction.from_polynomial(a)):
+            assert str(x) == repr(x)
 
 
 @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"e{c.e}")
